@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race vet bench bench-sched bench-shard bench-fleet bench-fault bench-analysis bench-all bench-check bench-compare bench-compare-shard bench-smoke serve-smoke
+.PHONY: all build verify test race vet bench bench-sched bench-shard bench-fleet bench-fault bench-analysis bench-all bench-check bench-compare bench-compare-shard bench-smoke serve-smoke fuzz-smoke
 
 all: build
 
@@ -25,6 +25,14 @@ race:
 
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...
+
+# fuzz-smoke runs each native fuzz target for a short while; plain
+# `go test` already runs their seed corpora. Go fuzzes one target per
+# invocation. A crasher lands in the package's testdata/fuzz directory:
+# commit it, and it runs as a regression test from then on.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDeframerFeed$$' -fuzztime 10s ./internal/ppp
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendFrame$$' -fuzztime 10s ./internal/ppp
 
 # serve-smoke runs the measurement-service mode end to end in one
 # process: start the control plane, submit two declarative specs

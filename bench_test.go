@@ -20,7 +20,6 @@ import (
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/itg"
 	"github.com/onelab/umtslab/internal/netsim"
-	"github.com/onelab/umtslab/internal/ppp"
 	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/tcp"
 	"github.com/onelab/umtslab/internal/testbed"
@@ -305,24 +304,6 @@ func itoa(n int) string {
 }
 
 // --- Substrate micro-benchmarks ---
-
-func BenchmarkHDLCEncode(b *testing.B) {
-	payload := ppp.EncapsulatePPP(ppp.ProtoIPv4, make([]byte, 1052))
-	b.SetBytes(int64(len(payload)))
-	for i := 0; i < b.N; i++ {
-		ppp.EncodeFrame(payload)
-	}
-}
-
-func BenchmarkHDLCRoundtrip(b *testing.B) {
-	payload := ppp.EncapsulatePPP(ppp.ProtoIPv4, make([]byte, 1052))
-	wire := ppp.EncodeFrame(payload)
-	b.SetBytes(int64(len(wire)))
-	d := ppp.Deframer{OnFrame: func([]byte) {}}
-	for i := 0; i < b.N; i++ {
-		d.Feed(wire)
-	}
-}
 
 func BenchmarkIPv4Marshal(b *testing.B) {
 	pkt := &netsim.Packet{

@@ -47,9 +47,7 @@ func EncodePayloadInto(b []byte, kind byte, flowID, seq uint32, txTime time.Dura
 	binary.BigEndian.PutUint32(b[1:], flowID)
 	binary.BigEndian.PutUint32(b[5:], seq)
 	binary.BigEndian.PutUint64(b[9:], uint64(txTime))
-	for i := MinPayload; i < len(b); i++ {
-		b[i] = 0
-	}
+	clear(b[MinPayload:])
 	return b
 }
 

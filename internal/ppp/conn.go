@@ -90,7 +90,8 @@ func newLink(loop *sim.Loop, ch ByteChannel) *link {
 	l.deframe.OnFrame = l.dispatch
 	// Every protocol handler below consumes its frame synchronously
 	// (control packets are parsed and re-marshalled, IP payloads are
-	// unmarshalled), so the deframer can lend out its internal buffer.
+	// unmarshalled), so the deframer can lend out its internal buffer
+	// or the received chunk itself.
 	l.deframe.Borrow = true
 	l.deframe.OnFCSError = reg.Counter("ppp/fcs_errors").Inc
 	ch.SetReceiver(func(p []byte) { l.deframe.Feed(p) })
@@ -341,7 +342,8 @@ type ClientConfig struct {
 	// leaves the running state, with a reason.
 	OnUp   func(local, peer netip.Addr)
 	OnDown func(reason string)
-	// OnIPv4 receives incoming IP datagrams while running.
+	// OnIPv4 receives incoming IP datagrams while running. b is only
+	// valid for the duration of the call.
 	OnIPv4 func(b []byte)
 	Trace  func(format string, args ...any)
 }
@@ -627,7 +629,8 @@ type ServerConfig struct {
 	OnUp func(user string, assigned netip.Addr)
 	// OnDown fires when the session ends.
 	OnDown func(reason string)
-	// OnIPv4 receives the peer's IP datagrams.
+	// OnIPv4 receives the peer's IP datagrams. b is only valid for the
+	// duration of the call.
 	OnIPv4 func(b []byte)
 	Trace  func(format string, args ...any)
 }

@@ -111,8 +111,9 @@ func TestDataTransferBothWays(t *testing.T) {
 		Credentials{User: "onelab", Password: "umts"},
 		map[string]string{"onelab": "umts"})
 	var atServer, atClient [][]byte
-	s.cfg.OnIPv4 = func(b []byte) { atServer = append(atServer, b) }
-	c.cfg.OnIPv4 = func(b []byte) { atClient = append(atClient, b) }
+	// Received datagrams are borrowed for the callback only: keep copies.
+	s.cfg.OnIPv4 = func(b []byte) { atServer = append(atServer, bytes.Clone(b)) }
+	c.cfg.OnIPv4 = func(b []byte) { atClient = append(atClient, bytes.Clone(b)) }
 	runHandshake(t, loop, c, s)
 	if !c.Up() {
 		t.Fatal("not up")
@@ -400,8 +401,8 @@ func TestACCMNegotiated(t *testing.T) {
 	}
 	// Data frames are smaller under ACCM 0 than under default escaping.
 	payload := EncapsulatePPP(ProtoIPv4, make([]byte, 1000)) // all zeros
-	plain := len(EncodeFrame(payload))
-	slim := len(EncodeFrameACCM0(payload))
+	plain := len(AppendFrame(nil, payload))
+	slim := len(AppendFrameACCM0(nil, payload))
 	if slim >= plain {
 		t.Fatalf("ACCM 0 framing not smaller: %d vs %d", slim, plain)
 	}

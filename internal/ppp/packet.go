@@ -138,7 +138,7 @@ func U32Option(typ byte, v uint32) Option {
 }
 
 // EncapsulatePPP prepends the PPP protocol number to an information
-// field, producing the payload EncodeFrame expects.
+// field, producing the payload AppendFrame expects.
 func EncapsulatePPP(proto uint16, info []byte) []byte {
 	b := make([]byte, 2+len(info))
 	binary.BigEndian.PutUint16(b, proto)

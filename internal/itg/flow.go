@@ -45,6 +45,30 @@ type FlowSpec struct {
 	TOS uint8
 }
 
+// ExpectedPackets returns how many packets the flow sends if it runs to
+// completion: exact for a Constant IDT, the mean count for an
+// Exponential one, and 0 (unknown) for every other distribution or a
+// degenerate IDT. Senders and receivers size their logs with it, so a
+// full-length flow's logs are allocated once instead of grown.
+func (f FlowSpec) ExpectedPackets() int {
+	var idt float64
+	switch d := f.IDT.(type) {
+	case Constant:
+		idt = d.V
+	case Exponential:
+		idt = d.Mean
+	default:
+		return 0
+	}
+	// The same conversion Sender.emit applies to every sample: packets
+	// depart at k*step for every k with k*step < Duration.
+	step := time.Duration(idt * float64(time.Second))
+	if idt <= 0 || step <= 0 || f.Duration <= 0 {
+		return 0
+	}
+	return int((f.Duration + step - 1) / step)
+}
+
 // VoIPG711 returns the paper's first traffic class (§3.1): a VoIP-like
 // 72 kbps UDP CBR flow resembling a G.711 call — 100 packets per second
 // of 90 bytes (voice frames plus RTP framing).
@@ -142,10 +166,10 @@ func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sende
 	loop.MarkOpaque("itg.Sender")
 	reg := loop.Metrics()
 	s := &Sender{
-		loop:    loop,
-		rng:     loop.RNG("itg/" + name),
-		spec:    spec,
-		send:    send,
+		loop:      loop,
+		rng:       loop.RNG("itg/" + name),
+		spec:      spec,
+		send:      send,
 		mSent:     reg.Counter("itg/packets_sent"),
 		mEchoed:   reg.Counter("itg/echoes_received"),
 		mErrors:   reg.Counter("itg/send_errors"),
@@ -160,12 +184,20 @@ func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sende
 func (s *Sender) Spec() FlowSpec { return s.spec }
 
 // Start begins generation: the first packet departs immediately, each
-// subsequent one after an IDT sample, until Duration elapses.
+// subsequent one after an IDT sample, until Duration elapses. Unless
+// DropLogs is set, the logs are reserved for the expected packet count
+// up front.
 func (s *Sender) Start() {
 	if s.started {
 		return
 	}
 	s.started = true
+	if n := s.spec.ExpectedPackets(); n > 0 && !s.DropLogs {
+		s.SentLog.Reserve(n)
+		if s.spec.Meter == MeterRTT {
+			s.EchoLog.Reserve(n)
+		}
+	}
 	s.deadline = s.loop.Now() + s.spec.Duration
 	s.emit()
 }
@@ -283,6 +315,8 @@ type Receiver struct {
 	// Malformed counts packets that did not carry an ITG header.
 	Malformed uint64
 
+	expect int // records to reserve in RecvLog at the first arrival
+
 	mRecv     *metrics.Counter
 	mEchoed   *metrics.Counter
 	mStreamed *metrics.Counter
@@ -303,6 +337,11 @@ func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 	loop.OnSnapshot(r.snapshot)
 	return r
 }
+
+// Expect sizes RecvLog for n records (typically the flow's
+// ExpectedPackets). The reservation is made at the first logged
+// arrival, so a receiver whose flow never starts allocates nothing.
+func (r *Receiver) Expect(n int) { r.expect = n }
 
 // snapshot captures the receiver's log cursor for speculative rollback
 // (sim.Loop OnSnapshot contract). The log only appends and records are
@@ -346,6 +385,10 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 	if r.DropLogs {
 		r.mDropped.Inc()
 	} else {
+		if r.expect > 0 {
+			r.RecvLog.Reserve(r.expect)
+			r.expect = 0
+		}
 		r.RecvLog.Add(rec)
 	}
 	r.mRecv.Inc()

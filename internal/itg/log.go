@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -79,6 +80,10 @@ type Log struct {
 // Add appends a record.
 func (l *Log) Add(r Record) { l.Records = append(l.Records, r) }
 
+// Reserve grows the log's capacity, if needed, to hold n more records
+// without reallocating.
+func (l *Log) Reserve(n int) { l.Records = slices.Grow(l.Records, n) }
+
 // Len returns the number of records.
 func (l *Log) Len() int { return len(l.Records) }
 
@@ -148,20 +153,19 @@ func DecodeLog(r io.Reader) (*Log, error) {
 	return l, nil
 }
 
-// Rebase returns a copy of the log with start subtracted from every
-// timestamp, so window 0 aligns with the flow start rather than the
-// simulation origin (experiments dial for several seconds before the
-// first packet departs).
+// Rebase subtracts start from every timestamp in place and returns l,
+// so window 0 aligns with the flow start rather than the simulation
+// origin (experiments dial for several seconds before the first packet
+// departs). A zero RxTime (sender logs) stays zero.
 func (l *Log) Rebase(start time.Duration) *Log {
-	out := &Log{Records: make([]Record, len(l.Records))}
-	for i, r := range l.Records {
+	for i := range l.Records {
+		r := &l.Records[i]
 		r.TxTime -= start
 		if r.RxTime != 0 {
 			r.RxTime -= start
 		}
-		out.Records[i] = r
 	}
-	return out
+	return l
 }
 
 // FilterFlow returns the sub-log containing only records of the given

@@ -235,8 +235,10 @@ func TestStreamWithStartMirrorsRebase(t *testing.T) {
 		return out
 	}
 	sSent, sRecv, sEcho := shift(sent), shift(recv), shift(echo)
-	batch := Decode(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
+	// Rebase works in place, so the stream decodes the shifted logs
+	// first.
 	stream := DecodeStream(sSent, sRecv, sEcho, 200*time.Millisecond, WithStart(start), WithExactPercentiles())
+	batch := Decode(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("WithStart(...) differs from Rebase + decode\nbatch:  %+v\nstream: %+v", batch, stream)
 	}

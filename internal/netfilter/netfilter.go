@@ -194,8 +194,12 @@ var (
 // Stack holds all tables/chains of one node and wires itself into the
 // node's hook slots.
 type Stack struct {
-	node   *netsim.Node
-	chains map[chainKey][]*Rule
+	node *netsim.Node
+	// chains maps each built-in chain to its rule list. The values are
+	// pointers so the node hooks can capture their chains once in New
+	// and see every later Append/Insert/Delete without a per-packet
+	// lookup.
+	chains map[chainKey]*[]*Rule
 	// DroppedTotal counts packets dropped by any DROP rule.
 	DroppedTotal uint64
 }
@@ -203,41 +207,47 @@ type Stack struct {
 // New creates the stack with the standard chains (empty, policy ACCEPT)
 // and installs the hook functions on the node.
 func New(node *netsim.Node) *Stack {
-	s := &Stack{node: node, chains: make(map[chainKey][]*Rule)}
-	for _, k := range []chainKey{
-		{TableMangle, ChainOutput}, {TableMangle, ChainPreRouting}, {TableMangle, ChainPostRouting},
-		{TableFilter, ChainOutput}, {TableFilter, ChainInput}, {TableFilter, ChainForward},
-		{TableFilter, ChainPostRouting},
-	} {
-		s.chains[k] = nil
+	s := &Stack{node: node, chains: make(map[chainKey]*[]*Rule)}
+	builtin := func(table, chain string) *[]*Rule {
+		rules := new([]*Rule)
+		s.chains[chainKey{table, chain}] = rules
+		return rules
 	}
+	var (
+		mangleOut  = builtin(TableMangle, ChainOutput)
+		manglePre  = builtin(TableMangle, ChainPreRouting)
+		manglePost = builtin(TableMangle, ChainPostRouting)
+		filterOut  = builtin(TableFilter, ChainOutput)
+		filterIn   = builtin(TableFilter, ChainInput)
+		filterFwd  = builtin(TableFilter, ChainForward)
+		filterPost = builtin(TableFilter, ChainPostRouting)
+	)
 	node.Hooks.Output = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		if s.Traverse(TableMangle, ChainOutput, pkt, out) == netsim.VerdictDrop {
+		if s.traverse(*mangleOut, pkt, out) == netsim.VerdictDrop {
 			return netsim.VerdictDrop
 		}
-		return s.Traverse(TableFilter, ChainOutput, pkt, out)
+		return s.traverse(*filterOut, pkt, out)
 	}
 	node.Hooks.PostRouting = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		if s.Traverse(TableMangle, ChainPostRouting, pkt, out) == netsim.VerdictDrop {
+		if s.traverse(*manglePost, pkt, out) == netsim.VerdictDrop {
 			return netsim.VerdictDrop
 		}
-		return s.Traverse(TableFilter, ChainPostRouting, pkt, out)
+		return s.traverse(*filterPost, pkt, out)
 	}
 	node.Hooks.PreRouting = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableMangle, ChainPreRouting, pkt, out)
+		return s.traverse(*manglePre, pkt, out)
 	}
 	node.Hooks.Input = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableFilter, ChainInput, pkt, out)
+		return s.traverse(*filterIn, pkt, out)
 	}
 	node.Hooks.Forward = func(pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
-		return s.Traverse(TableFilter, ChainForward, pkt, out)
+		return s.traverse(*filterFwd, pkt, out)
 	}
 	return s
 }
 
-func (s *Stack) chain(table, chain string) ([]*Rule, error) {
-	k := chainKey{table, chain}
-	rules, ok := s.chains[k]
+func (s *Stack) chain(table, chain string) (*[]*Rule, error) {
+	rules, ok := s.chains[chainKey{table, chain}]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchChain, table, chain)
 	}
@@ -247,23 +257,23 @@ func (s *Stack) chain(table, chain string) ([]*Rule, error) {
 // Append adds a rule at the end of a chain (iptables -A) and returns the
 // rule pointer for counter inspection.
 func (s *Stack) Append(table, chain string, r Rule) (*Rule, error) {
-	if _, err := s.chain(table, chain); err != nil {
+	rules, err := s.chain(table, chain)
+	if err != nil {
 		return nil, err
 	}
 	rp := &r
-	k := chainKey{table, chain}
-	s.chains[k] = append(s.chains[k], rp)
+	*rules = append(*rules, rp)
 	return rp, nil
 }
 
 // Insert adds a rule at the head of a chain (iptables -I).
 func (s *Stack) Insert(table, chain string, r Rule) (*Rule, error) {
-	if _, err := s.chain(table, chain); err != nil {
+	rules, err := s.chain(table, chain)
+	if err != nil {
 		return nil, err
 	}
 	rp := &r
-	k := chainKey{table, chain}
-	s.chains[k] = append([]*Rule{rp}, s.chains[k]...)
+	*rules = append([]*Rule{rp}, *rules...)
 	return rp, nil
 }
 
@@ -274,10 +284,9 @@ func (s *Stack) Delete(table, chain string, rp *Rule) error {
 	if err != nil {
 		return err
 	}
-	k := chainKey{table, chain}
-	for i, r := range rules {
+	for i, r := range *rules {
 		if r == rp {
-			s.chains[k] = append(rules[:i], rules[i+1:]...)
+			*rules = append((*rules)[:i], (*rules)[i+1:]...)
 			return nil
 		}
 	}
@@ -289,24 +298,27 @@ func (s *Stack) Delete(table, chain string, rp *Rule) error {
 // rules with the slice name so teardown is a single call.
 func (s *Stack) DeleteByComment(c string) int {
 	removed := 0
-	for k, rules := range s.chains {
-		kept := rules[:0]
-		for _, r := range rules {
+	for _, rules := range s.chains {
+		kept := (*rules)[:0]
+		for _, r := range *rules {
 			if r.Comment == c {
 				removed++
 				continue
 			}
 			kept = append(kept, r)
 		}
-		s.chains[k] = kept
+		*rules = kept
 	}
 	return removed
 }
 
 // Rules returns the chain contents in evaluation order.
 func (s *Stack) Rules(table, chain string) []*Rule {
-	rules, _ := s.chain(table, chain)
-	return append([]*Rule(nil), rules...)
+	rules, err := s.chain(table, chain)
+	if err != nil {
+		return nil
+	}
+	return append([]*Rule(nil), *rules...)
 }
 
 // Traverse evaluates a chain against a packet and returns the verdict
@@ -316,6 +328,10 @@ func (s *Stack) Traverse(table, chain string, pkt *netsim.Packet, out *netsim.If
 	if err != nil {
 		return netsim.VerdictAccept
 	}
+	return s.traverse(*rules, pkt, out)
+}
+
+func (s *Stack) traverse(rules []*Rule, pkt *netsim.Packet, out *netsim.Iface) netsim.Verdict {
 	for _, r := range rules {
 		if !r.Match.matches(pkt, out) {
 			continue
@@ -344,11 +360,11 @@ func (s *Stack) Dump() string {
 	for _, table := range []string{TableMangle, TableFilter} {
 		for _, chain := range []string{ChainPreRouting, ChainInput, ChainForward, ChainOutput, ChainPostRouting} {
 			rules, err := s.chain(table, chain)
-			if err != nil || len(rules) == 0 {
+			if err != nil || len(*rules) == 0 {
 				continue
 			}
 			fmt.Fprintf(&b, "*%s :%s\n", table, chain)
-			for _, r := range rules {
+			for _, r := range *rules {
 				fmt.Fprintf(&b, "  [%d:%d] %s\n", r.Packets, r.Bytes, r)
 			}
 		}

@@ -120,8 +120,7 @@ type linkDir struct {
 	link        *P2PLink
 	cfg         LinkConfig
 	busy        bool
-	queue       []queued // ring: waiting packets are queue[head:]
-	head        int
+	queue       sim.FIFO[queued] // packets waiting to serialize
 	queuedBytes int
 	lastArrival time.Duration // monotone arrival guard against reordering
 	stats       DirStats
@@ -133,8 +132,7 @@ type linkDir struct {
 	// same-timestamp events fire in scheduling order, so deliveries pop
 	// in exactly the order their events fire.
 	inflight  queued
-	pending   []queued // ring: scheduled deliveries are pending[pendHead:]
-	pendHead  int
+	pending   sim.FIFO[queued] // packets whose deliveries are scheduled
 	txDoneFn  func()
 	deliverFn func()
 
@@ -160,13 +158,11 @@ type linkDirState struct {
 	cfg         LinkConfig
 	busy        bool
 	queue       []queued
-	head        int
 	queuedBytes int
 	lastArrival time.Duration
 	stats       DirStats
 	inflight    queued
 	pending     []queued
-	pendHead    int
 }
 
 // snapshot captures the direction for speculative rollback (sim.Loop
@@ -174,18 +170,17 @@ type linkDirState struct {
 func (d *linkDir) snapshot() func() {
 	st := linkDirState{
 		cfg: d.cfg, busy: d.busy,
-		queue: append([]queued(nil), d.queue...), head: d.head,
+		queue:       d.queue.Items(),
 		queuedBytes: d.queuedBytes, lastArrival: d.lastArrival,
 		stats: d.stats, inflight: d.inflight,
-		pending: append([]queued(nil), d.pending...), pendHead: d.pendHead,
+		pending: d.pending.Items(),
 	}
 	return func() {
 		d.cfg, d.busy = st.cfg, st.busy
-		d.queue = append(d.queue[:0], st.queue...)
-		d.head, d.queuedBytes, d.lastArrival = st.head, st.queuedBytes, st.lastArrival
+		d.queue.Reset(st.queue)
+		d.queuedBytes, d.lastArrival = st.queuedBytes, st.lastArrival
 		d.stats, d.inflight = st.stats, st.inflight
-		d.pending = append(d.pending[:0], st.pending...)
-		d.pendHead = st.pendHead
+		d.pending.Reset(st.pending)
 	}
 }
 
@@ -204,7 +199,7 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 			d.recycle(pkt)
 			return
 		}
-		d.queue = append(d.queue, queued{pkt, to})
+		d.queue.Push(queued{pkt, to})
 		d.queuedBytes += pkt.Length()
 		d.mQueueOcc.Observe(int64(d.qlen()))
 		return
@@ -212,7 +207,7 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 	d.transmit(to, pkt)
 }
 
-func (d *linkDir) qlen() int { return len(d.queue) - d.head }
+func (d *linkDir) qlen() int { return d.queue.Len() }
 
 // recycle returns a dropped packet's payload to the loop's buffer pool.
 // The link owns pkt at this point, and payload ownership is exclusive
@@ -256,18 +251,11 @@ func (d *linkDir) txDone() {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	d.pending = append(d.pending, queued{pkt, to})
+	d.pending.Push(queued{pkt, to})
 	loop.At(arrival, d.deliverFn)
 	// Start the next queued packet, if any.
-	if d.head < len(d.queue) {
-		next := d.queue[d.head]
-		d.queue[d.head] = queued{}
-		d.head++
-		if d.head == len(d.queue) {
-			// Drained: reuse the slice backing from the start.
-			d.queue = d.queue[:0]
-			d.head = 0
-		}
+	if d.queue.Len() > 0 {
+		next := d.queue.Pop()
 		d.queuedBytes -= next.pkt.Length()
 		d.transmit(next.to, next.pkt)
 	} else {
@@ -278,13 +266,7 @@ func (d *linkDir) txDone() {
 // deliverHead fires at a scheduled arrival time and hands the oldest
 // pending packet to its destination interface.
 func (d *linkDir) deliverHead() {
-	q := d.pending[d.pendHead]
-	d.pending[d.pendHead] = queued{}
-	d.pendHead++
-	if d.pendHead == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.pendHead = 0
-	}
+	q := d.pending.Pop()
 	if q.to != nil {
 		q.to.Deliver(q.pkt)
 	}

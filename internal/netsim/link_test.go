@@ -233,3 +233,44 @@ func TestPropertyLinkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLinkFIFOsBoundedUnderSteadyLoad is the regression test for link
+// FIFOs that only rewound when drained: a direction kept busy for 100k
+// packets, whose transmit queue and in-flight delivery FIFO never
+// empty, must keep both within twice their peak occupancy plus 64.
+func TestLinkFIFOsBoundedUnderSteadyLoad(t *testing.T) {
+	// 100-byte payloads are 128 bytes on the wire: 1 ms each at
+	// 1.024 Mbps, with 80 ms of propagation behind them.
+	loop, _, a, b, l := twoHosts(t, LinkConfig{RateBps: 1024e3, Delay: 80 * time.Millisecond}, LinkConfig{})
+	received := 0
+	b.Bind(ProtoUDP, 9000, func(*Packet) { received++ })
+	d := l.dirs[0]
+	peakQueue, peakPending := 0, 0
+	const total = 100000
+	for i := 0; i < 20; i++ {
+		a.Send(udpPacket(1, 9000, make([]byte, 100)))
+	}
+	sent := 20
+	var tick *sim.Ticker
+	tick = loop.NewTicker(time.Millisecond, func() {
+		a.Send(udpPacket(1, 9000, make([]byte, 100)))
+		peakQueue = max(peakQueue, d.queue.Len())
+		peakPending = max(peakPending, d.pending.Len())
+		if sent++; sent == total {
+			tick.Stop()
+		}
+	})
+	loop.Run()
+	if received != total {
+		t.Fatalf("received %d packets, want %d", received, total)
+	}
+	if peakQueue == 0 || peakPending == 0 {
+		t.Fatalf("link never backed up (peak queue %d, pending %d)", peakQueue, peakPending)
+	}
+	if c := d.queue.Cap(); c > 2*peakQueue+64 {
+		t.Errorf("transmit FIFO cap %d, peak occupancy %d", c, peakQueue)
+	}
+	if c := d.pending.Cap(); c > 2*peakPending+64 {
+		t.Errorf("delivery FIFO cap %d, peak occupancy %d", c, peakPending)
+	}
+}

@@ -110,8 +110,7 @@ type xlinkDir struct {
 	to   *Iface // destination end, on the edge's target shard
 
 	busy        bool
-	queue       []*Packet // ring: waiting packets are queue[head:]
-	head        int
+	queue       sim.FIFO[*Packet] // packets waiting to serialize
 	queuedBytes int
 	lastArrival time.Duration
 	stats       DirStats
@@ -155,26 +154,25 @@ func (d *xlinkDir) snapshot() func() {
 		cfg         LinkConfig
 		busy        bool
 		queue       []*Packet
-		head        int
 		queuedBytes int
 		lastArrival time.Duration
 		stats       DirStats
 		inflight    *Packet
 	}{
 		cfg: d.cfg, busy: d.busy,
-		queue: append([]*Packet(nil), d.queue...), head: d.head,
+		queue:       d.queue.Items(),
 		queuedBytes: d.queuedBytes, lastArrival: d.lastArrival,
 		stats: d.stats, inflight: d.inflight,
 	}
 	return func() {
 		d.cfg, d.busy = st.cfg, st.busy
-		d.queue = append(d.queue[:0], st.queue...)
-		d.head, d.queuedBytes, d.lastArrival = st.head, st.queuedBytes, st.lastArrival
+		d.queue.Reset(st.queue)
+		d.queuedBytes, d.lastArrival = st.queuedBytes, st.lastArrival
 		d.stats, d.inflight = st.stats, st.inflight
 	}
 }
 
-func (d *xlinkDir) qlen() int { return len(d.queue) - d.head }
+func (d *xlinkDir) qlen() int { return d.queue.Len() }
 
 func (d *xlinkDir) recycle(pkt *Packet) {
 	if d.loop.Speculating() {
@@ -200,7 +198,7 @@ func (d *xlinkDir) send(pkt *Packet) {
 			d.recycle(pkt)
 			return
 		}
-		d.queue = append(d.queue, pkt)
+		d.queue.Push(pkt)
 		d.queuedBytes += pkt.Length()
 		d.mQueueOcc.Observe(int64(d.qlen()))
 		return
@@ -237,14 +235,8 @@ func (d *xlinkDir) txDone() {
 	}
 	d.lastArrival = arrival
 	d.edge.Send(arrival, pkt)
-	if d.head < len(d.queue) {
-		next := d.queue[d.head]
-		d.queue[d.head] = nil
-		d.head++
-		if d.head == len(d.queue) {
-			d.queue = d.queue[:0]
-			d.head = 0
-		}
+	if d.queue.Len() > 0 {
+		next := d.queue.Pop()
 		d.queuedBytes -= next.Length()
 		d.transmit(next)
 	} else {

@@ -83,8 +83,7 @@ type port struct {
 	errRate  float64
 	peer     *port
 	recv     func([]byte)
-	txQueue  [][]byte // ring: live chunks are txQueue[txHead:]
-	txHead   int
+	txQueue  sim.FIFO[[]byte] // chunks waiting to serialize
 	txBytes  int
 	busy     bool
 	inflight []byte // chunk being serialized
@@ -103,7 +102,7 @@ func (p *port) Write(data []byte) int {
 	cp := p.loop.Buffers().Get(len(data))
 	copy(cp, data)
 	if p.busy {
-		p.txQueue = append(p.txQueue, cp)
+		p.txQueue.Push(cp)
 		p.txBytes += len(cp)
 		return len(cp)
 	}
@@ -131,15 +130,8 @@ func (p *port) txDone() {
 	// modem parser), so the chunk can be recycled right after.
 	p.peer.deliver(data)
 	p.loop.Buffers().Put(data)
-	if p.txHead < len(p.txQueue) {
-		next := p.txQueue[p.txHead]
-		p.txQueue[p.txHead] = nil
-		p.txHead++
-		if p.txHead == len(p.txQueue) {
-			// Drained: reuse the slice backing from the start.
-			p.txQueue = p.txQueue[:0]
-			p.txHead = 0
-		}
+	if p.txQueue.Len() > 0 {
+		next := p.txQueue.Pop()
 		p.txBytes -= len(next)
 		p.transmit(next)
 	} else {

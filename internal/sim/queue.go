@@ -9,25 +9,89 @@ import (
 // the same instant, guaranteeing FIFO order and determinism regardless
 // of which scheduler backs the loop.
 //
-// Events are recycled through the loop's freelist; gen is bumped on
-// every free so stale Timer handles can detect reuse.
+// Events live in the loop's slab (eventSlab) and are recycled through
+// its freelist; gen is bumped on every free so stale Timer handles can
+// detect reuse. Links between events are slab ids, not pointers: fn is
+// the only Go pointer an event holds.
 type event struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-	pri int8 // priority band at the same instant: priHead before priNormal
-	gen uint32
+	at   time.Duration
+	seq  uint64
+	fn   func()
+	tick uint64 // wheel tick (at >> tickShift); valid while on a wheel level
+	gen  uint32
+	// index is the position within a heap-ordered container.
+	index int32
+	id    int32 // this entry's slab id; fixed when the slot is created
+	prev  int32 // slot-list links (slab ids, 0 = none) while on a wheel level
+	next  int32 // slot-list link, or freelist link while free
+	pri   int8  // priority band at the same instant: priHead before priNormal
 	// where records which container currently holds the event: a wheel
 	// level (0..numLevels-1) or one of the ev* sentinels below.
 	where int8
 	// held marks an event journaled by an open speculation segment
 	// (snapshot.go): freeEvent parks it in limbo instead of recycling,
 	// so a rollback can re-queue it with its generation intact.
-	held  bool
-	index int    // position within a heap-ordered container
-	tick  uint64 // wheel tick (at >> tickShift); valid while on a wheel level
-	prev  *event // slot-list links while on a wheel level
-	next  *event // slot-list link, or freelist link while free
+	held bool
+}
+
+// Event slab geometry. Ids are 1-based (0 means "no event") and encode
+// their position: id-1 = chunk<<slabChunkShift | offset. Chunk 0 holds
+// slabFirstChunk entries and each later chunk doubles up to
+// slabMaxChunk, so a short run touches a few KB while a long one pays
+// one allocation per 512 concurrently pending events.
+const (
+	slabFirstChunk = 64
+	slabChunkShift = 9
+	slabMaxChunk   = 1 << slabChunkShift
+)
+
+// eventSlab owns every event of one loop. A chunk never moves once
+// allocated, so *event pointers handed out by at — held by Timer
+// handles and the speculation journal — stay valid for the loop's
+// lifetime; the queue's own links are int32 ids, whose stores pay no GC
+// write barrier.
+type eventSlab struct {
+	chunks [][]event
+	used   int   // slots handed out from the newest chunk
+	free   int32 // freelist head id; 0 = empty
+}
+
+// at returns the event with the given (non-zero) id.
+func (s *eventSlab) at(id int32) *event {
+	i := id - 1
+	return &s.chunks[i>>slabChunkShift][i&(slabMaxChunk-1)]
+}
+
+// alloc takes an entry off the freelist, or a fresh slot from the
+// newest chunk, growing the slab by one chunk when it is exhausted.
+func (s *eventSlab) alloc() *event {
+	if id := s.free; id != 0 {
+		ev := s.at(id)
+		s.free = ev.next
+		ev.next = 0
+		return ev
+	}
+	n := len(s.chunks)
+	if n == 0 || s.used == len(s.chunks[n-1]) {
+		size := slabFirstChunk
+		if n > 0 {
+			size = min(2*len(s.chunks[n-1]), slabMaxChunk)
+		}
+		s.chunks = append(s.chunks, make([]event, size))
+		s.used = 0
+		n++
+	}
+	ev := &s.chunks[n-1][s.used]
+	ev.id = int32((n-1)<<slabChunkShift|s.used) + 1
+	s.used++
+	return ev
+}
+
+// release pushes ev onto the freelist.
+func (s *eventSlab) release(ev *event) {
+	ev.prev = 0
+	ev.next = s.free
+	s.free = ev.id
 }
 
 const (
@@ -73,9 +137,10 @@ type eventQueue interface {
 	len() int
 }
 
-// eventHeap is a binary min-heap over (at, pri, seq), shared by the heap
-// scheduler and the wheel's ready/overflow sub-heaps. index fields are
-// kept current so heap.Remove can cancel in O(log n).
+// eventHeap is the reference scheduler's binary min-heap over
+// (at, pri, seq), driven by container/heap. It is deliberately a
+// separate implementation from the wheel's keyHeap, so the differential
+// tests compare two independent orderings.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -90,12 +155,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	ev := x.(*event)
-	ev.index = len(*h)
+	ev.index = int32(len(*h))
 	*h = append(*h, ev)
 }
 func (h *eventHeap) Pop() any {
@@ -205,7 +270,7 @@ func (q *heapQueue) compact() {
 	}
 	q.h = live
 	for i, ev := range q.h {
-		ev.index = i
+		ev.index = int32(i)
 	}
 	heap.Init(&q.h)
 	q.cancelled = 0

@@ -71,7 +71,7 @@ type Loop struct {
 	now     time.Duration
 	seq     uint64
 	q       eventQueue
-	free    *event // freelist of recycled event entries
+	slab    eventSlab // every event of this loop, with its freelist
 	seed    int64
 	rngs    map[string]*rand.Rand
 	rngSrcs map[string]*countingSource
@@ -172,16 +172,10 @@ func hashName(name string) uint64 {
 	return h
 }
 
-// allocEvent takes an entry off the freelist (or allocates one) and
-// stamps it with the next sequence number.
+// allocEvent takes an entry from the slab and stamps it with the next
+// sequence number.
 func (l *Loop) allocEvent(at time.Duration, fn func()) *event {
-	ev := l.free
-	if ev != nil {
-		l.free = ev.next
-		ev.next = nil
-	} else {
-		ev = &event{}
-	}
+	ev := l.slab.alloc()
 	ev.at = at
 	ev.seq = l.seq
 	ev.fn = fn
@@ -206,16 +200,14 @@ func (l *Loop) freeEvent(ev *event) {
 	if ev.held {
 		ev.fn = nil
 		ev.where = evLimbo
-		ev.prev = nil
-		ev.next = nil
+		ev.prev = 0
+		ev.next = 0
 		return
 	}
 	ev.fn = nil
 	ev.gen++
 	ev.where = evFree
-	ev.prev = nil
-	ev.next = l.free
-	l.free = ev
+	l.slab.release(ev)
 }
 
 // Timer is a handle to a scheduled event. It may be cancelled before it
@@ -489,6 +481,7 @@ type Ticker struct {
 	loop   *Loop
 	period time.Duration
 	fn     func()
+	tickFn func() // t.tick, bound once so rescheduling does not allocate
 	timer  Timer
 	active bool
 }
@@ -500,20 +493,19 @@ func (l *Loop) NewTicker(period time.Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
 	t := &Ticker{loop: l, period: period, fn: fn, active: true}
-	t.schedule()
+	t.tickFn = t.tick
+	t.timer = l.After(period, t.tickFn)
 	return t
 }
 
-func (t *Ticker) schedule() {
-	t.timer = t.loop.After(t.period, func() {
-		if !t.active {
-			return
-		}
-		t.fn()
-		if t.active {
-			t.schedule()
-		}
-	})
+func (t *Ticker) tick() {
+	if !t.active {
+		return
+	}
+	t.fn()
+	if t.active {
+		t.timer = t.loop.After(t.period, t.tickFn)
+	}
 }
 
 // Stop cancels future ticks.

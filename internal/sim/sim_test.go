@@ -518,3 +518,41 @@ func TestHasIdleSources(t *testing.T) {
 		t.Fatal("OnIdle registration not reported")
 	}
 }
+
+// TestScheduleFireNoAlloc pins the kernel's allocation-free hot path on
+// both backends: once the slab and heaps are warm, scheduling a bound
+// callback and firing it, scheduling and cancelling, and a Ticker's
+// reschedule allocate nothing.
+func TestScheduleFireNoAlloc(t *testing.T) {
+	for _, s := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+		t.Run(s.String(), func(t *testing.T) {
+			l := NewLoopScheduler(1, s)
+			n := 0
+			fn := func() { n++ }
+			for i := 0; i < 2048; i++ {
+				l.After(time.Duration(i)*time.Microsecond, fn)
+				l.After(time.Hour, fn).Cancel()
+			}
+			l.Run()
+			if a := testing.AllocsPerRun(1000, func() {
+				l.After(time.Millisecond, fn)
+				l.RunUntil(l.Now() + time.Millisecond)
+			}); a != 0 {
+				t.Errorf("At + fire allocates %.2f per call, want 0", a)
+			}
+			if a := testing.AllocsPerRun(1000, func() {
+				l.After(time.Second, fn).Cancel()
+			}); a != 0 {
+				t.Errorf("At + Cancel allocates %.2f per call, want 0", a)
+			}
+			tk := l.NewTicker(time.Millisecond, fn)
+			l.RunUntil(l.Now() + 10*time.Millisecond)
+			if a := testing.AllocsPerRun(1000, func() {
+				l.RunUntil(l.Now() + time.Millisecond)
+			}); a != 0 {
+				t.Errorf("Ticker tick allocates %.2f per period, want 0", a)
+			}
+			tk.Stop()
+		})
+	}
+}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/bits"
 
 	"github.com/onelab/umtslab/internal/metrics"
@@ -38,7 +37,14 @@ import (
 //
 // Cancellation is immediate and O(1) on wheel levels (doubly-linked
 // slot lists) and O(log n) in the ready/overflow heaps (index-tracked
-// heap.Remove), so the wheel never carries dead entries.
+// removal), so the wheel never carries dead entries.
+//
+// The wheel holds no Go pointer it writes on the hot path: slot lists
+// link events by slab id, and the ready/overflow heaps are keyHeaps of
+// inline (at, ord, id) keys. A pointer store pays a GC write barrier
+// whenever the collector is marking, and the packet workloads run
+// dozens of GC cycles per experiment, so integer links are measurably
+// cheaper than *event links (DESIGN.md §5d).
 const (
 	tickShift = 10 // 1 tick = 1024 ns
 	levelBits = 8
@@ -50,21 +56,28 @@ const (
 
 type wheelQueue struct {
 	loop    *Loop
+	slab    *eventSlab
 	curTick uint64
 	count   int // live events across ready, wheel and overflow
 
-	head [numLevels][numSlots]*event
-	tail [numLevels][numSlots]*event
+	head [numLevels][numSlots]int32 // slot-list ends, by slab id (0 = empty)
+	tail [numLevels][numSlots]int32
 	occ  [numLevels][numSlots / 64]uint64 // occupancy bitmaps
 
-	ready    eventHeap // due events (tick <= curTick), the only firing source
-	overflow eventHeap // events beyond the wheel horizon (later epoch)
+	ready    keyHeap // due events (tick <= curTick), the only firing source
+	overflow keyHeap // events beyond the wheel horizon (later epoch)
 
 	mCascades *metrics.Counter
 }
 
 func newWheelQueue(l *Loop, reg *metrics.Registry) *wheelQueue {
-	return &wheelQueue{loop: l, mCascades: reg.Counter("sim/wheel_cascades")}
+	return &wheelQueue{
+		loop:      l,
+		slab:      &l.slab,
+		ready:     keyHeap{slab: &l.slab},
+		overflow:  keyHeap{slab: &l.slab},
+		mCascades: reg.Counter("sim/wheel_cascades"),
+	}
 }
 
 func (q *wheelQueue) push(ev *event) {
@@ -72,10 +85,10 @@ func (q *wheelQueue) push(ev *event) {
 	switch {
 	case tick <= q.curTick:
 		ev.where = evReady
-		heap.Push(&q.ready, ev)
+		q.ready.push(ev)
 	case tick>>wheelBits != q.curTick>>wheelBits:
 		ev.where = evOverflow
-		heap.Push(&q.overflow, ev)
+		q.overflow.push(ev)
 	default:
 		q.place(ev, tick)
 	}
@@ -83,64 +96,61 @@ func (q *wheelQueue) push(ev *event) {
 }
 
 // place links ev into the lowest wheel level whose block contains both
-// tick and curTick. Requires curTick < tick < end of current epoch.
+// tick and curTick: the level of their highest differing bit. Requires
+// curTick < tick < end of current epoch.
 func (q *wheelQueue) place(ev *event, tick uint64) {
-	level := 0
-	for tick>>(levelBits*uint(level+1)) != q.curTick>>(levelBits*uint(level+1)) {
-		level++
-	}
+	level := (bits.Len64(tick^q.curTick) - 1) / levelBits
 	slot := int(tick>>(levelBits*uint(level))) & slotMask
 	ev.where = int8(level)
 	ev.tick = tick
-	ev.next = nil
+	ev.next = 0
 	ev.prev = q.tail[level][slot]
-	if ev.prev != nil {
-		ev.prev.next = ev
+	if ev.prev != 0 {
+		q.slab.at(ev.prev).next = ev.id
 	} else {
-		q.head[level][slot] = ev
+		q.head[level][slot] = ev.id
 	}
-	q.tail[level][slot] = ev
+	q.tail[level][slot] = ev.id
 	q.occ[level][slot>>6] |= 1 << (slot & 63)
 }
 
 func (q *wheelQueue) pop() *event {
 	q.advance()
-	if len(q.ready) == 0 {
+	if len(q.ready.h) == 0 {
 		return nil
 	}
-	ev := heap.Pop(&q.ready).(*event)
 	q.count--
-	return ev
+	return q.ready.popMin()
 }
 
 func (q *wheelQueue) peek() *event {
 	q.advance()
-	if len(q.ready) == 0 {
+	if len(q.ready.h) == 0 {
 		return nil
 	}
-	return q.ready[0]
+	return q.slab.at(q.ready.h[0].id)
 }
 
 func (q *wheelQueue) cancel(ev *event) {
 	switch ev.where {
 	case evReady:
-		heap.Remove(&q.ready, ev.index)
+		q.ready.remove(int(ev.index))
 	case evOverflow:
-		heap.Remove(&q.overflow, ev.index)
+		q.overflow.remove(int(ev.index))
 	default:
 		level := int(ev.where)
 		slot := int(ev.tick>>(levelBits*uint(level))) & slotMask
-		if ev.prev != nil {
-			ev.prev.next = ev.next
+		if ev.prev != 0 {
+			q.slab.at(ev.prev).next = ev.next
 		} else {
 			q.head[level][slot] = ev.next
 		}
-		if ev.next != nil {
-			ev.next.prev = ev.prev
+		if ev.next != 0 {
+			q.slab.at(ev.next).prev = ev.prev
 		} else {
 			q.tail[level][slot] = ev.prev
 		}
-		if q.head[level][slot] == nil {
+		if q.head[level][slot] == 0 {
 			q.occ[level][slot>>6] &^= 1 << (slot & 63)
 		}
 	}
@@ -159,7 +169,7 @@ func (q *wheelQueue) uncancel(ev *event) bool { return false }
 // jump lands exactly on the next occupied slot's tick range, draining
 // level-0 slots into ready and cascading higher-level slots down.
 func (q *wheelQueue) advance() {
-	for len(q.ready) == 0 {
+	for len(q.ready.h) == 0 {
 		if q.count == 0 {
 			return
 		}
@@ -170,19 +180,17 @@ func (q *wheelQueue) advance() {
 		// nearest overflow event dictates which epoch; everything in
 		// that epoch moves into the wheel so overflow stays strictly
 		// beyond the horizon.
-		if len(q.overflow) == 0 {
+		if len(q.overflow.h) == 0 {
 			return
 		}
-		epoch := uint64(q.overflow[0].at) >> tickShift >> wheelBits
+		epoch := uint64(q.overflow.h[0].at) >> tickShift >> wheelBits
 		q.curTick = epoch << wheelBits
-		for len(q.overflow) > 0 {
-			ev := q.overflow[0]
-			tick := uint64(ev.at) >> tickShift
+		for len(q.overflow.h) > 0 {
+			tick := uint64(q.overflow.h[0].at) >> tickShift
 			if tick>>wheelBits != epoch {
 				break
 			}
-			heap.Pop(&q.overflow)
-			q.reinsert(ev, tick)
+			q.reinsert(q.overflow.popMin(), tick)
 		}
 	}
 }
@@ -206,18 +214,18 @@ func (q *wheelQueue) jumpLevel() bool {
 		// Jump to the base of the slot's tick range; the slot's events
 		// all have ticks within [base, base + 2^shift).
 		q.curTick = q.curTick>>(shift+levelBits)<<(shift+levelBits) | uint64(slot)<<shift
-		ev := q.head[level][slot]
-		q.head[level][slot] = nil
-		q.tail[level][slot] = nil
+		id := q.head[level][slot]
+		q.head[level][slot] = 0
+		q.tail[level][slot] = 0
 		q.occ[level][slot>>6] &^= 1 << (slot & 63)
 		if level > 0 {
 			q.mCascades.Inc()
 		}
-		for ev != nil {
-			next := ev.next
-			ev.prev, ev.next = nil, nil
+		for id != 0 {
+			ev := q.slab.at(id)
+			id = ev.next
+			ev.prev, ev.next = 0, 0
 			q.reinsert(ev, ev.tick)
-			ev = next
 		}
 		return true
 	}
@@ -229,7 +237,7 @@ func (q *wheelQueue) jumpLevel() bool {
 func (q *wheelQueue) reinsert(ev *event, tick uint64) {
 	if tick <= q.curTick {
 		ev.where = evReady
-		heap.Push(&q.ready, ev)
+		q.ready.push(ev)
 		return
 	}
 	q.place(ev, tick)
@@ -253,4 +261,98 @@ func (q *wheelQueue) nextOccupied(level, from int) int {
 		}
 		word = q.occ[level][w]
 	}
+}
+
+// heapKey is one keyHeap entry: the event's sort key stored inline, so
+// sifting compares and moves plain integers and never dereferences the
+// event. ord packs the priority band above the sequence number,
+// (pri-priHead)<<63 | seq, so (at, ord) orders exactly like
+// (at, pri, seq).
+type heapKey struct {
+	at  int64
+	ord uint64
+	id  int32
+}
+
+func (a heapKey) less(b heapKey) bool {
+	return a.at < b.at || a.at == b.at && a.ord < b.ord
+}
+
+// keyHeap is the wheel's binary min-heap over heapKeys. It keeps each
+// event's index current (through the slab) so cancel can remove from
+// the middle in O(log n). The slice holds no pointers, so the GC
+// neither scans it nor charges a write barrier for its stores.
+type keyHeap struct {
+	slab *eventSlab
+	h    []heapKey
+}
+
+func (h *keyHeap) push(ev *event) {
+	k := heapKey{at: int64(ev.at), ord: uint64(ev.pri-priHead)<<63 | ev.seq, id: ev.id}
+	h.h = append(h.h, k)
+	h.up(len(h.h)-1, k)
+}
+
+// popMin removes and returns the minimum event. The heap must be
+// non-empty.
+func (h *keyHeap) popMin() *event {
+	ev := h.slab.at(h.h[0].id)
+	h.remove(0)
+	return ev
+}
+
+// remove deletes the entry at position i.
+func (h *keyHeap) remove(i int) {
+	n := len(h.h) - 1
+	last := h.h[n]
+	h.h = h.h[:n]
+	if i == n {
+		return
+	}
+	if !h.down(i, last) {
+		h.up(i, last)
+	}
+}
+
+// up sifts k, destined for position j, toward the root.
+func (h *keyHeap) up(j int, k heapKey) {
+	for j > 0 {
+		p := (j - 1) / 2
+		pk := h.h[p]
+		if !k.less(pk) {
+			break
+		}
+		h.set(j, pk)
+		j = p
+	}
+	h.set(j, k)
+}
+
+// down sifts k, destined for position i, toward the leaves and reports
+// whether it moved.
+func (h *keyHeap) down(i int, k heapKey) bool {
+	i0 := i
+	n := len(h.h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.h[r].less(h.h[c]) {
+			c = r
+		}
+		ck := h.h[c]
+		if !ck.less(k) {
+			break
+		}
+		h.set(i, ck)
+		i = c
+	}
+	h.set(i, k)
+	return i > i0
+}
+
+func (h *keyHeap) set(i int, k heapKey) {
+	h.h[i] = k
+	h.slab.at(k.id).index = int32(i)
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"github.com/onelab/umtslab/internal/core"
@@ -131,6 +132,22 @@ const (
 	receiverPort = 9000
 )
 
+// workloadFlow returns the ITG flow a workload generates from the
+// sender port to dst:dstPort.
+func workloadFlow(w Workload, flowID uint32, dst netip.Addr, dstPort uint16, d time.Duration) (itg.FlowSpec, error) {
+	switch w {
+	case WorkloadVoIP:
+		return itg.VoIPG711(flowID, dst, senderPort, dstPort, d), nil
+	case WorkloadCBR1M:
+		return itg.CBR1Mbps(flowID, dst, senderPort, dstPort, d), nil
+	case WorkloadVoIPG729:
+		return itg.VoIPG729(flowID, dst, senderPort, dstPort, d), nil
+	case WorkloadTelnet:
+		return itg.Telnet(flowID, dst, senderPort, dstPort, d), nil
+	}
+	return itg.FlowSpec{}, fmt.Errorf("unknown workload %v", w)
+}
+
 // ExperimentSpec parameterizes one §3 run.
 type ExperimentSpec struct {
 	Path     Path
@@ -217,19 +234,11 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	}
 
 	// Sender (ITGSend) in the Napoli slice.
-	var flow itg.FlowSpec
-	switch spec.Workload {
-	case WorkloadVoIP:
-		flow = itg.VoIPG711(1, InriaEthAddr, senderPort, receiverPort, spec.Duration)
-	case WorkloadCBR1M:
-		flow = itg.CBR1Mbps(1, InriaEthAddr, senderPort, receiverPort, spec.Duration)
-	case WorkloadVoIPG729:
-		flow = itg.VoIPG729(1, InriaEthAddr, senderPort, receiverPort, spec.Duration)
-	case WorkloadTelnet:
-		flow = itg.Telnet(1, InriaEthAddr, senderPort, receiverPort, spec.Duration)
-	default:
-		return nil, fmt.Errorf("unknown workload %v", spec.Workload)
+	flow, err := workloadFlow(spec.Workload, 1, InriaEthAddr, receiverPort, spec.Duration)
+	if err != nil {
+		return nil, err
 	}
+	receiver.Expect(flow.ExpectedPackets())
 	snd := itg.NewSender(tb.Loop, fmt.Sprintf("%v/%v", spec.Path, spec.Workload), flow,
 		func(pkt *netsim.Packet) error { return sender.Send(pkt) })
 	if err := sender.Bind(netsim.ProtoUDP, senderPort, snd.HandleEcho); err != nil {

@@ -296,6 +296,7 @@ type mcTerminal struct {
 	cell, idx int
 	flowID    uint32
 	rPort     uint16
+	flow      itg.FlowSpec
 	loop      *sim.Loop
 	env       *cellEnv
 	term      *umts.Terminal
@@ -569,13 +570,18 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 	if err != nil {
 		return nil, err
 	}
-	ts := &mcTerminal{cell: c, idx: m, flowID: flowID, rPort: rPort, loop: loop, env: env}
+	flow, err := workloadFlow(opts.Workload, flowID, mcServerAddr, rPort, opts.Duration)
+	if err != nil {
+		return nil, err
+	}
+	ts := &mcTerminal{cell: c, idx: m, flowID: flowID, rPort: rPort, flow: flow, loop: loop, env: env}
 	ts.term = env.op.NewTerminalID(tid)
 
 	// Flow receiver + echo on the server (core shard): eager, because
 	// binding mutates core-shard state and must not happen from a
 	// cell-shard event.
 	ts.recv = itg.NewReceiver(env.server.Loop, func(pkt *netsim.Packet) error { return env.server.Send(pkt) })
+	ts.recv.Expect(flow.ExpectedPackets())
 	if err := env.server.Bind(netsim.ProtoUDP, rPort, ts.recv.Handle); err != nil {
 		return nil, err
 	}
@@ -670,20 +676,7 @@ func (ts *mcTerminal) materialize() error {
 	}
 	ts.fe = fe
 
-	var flow itg.FlowSpec
-	switch opts.Workload {
-	case WorkloadVoIP:
-		flow = itg.VoIPG711(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadCBR1M:
-		flow = itg.CBR1Mbps(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadVoIPG729:
-		flow = itg.VoIPG729(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	case WorkloadTelnet:
-		flow = itg.Telnet(ts.flowID, mcServerAddr, senderPort, ts.rPort, opts.Duration)
-	default:
-		return fmt.Errorf("unknown workload %v", opts.Workload)
-	}
-	ts.snd = itg.NewSender(loop, fmt.Sprintf("mc/c%dt%d", c, m), flow,
+	ts.snd = itg.NewSender(loop, fmt.Sprintf("mc/c%dt%d", c, m), ts.flow,
 		func(pkt *netsim.Packet) error { return slice.Send(pkt) })
 	if err := slice.Bind(netsim.ProtoUDP, senderPort, ts.snd.HandleEcho); err != nil {
 		return err

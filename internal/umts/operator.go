@@ -394,18 +394,27 @@ type session struct {
 	term *Terminal
 	addr netip.Addr
 
-	ul, dl  *radioDir
-	srv     *ppp.Server
-	srvCh   *srvChannel
-	bearer  *bearer
-	iface   *netsim.Iface
-	adapt   *sim.Ticker
-	fade    sim.Timer
-	rateIdx int
-	sustain time.Duration
-	idle    time.Duration
-	events  []string
-	closed  bool
+	ul, dl *radioDir
+	srv    *ppp.Server
+	srvCh  *srvChannel
+	bearer *bearer
+	iface  *netsim.Iface
+	adapt  *sim.Ticker
+	fade   sim.Timer
+
+	// GTP hop plumbing: packets in core transit in each direction and
+	// their callbacks, bound once per session. CoreDelay is constant, so
+	// transit events fire in the order they were scheduled and each one
+	// pops the head of its FIFO.
+	toPPP    sim.FIFO[[]byte]         // marshaled datagrams for the PPP server
+	toGGSN   sim.FIFO[*netsim.Packet] // decoded datagrams for the gtp iface
+	toPPPFn  func()
+	toGGSNFn func()
+	rateIdx  int
+	sustain  time.Duration
+	idle     time.Duration
+	events   []string
+	closed   bool
 }
 
 func (op *Operator) newSession(term *Terminal) (*session, error) {
@@ -414,6 +423,8 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 		return nil, err
 	}
 	sess := &session{op: op, term: term, addr: addr}
+	sess.toPPPFn = sess.deliverToPPP
+	sess.toGGSNFn = sess.deliverToGGSN
 	loop := op.loop
 
 	rng := loop.RNG("umts/radio/" + term.IMSI())
@@ -443,12 +454,8 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 		wire := pkt.AppendMarshal(loop.Buffers().Get(pkt.Length())[:0])
 		loop.Buffers().Put(pkt.Payload)
 		pkt.Payload = nil
-		loop.After(op.cfg.CoreDelay, func() {
-			if !sess.closed {
-				sess.srv.SendIPv4(wire)
-			}
-			loop.Buffers().Put(wire)
-		})
+		sess.toPPP.Push(wire)
+		loop.After(op.cfg.CoreDelay, sess.toPPPFn)
 	}))
 
 	sess.srv = ppp.NewServer(ppp.ServerConfig{
@@ -461,11 +468,8 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 			if err != nil {
 				return
 			}
-			loop.After(op.cfg.CoreDelay, func() {
-				if !sess.closed {
-					sess.iface.Deliver(pkt)
-				}
-			})
+			sess.toGGSN.Push(pkt)
+			loop.After(op.cfg.CoreDelay, sess.toGGSNFn)
 		},
 		OnDown: func(reason string) {
 			op.closeSession(sess, "ppp: "+reason, true)
@@ -484,6 +488,26 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 	op.loop.Metrics().Counter("umts/pdp_activations").Inc()
 	sess.logf("PDP context activated, addr %s", addr)
 	return sess, nil
+}
+
+// deliverToPPP ends a downlink core transit: the PPP server frames the
+// oldest datagram in transit (SendIPv4's channel write copies it into
+// the radio queue), then its wire buffer is recycled.
+func (sess *session) deliverToPPP() {
+	wire := sess.toPPP.Pop()
+	if !sess.closed {
+		sess.srv.SendIPv4(wire)
+	}
+	sess.op.loop.Buffers().Put(wire)
+}
+
+// deliverToGGSN ends an uplink core transit: the oldest datagram in
+// transit emerges on the session's gtp interface.
+func (sess *session) deliverToGGSN() {
+	pkt := sess.toGGSN.Pop()
+	if !sess.closed {
+		sess.iface.Deliver(pkt)
+	}
 }
 
 func (sess *session) logf(format string, args ...any) {

@@ -61,9 +61,8 @@ type radioDir struct {
 
 	busy        bool
 	paused      bool
-	scale       float64  // fault-injection rate multiplier; 1 = nominal
-	queue       [][]byte // ring: waiting chunks are queue[head:]
-	head        int
+	scale       float64          // fault-injection rate multiplier; 1 = nominal
+	queue       sim.FIFO[[]byte] // chunks waiting to serialize
 	queuedBytes int
 	lastArrival time.Duration
 	stats       RadioDirStats
@@ -75,8 +74,7 @@ type radioDir struct {
 	// forced monotone (lastArrival), so deliveries pop in the order
 	// their events fire.
 	inflight  []byte
-	pending   [][]byte // ring: scheduled deliveries are pending[pendHead:]
-	pendHead  int
+	pending   sim.FIFO[[]byte] // chunks whose deliveries are scheduled
 	txDoneFn  func()
 	deliverFn func()
 
@@ -128,7 +126,7 @@ func (d *radioDir) send(p []byte) {
 			d.loop.Buffers().Put(p)
 			return
 		}
-		d.queue = append(d.queue, p)
+		d.queue.Push(p)
 		d.queuedBytes += len(p)
 		d.mQueueOcc.Observe(int64(d.queuedBytes))
 		return
@@ -186,7 +184,7 @@ func (d *radioDir) txDone() {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	d.pending = append(d.pending, p)
+	d.pending.Push(p)
 	d.loop.After(arrival-d.loop.Now(), d.deliverFn)
 	d.next()
 }
@@ -196,13 +194,7 @@ func (d *radioDir) txDone() {
 // consume delivered chunks synchronously, so the chunk is recycled right
 // after; a closed direction still recycles without delivering.
 func (d *radioDir) deliverHead() {
-	p := d.pending[d.pendHead]
-	d.pending[d.pendHead] = nil
-	d.pendHead++
-	if d.pendHead == len(d.pending) {
-		d.pending = d.pending[:0]
-		d.pendHead = 0
-	}
+	p := d.pending.Pop()
 	if !d.closed && d.deliver != nil {
 		d.deliver(p)
 	}
@@ -210,18 +202,11 @@ func (d *radioDir) deliverHead() {
 }
 
 func (d *radioDir) next() {
-	if d.paused || d.head >= len(d.queue) {
+	if d.paused || d.queue.Len() == 0 {
 		d.busy = false
 		return
 	}
-	p := d.queue[d.head]
-	d.queue[d.head] = nil
-	d.head++
-	if d.head == len(d.queue) {
-		// Drained: reuse the slice backing from the start.
-		d.queue = d.queue[:0]
-		d.head = 0
-	}
+	p := d.queue.Pop()
 	d.queuedBytes -= len(p)
 	d.transmit(p)
 }
@@ -256,11 +241,9 @@ func (d *radioDir) resume() {
 // (queued ones go back to the buffer pool).
 func (d *radioDir) close() {
 	d.closed = true
-	for _, p := range d.queue[d.head:] {
-		d.loop.Buffers().Put(p)
+	for d.queue.Len() > 0 {
+		d.loop.Buffers().Put(d.queue.Pop())
 	}
-	d.queue = nil
-	d.head = 0
 	d.queuedBytes = 0
 }
 

@@ -59,13 +59,11 @@ bench-sched:
 	$(GO) run ./cmd/experiments -bench-sched BENCH_sched.json -dur 30s -reps 3
 
 # bench-shard times the 4-cell scale-out scenario on one loop vs one
-# shard per cell plus the wired core — under the global lockstep, the
-# adaptive per-shard-horizon, the dynamic EOT-promise, and the
-# optimistic speculative-window (checkpoint/rollback) window
-# policies — verifies every partitioning produces byte-identical
-# results, counts engine windows on the idle-fleet leg (24k idle +
-# 1000 population per cell, no active flows) under adaptive vs
-# dynamic, and records the comparison (including the core count —
+# shard per cell plus the wired core — under the global lockstep and
+# the dynamic per-shard-horizon window policies — verifies every
+# partitioning produces byte-identical results, counts engine windows
+# on the idle-fleet leg (24k idle + 1000 population per cell, no
+# active flows) under global vs dynamic, and records the comparison (including the core count —
 # speedup needs real cores) in BENCH_shard.json.
 bench-shard:
 	$(GO) run ./cmd/experiments -bench-shard BENCH_shard.json -cells 4 -terminals 2 -dur 30s
@@ -81,15 +79,13 @@ bench-shard:
 bench-fleet:
 	$(GO) run ./cmd/experiments -bench-fleet BENCH_fleet.json -cells 4 -terminals 2 -fleet 24000 -population 1000 -dur 30s
 
-# bench-compare-shard validates the committed shard artifact: all
-# policies recorded byte-identical results, the adaptive wall time is
-# within 1.05x of the global one (dynamic likewise on multi-core
-# machines) — per-shard horizons only remove synchronization, so a
-# real slowdown is a regression — dynamic granted no more windows
-# than adaptive, optimistic took no more conservative barriers than
-# dynamic (and stays within 1.05x of its wall time on multi-core
-# machines), and the idle-fleet leg shows the >= 5x dynamic window
-# reduction. Run it before committing changes to the shard engine.
+# bench-compare-shard validates the committed shard artifact: both
+# policies recorded byte-identical results, dynamic granted no more
+# windows than global, the idle-fleet leg shows the >= 5x dynamic
+# window reduction against global, and on >= 4-core artifacts the
+# dynamic wall time is within 1.05x of the global one — per-shard
+# horizons only remove synchronization, so a real slowdown is a
+# regression. Run it before committing changes to the shard engine.
 bench-compare-shard:
 	$(GO) run ./cmd/experiments -bench-shard-compare BENCH_shard.json
 

@@ -37,26 +37,14 @@ func TestBenchShardArtifact(t *testing.T) {
 		LookaheadMs float64 `json:"lookahead_ms"`
 		Messages    *int64  `json:"cross_shard_messages"`
 
-		WallAdaptiveS     float64 `json:"wall_nshard_adaptive_s"`
-		SpeedupAdaptive   float64 `json:"speedup_adaptive"`
-		AdaptiveIdentical *bool   `json:"adaptive_identical"`
-		WindowsAdaptive   int64   `json:"windows_adaptive"`
-
 		WallDynamicS     float64 `json:"wall_nshard_dynamic_s"`
 		SpeedupDynamic   float64 `json:"speedup_dynamic"`
 		DynamicIdentical *bool   `json:"dynamic_identical"`
 		WindowsDynamic   int64   `json:"windows_dynamic"`
 
-		WallOptimisticS     float64 `json:"wall_nshard_optimistic_s"`
-		SpeedupOptimistic   float64 `json:"speedup_optimistic"`
-		OptimisticIdentical *bool   `json:"optimistic_identical"`
-		WindowsOptimistic   int64   `json:"windows_optimistic"`
-		SpeculatedWindows   *int64  `json:"speculated_windows"`
-		Rollbacks           *int64  `json:"rollbacks"`
-
 		FleetIdleTerminals   int     `json:"fleet_idle_terminals"`
 		FleetPopulation      int     `json:"fleet_population"`
-		FleetWindowsAdaptive int64   `json:"fleet_windows_adaptive"`
+		FleetWindowsGlobal   int64   `json:"fleet_windows_global"`
 		FleetWindowsDynamic  int64   `json:"fleet_windows_dynamic"`
 		FleetWindowReduction float64 `json:"fleet_window_reduction"`
 		FleetIdentical       *bool   `json:"fleet_identical"`
@@ -91,21 +79,9 @@ func TestBenchShardArtifact(t *testing.T) {
 	if rep.Speedup <= 0 {
 		t.Errorf("speedup %v not recorded", rep.Speedup)
 	}
-	// The adaptive-policy leg must be recorded alongside the global one
-	// and must have reproduced the same results.
-	if rep.WallAdaptiveS <= 0 || rep.SpeedupAdaptive <= 0 {
-		t.Errorf("adaptive leg not measured: wall=%v speedup=%v (regenerate with `make bench-shard`)",
-			rep.WallAdaptiveS, rep.SpeedupAdaptive)
-	}
-	if rep.AdaptiveIdentical == nil || !*rep.AdaptiveIdentical {
-		t.Error("adaptive_identical must be recorded true: the window policy must not change simulation output")
-	}
-	if rep.WindowsAdaptive < 1 {
-		t.Errorf("windows_adaptive = %d; the adaptive engine must have run windows", rep.WindowsAdaptive)
-	}
-	// The dynamic-policy (EOT promise) leg: identical results, and —
-	// since the dynamic horizon is max(adaptive bound, promise) — never
-	// more windows than adaptive on the same scenario.
+	// The dynamic-policy leg: identical results, and — since the dynamic
+	// horizon is never shorter than the global lookahead window — never
+	// more windows than global on the same scenario.
 	if rep.WallDynamicS <= 0 || rep.SpeedupDynamic <= 0 {
 		t.Errorf("dynamic leg not measured: wall=%v speedup=%v (regenerate with `make bench-shard`)",
 			rep.WallDynamicS, rep.SpeedupDynamic)
@@ -113,39 +89,14 @@ func TestBenchShardArtifact(t *testing.T) {
 	if rep.DynamicIdentical == nil || !*rep.DynamicIdentical {
 		t.Error("dynamic_identical must be recorded true: the window policy must not change simulation output")
 	}
-	if rep.WindowsDynamic < 1 || rep.WindowsDynamic > rep.WindowsAdaptive {
-		t.Errorf("windows_dynamic = %d vs windows_adaptive = %d; promises may only extend horizons",
-			rep.WindowsDynamic, rep.WindowsAdaptive)
-	}
-	// The optimistic (speculative) leg: identical results on every
-	// machine — rollback recovery must be invisible in the output — and
-	// never more windows than dynamic, since speculation can only
-	// replace conservative barriers, not add them. Rollback accounting
-	// must be present (zero is legitimate; absent is schema drift).
-	if rep.WallOptimisticS <= 0 || rep.SpeedupOptimistic <= 0 {
-		t.Errorf("optimistic leg not measured: wall=%v speedup=%v (regenerate with `make bench-shard`)",
-			rep.WallOptimisticS, rep.SpeedupOptimistic)
-	}
-	if rep.OptimisticIdentical == nil || !*rep.OptimisticIdentical {
-		t.Error("optimistic_identical must be recorded true: speculation with rollback must not change simulation output")
-	}
-	if rep.WindowsOptimistic < 1 || rep.WindowsOptimistic > rep.WindowsDynamic {
-		t.Errorf("windows_optimistic = %d vs windows_dynamic = %d; speculation may only replace barriers",
-			rep.WindowsOptimistic, rep.WindowsDynamic)
-	}
-	if rep.SpeculatedWindows == nil || *rep.SpeculatedWindows < 0 {
-		t.Error("speculated_windows must be recorded (0 is legitimate; missing is schema drift)")
-	}
-	if rep.Rollbacks == nil || *rep.Rollbacks < 0 {
-		t.Error("rollbacks must be recorded (0 is legitimate; missing is schema drift)")
-	}
-	if rep.SpeculatedWindows != nil && rep.Rollbacks != nil && *rep.Rollbacks > 0 && *rep.SpeculatedWindows == 0 {
-		t.Errorf("%d rollbacks with zero speculated windows: rollback accounting is inconsistent", *rep.Rollbacks)
+	if rep.WindowsDynamic < 1 || rep.WindowsDynamic > rep.Windows {
+		t.Errorf("windows_dynamic = %d vs windows = %d; dynamic horizons may only be longer than global ones",
+			rep.WindowsDynamic, rep.Windows)
 	}
 	// The idle-fleet leg is the policy's acceptance criterion: on the
 	// BENCH_fleet cohort (>= 24k idle + population per cell, no active
 	// flows) dynamic must release at least 5x fewer windows than
-	// adaptive — a deterministic, CPU-count-independent claim, so it is
+	// global — a deterministic, CPU-count-independent claim, so it is
 	// gated on every machine.
 	if rep.FleetIdleTerminals < 24000 || rep.FleetPopulation < 1000 {
 		t.Errorf("idle-fleet leg too small: %d idle + %d population per cell (want >= 24000 + 1000)",
@@ -154,55 +105,36 @@ func TestBenchShardArtifact(t *testing.T) {
 	if rep.FleetIdentical == nil || !*rep.FleetIdentical {
 		t.Error("fleet_identical must be recorded true: the window policy must not change the idle-fleet output")
 	}
-	if rep.FleetWindowsAdaptive < 1 || rep.FleetWindowsDynamic < 1 {
-		t.Errorf("idle-fleet window counts not recorded: adaptive=%d dynamic=%d",
-			rep.FleetWindowsAdaptive, rep.FleetWindowsDynamic)
+	if rep.FleetWindowsGlobal < 1 || rep.FleetWindowsDynamic < 1 {
+		t.Errorf("idle-fleet window counts not recorded: global=%d dynamic=%d",
+			rep.FleetWindowsGlobal, rep.FleetWindowsDynamic)
 	}
 	if rep.FleetWindowReduction < 5 {
-		t.Errorf("idle-fleet window reduction %.2fx (adaptive %d vs dynamic %d) below the 5x acceptance bar",
-			rep.FleetWindowReduction, rep.FleetWindowsAdaptive, rep.FleetWindowsDynamic)
+		t.Errorf("idle-fleet window reduction %.2fx (global %d vs dynamic %d) below the 5x acceptance bar",
+			rep.FleetWindowReduction, rep.FleetWindowsGlobal, rep.FleetWindowsDynamic)
 	}
 	// The 2x bar only binds where it is physically achievable: >=4-way
 	// sharding measured with >=4 schedulable cores. The same condition
-	// gates the adaptive-vs-global comparison — adaptive horizons only
+	// gates the dynamic-vs-global comparison — per-shard horizons only
 	// remove synchronization, so with real cores they must not lose to
 	// the lockstep window.
 	if *rep.NumCPU >= 4 && *rep.GOMAXPROCS >= 4 && rep.Shards >= 4 {
 		if rep.Speedup < 2 {
 			t.Errorf("speedup %.2f below the 2x acceptance bar on a %d-core machine", rep.Speedup, *rep.NumCPU)
 		}
-		if rep.WallAdaptiveS > rep.WallNS {
-			t.Errorf("adaptive wall %.2fs slower than global %.2fs on a %d-core machine",
-				rep.WallAdaptiveS, rep.WallNS, *rep.NumCPU)
-		}
 		if rep.WallDynamicS > rep.WallNS {
 			t.Errorf("dynamic wall %.2fs slower than global %.2fs on a %d-core machine",
 				rep.WallDynamicS, rep.WallNS, *rep.NumCPU)
-		}
-		// With real cores, speculation must at worst break even with the
-		// dynamic policy it extends — checkpoint overhead has parallel
-		// slack to hide in.
-		if rep.WallOptimisticS > 1.05*rep.WallDynamicS {
-			t.Errorf("optimistic wall %.2fs more than 1.05x dynamic %.2fs on a %d-core machine",
-				rep.WallOptimisticS, rep.WallDynamicS, *rep.NumCPU)
 		}
 	} else {
 		if rep.Speedup < 0.5 {
 			t.Errorf("speedup %.2f: sharding pathologically slow even for a %d-core machine", rep.Speedup, *rep.NumCPU)
 		}
-		// On a starved machine the per-shard policies can only be honest
-		// about ~1x; hold them to "not pathologically worse than global".
-		if rep.WallNS > 0 && rep.WallAdaptiveS > 1.5*rep.WallNS {
-			t.Errorf("adaptive wall %.2fs more than 1.5x global %.2fs even on a %d-core machine",
-				rep.WallAdaptiveS, rep.WallNS, *rep.NumCPU)
-		}
+		// On a starved machine the dynamic policy can only be honest
+		// about ~1x; hold it to "not pathologically worse than global".
 		if rep.WallNS > 0 && rep.WallDynamicS > 1.5*rep.WallNS {
 			t.Errorf("dynamic wall %.2fs more than 1.5x global %.2fs even on a %d-core machine",
 				rep.WallDynamicS, rep.WallNS, *rep.NumCPU)
-		}
-		if rep.WallNS > 0 && rep.WallOptimisticS > 1.5*rep.WallNS {
-			t.Errorf("optimistic wall %.2fs more than 1.5x global %.2fs even on a %d-core machine",
-				rep.WallOptimisticS, rep.WallNS, *rep.NumCPU)
 		}
 	}
 }

@@ -55,12 +55,35 @@ func runSpec(path string) error {
 	return err
 }
 
+// Connection-time bounds of the serve-mode HTTP server. A client must
+// finish its request headers within serveReadHeaderTimeout, and a
+// keep-alive connection with no request in flight is closed after
+// serveIdleTimeout, so neither a half-sent header nor an idle client
+// can hold a connection and its goroutine forever. Job bodies are
+// small and results are read from memory, so neither bound limits a
+// well-behaved client; long-lived SSE streams are unaffected because
+// both apply only while no request is being served.
+const (
+	serveReadHeaderTimeout = 5 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newServeServer returns the serve-mode HTTP server for h on addr.
+func newServeServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // runServe hosts the control plane on addr until SIGINT/SIGTERM, then
 // drains: the HTTP listener closes first (no new submissions), queued
 // jobs run to completion, and only then does the process exit.
 func runServe(addr string, workers int) error {
 	ctl := control.NewServer(control.Config{Workers: workers})
-	srv := &http.Server{Addr: addr, Handler: ctl.Handler()}
+	srv := newServeServer(addr, ctl.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	sigc := make(chan os.Signal, 1)

@@ -26,13 +26,6 @@ const (
 type Pool struct {
 	free [numClasses][][]byte
 
-	// deferred holds one slice of postponed Puts per open speculation
-	// segment (see PushSpec). While any segment is open, Put does not
-	// recycle: a speculatively released buffer may still be referenced
-	// by checkpointed state (a packet sitting in a restored link queue),
-	// so handing it out again would clobber bytes a rollback needs.
-	deferred [][][]byte
-
 	gets   *metrics.Counter
 	puts   *metrics.Counter
 	misses *metrics.Counter
@@ -91,15 +84,6 @@ func (p *Pool) Put(b []byte) {
 	if b == nil || disabled {
 		return
 	}
-	if n := len(p.deferred); n > 0 {
-		p.deferred[n-1] = append(p.deferred[n-1], b)
-		return
-	}
-	p.putNow(b)
-}
-
-// putNow is Put past the speculation gate: the actual recycle.
-func (p *Pool) putNow(b []byte) {
 	if debugDoublePut {
 		for cls := range p.free {
 			for _, f := range p.free[cls] {
@@ -117,54 +101,6 @@ func (p *Pool) putNow(b []byte) {
 	cls := bits.Len(uint(c)) - 1 - minShift
 	p.free[cls] = append(p.free[cls], b[:0])
 }
-
-// PushSpec opens a speculation segment: until the matching commit or
-// rollback, Put defers instead of recycling. Segments nest; each Put
-// lands in the newest open segment. Get is unaffected — a buffer taken
-// from the free list during speculation had no live reference at any
-// checkpoint (it was free), so replay after a rollback simply takes a
-// different (or fresh) buffer and rewrites it, which is invisible to
-// the simulation (Get's contents are unspecified by contract).
-func (p *Pool) PushSpec() {
-	p.deferred = append(p.deferred, nil)
-}
-
-// CommitOldestSpec retires the oldest segment, actually recycling the
-// Puts deferred during its interval. A buffer released inside a
-// committed interval is unreferenced by every remaining checkpoint
-// (those capture state from after the release), so it goes straight to
-// the free lists even while newer segments stay open.
-func (p *Pool) CommitOldestSpec() {
-	bufs := p.deferred[0]
-	p.deferred[0] = nil
-	p.deferred = p.deferred[1:]
-	if len(p.deferred) == 0 {
-		p.deferred = nil
-	}
-	if disabled {
-		return
-	}
-	for _, b := range bufs {
-		p.putNow(b)
-	}
-}
-
-// RollbackSpec drops every segment newer than keep (keeping the oldest
-// `keep` segments), abandoning their deferred Puts: the rolled-back
-// execution that released those buffers never happened, so its replay
-// will release them again. The abandoned slices go to the garbage
-// collector — correctness over reuse.
-func (p *Pool) RollbackSpec(keep int) {
-	if keep < len(p.deferred) {
-		p.deferred = p.deferred[:keep]
-		if keep == 0 {
-			p.deferred = nil
-		}
-	}
-}
-
-// SpecDepth reports the number of open speculation segments.
-func (p *Pool) SpecDepth() int { return len(p.deferred) }
 
 // debugDoublePut enables an O(n) scan on every Put that panics when a
 // buffer already sitting in the pool is Put again. Test-only diagnostics.

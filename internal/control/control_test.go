@@ -105,7 +105,7 @@ func TestJobByteIdenticalToDirectRun(t *testing.T) {
 	cases := []string{
 		`{"seed":11,"duration":"` + testDur + `"}`,
 		`{"seed":11,"scheduler":"heap","duration":"` + testDur + `"}`,
-		`{"seed":5,"cells":3,"terminals":1,"shards":2,"shard_policy":"adaptive","duration":"` + testDur + `"}`,
+		`{"seed":5,"cells":3,"terminals":1,"shards":2,"shard_policy":"dynamic","duration":"` + testDur + `"}`,
 	}
 	for _, specJSON := range cases {
 		id := submit(t, ts, specJSON)
@@ -456,14 +456,14 @@ func TestMetricsScrape(t *testing.T) {
 }
 
 // TestMetricsScrapeShardCounters: a multi-cell sharded job's merged
-// snapshot must surface the coordinator's window/rollback instruments
+// snapshot must surface the coordinator's window instruments
 // through /v1/metrics, not just the sim/netsim counters. The -metrics
 // CLI dump always carried the raw per-shard snapshots; this pins the
 // serve-mode path to the same merged view.
 func TestMetricsScrapeShardCounters(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 	id := submit(t, ts, `{"seed":4,"cells":2,"terminals":1,"shards":3,`+
-		`"shard_policy":"optimistic","flow_start":"8s","duration":"`+testDur+`"}`)
+		`"shard_policy":"dynamic","flow_start":"8s","duration":"`+testDur+`"}`)
 	if st := waitState(t, ts, id); st.State != StateDone {
 		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
 	}
@@ -474,10 +474,7 @@ func TestMetricsScrapeShardCounters(t *testing.T) {
 	defer resp.Body.Close()
 	var scrape struct {
 		Jobs map[string]struct {
-			Counters   map[string]int64 `json:"counters"`
-			Histograms map[string]struct {
-				Count int64 `json:"count"`
-			} `json:"histograms"`
+			Counters map[string]int64 `json:"counters"`
 		} `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&scrape); err != nil {
@@ -492,17 +489,6 @@ func TestMetricsScrapeShardCounters(t *testing.T) {
 	}
 	if got := snap.Counters["shard/windows_released"]; got == 0 {
 		t.Error("merged snapshot missing shard/windows_released")
-	}
-	// The speculation instruments must be present even when their
-	// values are zero; their absence would mean the coordinator's
-	// registry entries were dropped on the merge path.
-	for _, name := range []string{"shard/speculated_windows", "shard/rollbacks"} {
-		if _, ok := snap.Counters[name]; !ok {
-			t.Errorf("merged snapshot missing counter %s", name)
-		}
-	}
-	if _, ok := snap.Histograms["shard/rollback_depth"]; !ok {
-		t.Error("merged snapshot missing histogram shard/rollback_depth")
 	}
 }
 

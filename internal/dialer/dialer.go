@@ -112,9 +112,6 @@ func New(cfg Config) *Dialer {
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 60 * time.Second
 	}
-	// Chat-script progress and retry state have no snapshot hooks; the
-	// loop cannot be speculatively rolled back.
-	cfg.Loop.MarkOpaque("dialer.Dialer")
 	return &Dialer{cfg: cfg, chat: newChat(cfg.Loop, cfg.Port, cfg.Trace)}
 }
 

@@ -245,11 +245,6 @@ func Arm(loop *sim.Loop, sched Schedule, hooks Hooks) (*Injector, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
-	// An armed injector mutates components (loss knobs, radio pauses)
-	// that have no snapshot hooks; the loop cannot be speculatively
-	// rolled back. The empty-schedule early return above keeps fault-free
-	// runs unaffected.
-	loop.MarkOpaque("fault.Injector")
 	reg := loop.Metrics()
 	inj.mInjected = reg.Counter("fault/injected")
 	inj.mSkipped = reg.Counter("fault/skipped")

@@ -143,27 +143,7 @@ func New(node *netsim.Node) *Router {
 		rules:  []Rule{{Priority: 32766, Table: TableMain}},
 	}
 	node.Route = r.Resolve
-	node.Loop.OnSnapshot(r.snapshot)
 	return r
-}
-
-// snapshot captures the rule list and routing tables for speculative
-// rollback (sim.Loop OnSnapshot contract) — dialer policy scripts edit
-// both mid-run.
-func (r *Router) snapshot() func() {
-	tables := make(map[string][]Route, len(r.tables))
-	for name, routes := range r.tables {
-		tables[name] = append([]Route(nil), routes...)
-	}
-	rules := append([]Rule(nil), r.rules...)
-	return func() {
-		m := make(map[string][]Route, len(tables))
-		for name, routes := range tables {
-			m[name] = append([]Route(nil), routes...)
-		}
-		r.tables = m
-		r.rules = append([]Rule(nil), rules...)
-	}
 }
 
 // Node returns the node this router is attached to.

@@ -159,11 +159,6 @@ type Sender struct {
 
 // NewSender creates a sender for spec; name salts the RNG stream.
 func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sender {
-	// Sequence counters, logs, and the live decoder feed have no
-	// snapshot hooks; the loop cannot be speculatively rolled back.
-	// (Receivers DO cooperate — see Receiver.snapshot — so a pure
-	// receive-side loop stays speculation-eligible.)
-	loop.MarkOpaque("itg.Sender")
 	reg := loop.Metrics()
 	s := &Sender{
 		loop:      loop,
@@ -334,7 +329,6 @@ func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 		mStreamed: reg.Counter("itg/records_streamed"),
 		mDropped:  reg.Counter("itg/log_records_dropped"),
 	}
-	loop.OnSnapshot(r.snapshot)
 	return r
 }
 
@@ -342,17 +336,6 @@ func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 // ExpectedPackets). The reservation is made at the first logged
 // arrival, so a receiver whose flow never starts allocates nothing.
 func (r *Receiver) Expect(n int) { r.expect = n }
-
-// snapshot captures the receiver's log cursor for speculative rollback
-// (sim.Loop OnSnapshot contract). The log only appends and records are
-// immutable once logged, so restoring is a truncation.
-func (r *Receiver) snapshot() func() {
-	n, mal := len(r.RecvLog.Records), r.Malformed
-	return func() {
-		r.RecvLog.Records = r.RecvLog.Records[:n]
-		r.Malformed = mal
-	}
-}
 
 // Handle processes one received packet; bind it to the flow's
 // destination port.
@@ -370,16 +353,7 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 		TxTime: txTime, RxTime: r.loop.Now(),
 	}
 	if r.Stream != nil {
-		if r.loop.Speculating() {
-			// The decoder may be shared with the flow's sender on another
-			// shard loop; a rollback here could not un-feed it, so the
-			// arrival is quarantined until the window commits. Replay
-			// recreates an identical record, and commits release segments
-			// in order, so the decoder still sees RxTime-monotone input.
-			r.loop.Quarantine(func() { r.Stream.AddRecv(rec) })
-		} else {
-			r.Stream.AddRecv(rec)
-		}
+		r.Stream.AddRecv(rec)
 		r.mStreamed.Inc()
 	}
 	if r.DropLogs {

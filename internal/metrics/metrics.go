@@ -113,7 +113,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
-	exempt     map[string]bool
 }
 
 // NewRegistry returns an empty registry.
@@ -122,18 +121,8 @@ func NewRegistry() *Registry {
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
-		exempt:     make(map[string]bool),
 	}
 }
-
-// Exempt excludes the named instrument from Checkpoint/Restore. It is
-// meant for coordinator-side bookkeeping (speculation rollback counts,
-// window grants) that describes the engine's own effort: rewinding such
-// an instrument along with the model state would erase the very record
-// of the rollback that rewound it. Model instruments must NOT be
-// exempted — a deterministic replay re-observes them and relies on the
-// rewind to avoid double counting.
-func (r *Registry) Exempt(name string) { r.exempt[name] = true }
 
 // Counter returns the named counter, creating it on first use. Call once
 // at setup and keep the pointer; the lookup allocates on first use.

@@ -123,9 +123,6 @@ type Modem struct {
 // line, using radio for network operations. If pin is non-empty the SIM
 // is locked until AT+CPIN="<pin>".
 func New(loop *sim.Loop, profile CardProfile, line *serial.Line, radio RadioNet, pin string) *Modem {
-	// AT parser and PDP state have no snapshot hooks; the loop cannot
-	// be speculatively rolled back.
-	loop.MarkOpaque("modem.Modem")
 	m := &Modem{
 		loop: loop, profile: profile, line: line, radio: radio,
 		echo: true, pin: pin, pinOK: pin == "",

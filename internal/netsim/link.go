@@ -74,7 +74,6 @@ func NewP2PLink(loop *sim.Loop, name string, a2b, b2a LinkConfig) *P2PLink {
 		d.mQueueDrops = reg.Counter(prefix + "queue_drops")
 		d.mLossDrops = reg.Counter(prefix + "loss_drops")
 		d.mQueueOcc = reg.Histogram(prefix + "queue_occupancy_pkts")
-		loop.OnSnapshot(d.snapshot)
 	}
 	return l
 }
@@ -149,41 +148,6 @@ type queued struct {
 	to  *Iface
 }
 
-// linkDirState is the by-value image of a direction's mutable fields,
-// captured at each speculative checkpoint. The packets referenced from
-// the rings are restored separately — Iface.Deliver and recycle record
-// per-packet undos — so the rings only need their shape and membership
-// back, not deep copies.
-type linkDirState struct {
-	cfg         LinkConfig
-	busy        bool
-	queue       []queued
-	queuedBytes int
-	lastArrival time.Duration
-	stats       DirStats
-	inflight    queued
-	pending     []queued
-}
-
-// snapshot captures the direction for speculative rollback (sim.Loop
-// OnSnapshot contract). Registry instruments checkpoint themselves.
-func (d *linkDir) snapshot() func() {
-	st := linkDirState{
-		cfg: d.cfg, busy: d.busy,
-		queue:       d.queue.Items(),
-		queuedBytes: d.queuedBytes, lastArrival: d.lastArrival,
-		stats: d.stats, inflight: d.inflight,
-		pending: d.pending.Items(),
-	}
-	return func() {
-		d.cfg, d.busy = st.cfg, st.busy
-		d.queue.Reset(st.queue)
-		d.queuedBytes, d.lastArrival = st.queuedBytes, st.lastArrival
-		d.stats, d.inflight = st.stats, st.inflight
-		d.pending.Reset(st.pending)
-	}
-}
-
 func (d *linkDir) send(to *Iface, pkt *Packet) {
 	if d.cfg.LossProb > 0 && d.link.rng.Float64() < d.cfg.LossProb {
 		d.stats.LossDrops++
@@ -214,10 +178,6 @@ func (d *linkDir) qlen() int { return d.queue.Len() }
 // throughout the repo (producers copy), so the buffer cannot be live
 // elsewhere; Put ignores buffers that did not come from the pool.
 func (d *linkDir) recycle(pkt *Packet) {
-	if d.link.loop.Speculating() {
-		p := *pkt
-		d.link.loop.RecordUndo(func() { *pkt = p })
-	}
 	d.link.loop.Buffers().Put(pkt.Payload)
 	pkt.Payload = nil
 }

@@ -92,46 +92,7 @@ type Node struct {
 
 // NewNode creates a node with no interfaces.
 func NewNode(loop *sim.Loop, name string) *Node {
-	n := &Node{Name: name, Loop: loop, ports: make(map[portKey]PortHandler)}
-	loop.OnSnapshot(n.snapshot)
-	return n
-}
-
-// snapshot captures the node's mutable packet-path state for speculative
-// rollback (sim.Loop OnSnapshot contract): counters, the IP ID sequence,
-// the port table, and every interface struct by value — which covers
-// up/link/address changes as well as the per-interface Tx/Rx counters.
-func (n *Node) snapshot() func() {
-	st := struct {
-		ipSeq  uint16
-		stats  NodeStats
-		ports  map[portKey]PortHandler
-		ifaces []*Iface
-		vals   []Iface
-	}{
-		ipSeq: n.ipSeq, stats: n.stats,
-		ports:  make(map[portKey]PortHandler, len(n.ports)),
-		ifaces: append([]*Iface(nil), n.ifaces...),
-		vals:   make([]Iface, len(n.ifaces)),
-	}
-	for k, v := range n.ports {
-		st.ports[k] = v
-	}
-	for i, ifc := range n.ifaces {
-		st.vals[i] = *ifc
-	}
-	return func() {
-		n.ipSeq, n.stats = st.ipSeq, st.stats
-		m := make(map[portKey]PortHandler, len(st.ports))
-		for k, v := range st.ports {
-			m[k] = v
-		}
-		n.ports = m
-		n.ifaces = append(n.ifaces[:0], st.ifaces...)
-		for i, ifc := range st.ifaces {
-			*ifc = st.vals[i]
-		}
-	}
+	return &Node{Name: name, Loop: loop, ports: make(map[portKey]PortHandler)}
 }
 
 // Stats returns a copy of the node's counters.
@@ -230,14 +191,6 @@ func (i *Iface) Output(pkt *Packet) {
 func (i *Iface) Deliver(pkt *Packet) {
 	if !i.up {
 		return
-	}
-	// Under speculation the same *Packet is re-delivered on replay (it
-	// sits in a link's pending ring or a shard mailbox across the
-	// rollback), so the in-place mutations of the input path — InIface,
-	// TTL, and any in-handler header rewrites — must be undone with it.
-	if i.Node.Loop.Speculating() {
-		p := *pkt
-		i.Node.Loop.RecordUndo(func() { *pkt = p })
 	}
 	i.RxPackets++
 	i.RxBytes += uint64(pkt.Length())

@@ -141,44 +141,12 @@ func newXlinkDir(loop *sim.Loop, name string, cfg LinkConfig, to *Iface) *xlinkD
 		mQueueOcc:   reg.Histogram(prefix + "queue_occupancy_pkts"),
 	}
 	d.txDoneFn = d.txDone
-	loop.OnSnapshot(d.snapshot)
 	return d
-}
-
-// snapshot captures the direction for speculative rollback (sim.Loop
-// OnSnapshot contract). The edge's own outbox/sequence rewind is handled
-// by the shard engine; queued packet structs are restored by the
-// per-packet undos recorded in Iface.Deliver and recycle.
-func (d *xlinkDir) snapshot() func() {
-	st := struct {
-		cfg         LinkConfig
-		busy        bool
-		queue       []*Packet
-		queuedBytes int
-		lastArrival time.Duration
-		stats       DirStats
-		inflight    *Packet
-	}{
-		cfg: d.cfg, busy: d.busy,
-		queue:       d.queue.Items(),
-		queuedBytes: d.queuedBytes, lastArrival: d.lastArrival,
-		stats: d.stats, inflight: d.inflight,
-	}
-	return func() {
-		d.cfg, d.busy = st.cfg, st.busy
-		d.queue.Reset(st.queue)
-		d.queuedBytes, d.lastArrival = st.queuedBytes, st.lastArrival
-		d.stats, d.inflight = st.stats, st.inflight
-	}
 }
 
 func (d *xlinkDir) qlen() int { return d.queue.Len() }
 
 func (d *xlinkDir) recycle(pkt *Packet) {
-	if d.loop.Speculating() {
-		p := *pkt
-		d.loop.RecordUndo(func() { *pkt = p })
-	}
 	d.loop.Buffers().Put(pkt.Payload)
 	pkt.Payload = nil
 }

@@ -78,9 +78,6 @@ type link struct {
 }
 
 func newLink(loop *sim.Loop, ch ByteChannel) *link {
-	// Deframer buffers and negotiation state machines have no snapshot
-	// hooks; the loop cannot be speculatively rolled back.
-	loop.MarkOpaque("ppp.link")
 	reg := loop.Metrics()
 	l := &link{
 		loop: loop, ch: ch, handler: make(map[uint16]func([]byte)),

@@ -44,9 +44,6 @@ type Line struct {
 // NewLine creates a line pacing both directions at baud bits per second.
 // baud <= 0 means an infinitely fast line (useful in unit tests).
 func NewLine(loop *sim.Loop, name string, baud int) *Line {
-	// Byte FIFOs and pacing state have no snapshot hooks; the loop
-	// cannot be speculatively rolled back.
-	loop.MarkOpaque("serial.Line")
 	l := &Line{Name: name}
 	rng := loop.RNG("serial/" + name)
 	l.a = &port{loop: loop, baud: baud, rng: rng}

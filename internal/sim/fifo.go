@@ -50,26 +50,6 @@ func (f *FIFO[T]) Pop() T {
 	return v
 }
 
-// Items returns a copy of the queued items, oldest first — the by-value
-// image a speculative checkpoint captures.
-func (f *FIFO[T]) Items() []T {
-	out := make([]T, 0, f.n)
-	for i := 0; i < f.n; i++ {
-		out = append(out, f.buf[(f.head+i)&(len(f.buf)-1)])
-	}
-	return out
-}
-
-// Reset replaces the contents with items, oldest first (the inverse of
-// Items). The ring keeps its storage when it is large enough.
-func (f *FIFO[T]) Reset(items []T) {
-	clear(f.buf)
-	f.head, f.n = 0, 0
-	for _, v := range items {
-		f.Push(v)
-	}
-}
-
 func (f *FIFO[T]) grow() {
 	c := 2 * len(f.buf)
 	if c == 0 {

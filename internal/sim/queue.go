@@ -28,10 +28,6 @@ type event struct {
 	// where records which container currently holds the event: a wheel
 	// level (0..numLevels-1) or one of the ev* sentinels below.
 	where int8
-	// held marks an event journaled by an open speculation segment
-	// (snapshot.go): freeEvent parks it in limbo instead of recycling,
-	// so a rollback can re-queue it with its generation intact.
-	held bool
 }
 
 // Event slab geometry. Ids are 1-based (0 means "no event") and encode
@@ -47,8 +43,7 @@ const (
 
 // eventSlab owns every event of one loop. A chunk never moves once
 // allocated, so *event pointers handed out by at — held by Timer
-// handles and the speculation journal — stay valid for the loop's
-// lifetime; the queue's own links are int32 ids, whose stores pay no GC
+// handles — stay valid for the loop's lifetime; the queue's own links are int32 ids, whose stores pay no GC
 // write barrier.
 type eventSlab struct {
 	chunks [][]event
@@ -99,7 +94,6 @@ const (
 	evOverflow int8 = -2 // wheelQueue's far-future heap
 	evHeap     int8 = -3 // heapQueue's binary heap
 	evFree     int8 = -4 // on the loop freelist
-	evLimbo    int8 = -5 // fired/cancelled but journaled for possible rollback
 )
 
 // Priority bands. Within one instant, head-band events (Loop.AtHead)
@@ -127,11 +121,6 @@ type eventQueue interface {
 	// lazily (the entry stays until popped or compacted); the wheel
 	// unlinks and frees immediately.
 	cancel(ev *event)
-	// uncancel reinstates a cancelled event that is still physically
-	// resident in the backend (lazy cancellation); the caller has
-	// already restored ev.fn. It reports false when the event was
-	// evicted (the caller must push it again).
-	uncancel(ev *event) bool
 	// len reports queued entries. For the heap backend this includes
 	// entries cancelled but not yet compacted away.
 	len() int
@@ -237,19 +226,6 @@ func (q *heapQueue) cancel(ev *event) {
 }
 
 func (q *heapQueue) len() int { return q.h.Len() }
-
-// uncancel reinstates a lazily-cancelled event still sitting in the
-// heap. Its (at, pri, seq) key never changed, so the heap invariant
-// holds with the entry exactly where it is.
-func (q *heapQueue) uncancel(ev *event) bool {
-	if ev.where != evHeap {
-		return false
-	}
-	if q.cancelled > 0 {
-		q.cancelled--
-	}
-	return true
-}
 
 // compact rebuilds the event heap keeping only live events. O(n), run
 // only when cancelled entries exceed half the queue, so the amortized

@@ -1,6 +1,9 @@
 package shard_test
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,9 +11,9 @@ import (
 	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
-// TestDynamicMatchesGlobal pins the EOT-promise policy to the same
-// byte-identity contract as adaptive: for every scheduler backend and
-// placement, traces must match the lockstep global engine exactly. The
+// TestDynamicMatchesGlobal pins the dynamic policy to the byte-identity
+// contract: for every scheduler backend and placement, traces must
+// match the lockstep global engine exactly. The
 // pingPong ring is the adversarial case for promises — it cycles, so a
 // one-hop promise without fixpoint propagation would let a shard outrun
 // the echo traffic coming back around the ring.
@@ -46,8 +49,8 @@ func TestDynamicMatchesGlobal(t *testing.T) {
 }
 
 // sparseEngine builds the idle-heavy case the dynamic policy exists
-// for: two shards joined by short edges both ways (so the adaptive
-// distance bound is small), where shard 0 only acts at a sparse period
+// for: two shards joined by short edges both ways (so the distance
+// bound is small), where shard 0 only acts at a sparse period
 // and shard 1 has nothing at all. Every send keeps the cycle honest —
 // shard 1 echoes each message back, so promises must propagate through
 // the cycle rather than assume quiet forever.
@@ -74,8 +77,8 @@ func sparseEngine(p shard.Policy, period, until time.Duration) *shard.Engine {
 }
 
 // TestDynamicStridesPastIdle is the point of the policy: with activity
-// every 50ms over 1ms edges, adaptive grinds ~1-2ms windows while
-// dynamic strides from event to event. The reduction here (>=10x) is
+// every 50ms over 1ms edges, global grinds 1ms windows while dynamic
+// strides from event to event. The reduction here (>=10x) is
 // the small-scale version of the idle-fleet bench gate.
 func TestDynamicStridesPastIdle(t *testing.T) {
 	windows := func(p shard.Policy) int64 {
@@ -86,9 +89,9 @@ func TestDynamicStridesPastIdle(t *testing.T) {
 		}
 		return n
 	}
-	a, dyn := windows(shard.PolicyAdaptive), windows(shard.PolicyDynamic)
-	if a < 10*dyn {
-		t.Fatalf("dynamic ran %d windows vs adaptive %d, want >= 10x fewer", dyn, a)
+	g, dyn := windows(shard.PolicyGlobal), windows(shard.PolicyDynamic)
+	if g < 10*dyn {
+		t.Fatalf("dynamic ran %d windows vs global %d, want >= 10x fewer", dyn, g)
 	}
 }
 
@@ -98,7 +101,7 @@ func TestDynamicStridesPastIdle(t *testing.T) {
 func TestDynamicIdleFastForward(t *testing.T) {
 	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
 	eng.SetPolicy(shard.PolicyDynamic)
-	// An edge exists (so the adaptive bound alone would stride in 1ms
+	// An edge exists (so the distance bound alone would stride in 1ms
 	// hops), but its source never schedules anything.
 	eng.NewEdge(eng.Shard(0), eng.Shard(1), time.Millisecond, func(shard.Message) {})
 	eng.Run(time.Second)
@@ -159,24 +162,19 @@ func TestWindowInstrumentation(t *testing.T) {
 			if h.Count != windows {
 				t.Errorf("policy %v shard %d: stride samples %d != windows %d", p, i, h.Count, windows)
 			}
-			if p == shard.PolicyOptimistic {
-				// Speculative grants re-cover rolled-back intervals, so
-				// strides COVER the span rather than partitioning it.
-				if h.Sum < int64(until) {
-					t.Errorf("policy %v shard %d: stride sum %d < span %d", p, i, h.Sum, int64(until))
-				}
-			} else if h.Sum != int64(until) {
+			if h.Sum != int64(until) {
 				t.Errorf("policy %v shard %d: stride sum %d != span %d", p, i, h.Sum, int64(until))
 			}
 		}
 	}
 }
 
-// TestDynamicNeverTrailsAdaptive: the promise horizon is
-// max(adaptive bound, EOT), so the dynamic policy can never grant MORE
-// windows than adaptive on the same scenario — the invariant the
-// bench-compare gate enforces at scale.
-func TestDynamicNeverTrailsAdaptive(t *testing.T) {
+// TestDynamicNeverTrailsGlobal: the dynamic horizon is at least the
+// distance bound, which is never shorter than the global lookahead
+// window, so the dynamic policy can never grant MORE windows than
+// global on the same scenario — the invariant the bench-compare gate
+// enforces at scale.
+func TestDynamicNeverTrailsGlobal(t *testing.T) {
 	for _, period := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 80 * time.Millisecond} {
 		windows := func(p shard.Policy) int64 {
 			eng := sparseEngine(p, period, 400*time.Millisecond)
@@ -186,8 +184,110 @@ func TestDynamicNeverTrailsAdaptive(t *testing.T) {
 			}
 			return n
 		}
-		if a, dyn := windows(shard.PolicyAdaptive), windows(shard.PolicyDynamic); dyn > a {
-			t.Errorf("period %v: dynamic %d windows > adaptive %d", period, dyn, a)
+		if g, dyn := windows(shard.PolicyGlobal), windows(shard.PolicyDynamic); dyn > g {
+			t.Errorf("period %v: dynamic %d windows > global %d", period, dyn, g)
+		}
+	}
+}
+
+// TestDynamicStress is the randomized coordinator stress test: for
+// several seeds, a random edge topology (a ring, which guarantees
+// cycles, plus random chords) with random delays and random station
+// activity runs under both scheduler backends, under global
+// (reference) and under dynamic at two different GOMAXPROCS values.
+// Model state must be byte-identical to the reference, and — because
+// every coordinator decision is made at a quiescent pass from
+// simulation state only — the window counts must be identical across
+// CPU counts. Run with -race this doubles as the data-race harness for
+// the per-shard coordinator.
+func TestDynamicStress(t *testing.T) {
+	until := 150 * time.Millisecond
+	for seed := int64(1); seed <= 3; seed++ {
+		topo := rand.New(rand.NewSource(seed))
+		nShards := 2 + topo.Intn(3) // 2..4
+		type edgeSpec struct {
+			src, dst int
+			delay    time.Duration
+		}
+		var edges []edgeSpec
+		perm := topo.Perm(nShards)
+		for i := range perm {
+			edges = append(edges, edgeSpec{perm[i], perm[(i+1)%nShards],
+				time.Duration(1+topo.Intn(5)) * time.Millisecond})
+		}
+		for k := 0; k < topo.Intn(3); k++ {
+			s, d := topo.Intn(nShards), topo.Intn(nShards)
+			if s == d {
+				continue
+			}
+			edges = append(edges, edgeSpec{s, d, time.Duration(1+topo.Intn(8)) * time.Millisecond})
+		}
+		periods := make([]time.Duration, nShards)
+		for i := range periods {
+			periods[i] = time.Duration(5+topo.Intn(40)) * time.Millisecond
+		}
+		run := func(p shard.Policy, sched sim.Scheduler) ([]string, []int64) {
+			eng := shard.NewEngine(seed, nShards, sched)
+			eng.SetPolicy(p)
+			traces := make([]string, nShards)
+			outBy := make([][]*shard.Edge, nShards)
+			for _, es := range edges {
+				es := es
+				ed := eng.NewEdge(eng.Shard(es.src), eng.Shard(es.dst), es.delay, func(m shard.Message) {
+					traces[es.dst] += fmt.Sprintf("recv e%d->%d %v @%v\n",
+						es.src, es.dst, m.Payload, eng.Shard(es.dst).Loop().Now())
+				})
+				outBy[es.src] = append(outBy[es.src], ed)
+			}
+			for i := 0; i < nShards; i++ {
+				i := i
+				loop := eng.Shard(i).Loop()
+				rng := loop.RNG(fmt.Sprintf("stress/%d", i))
+				myEdges := outBy[i]
+				period := periods[i]
+				var tick func()
+				tick = func() {
+					traces[i] += fmt.Sprintf("tick @%v\n", loop.Now())
+					for _, ed := range myEdges {
+						if rng.Intn(2) == 0 {
+							ed.Send(loop.Now()+ed.MinDelay()+time.Duration(rng.Int63n(int64(time.Millisecond))), i)
+						}
+					}
+					if loop.Now() < until {
+						loop.After(period, tick)
+					}
+				}
+				loop.At(time.Duration(i)*time.Millisecond, tick)
+			}
+			eng.Run(until)
+			windows := make([]int64, nShards)
+			for i := range windows {
+				windows[i] = eng.Shard(i).Loop().Metrics().Snapshot().Counter("shard/windows")
+			}
+			return traces, windows
+		}
+		for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
+			refTr, _ := run(shard.PolicyGlobal, sched)
+			prev := runtime.GOMAXPROCS(0)
+			gotTr1, w1 := run(shard.PolicyDynamic, sched)
+			runtime.GOMAXPROCS(1)
+			gotTr2, w2 := run(shard.PolicyDynamic, sched)
+			runtime.GOMAXPROCS(prev)
+			for i := range refTr {
+				if refTr[i] != gotTr1[i] {
+					t.Fatalf("seed %d sched %v shard %d: dynamic trace differs from global:\n--- global ---\n%s--- dynamic ---\n%s",
+						seed, sched, i, refTr[i], gotTr1[i])
+				}
+				if gotTr1[i] != gotTr2[i] {
+					t.Fatalf("seed %d sched %v shard %d: trace differs across GOMAXPROCS", seed, sched, i)
+				}
+			}
+			for i := range w1 {
+				if w1[i] != w2[i] {
+					t.Fatalf("seed %d sched %v: window counts differ across GOMAXPROCS:\n%v\n%v",
+						seed, sched, w1, w2)
+				}
+			}
 		}
 	}
 }

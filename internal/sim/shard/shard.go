@@ -4,32 +4,28 @@
 // registry), and advances all shards in bounded virtual-time windows.
 //
 // Shards interact only through Edges — directed cross-shard channels
-// with a declared minimum propagation delay. Three window policies
-// share the same delivery machinery:
+// with a declared minimum propagation delay. Two window policies share
+// the same delivery machinery:
 //
 //   - PolicyGlobal (default): the smallest edge delay is the engine's
 //     lookahead; all shards advance in lockstep windows of that size,
 //     exchanging messages at each barrier. Simple, and the reference
-//     the other policies are differentially tested against.
-//   - PolicyAdaptive: each shard gets its own horizon from the edge
-//     graph — h(i) = min over shards j of (barrier(j) + dist(j, i)),
-//     where dist is the all-pairs shortest path over edge min-delays.
-//     A shard with long or no incoming paths runs far ahead; a short
-//     edge throttles only its own destination. The coordinator releases
-//     a shard the moment its specific predecessors have advanced far
-//     enough, instead of holding every shard at a global barrier.
-//   - PolicyDynamic: adaptive's distance bound assumes every shard is
-//     about to emit; dynamic asks instead. At each coordinator pass
-//     every idle shard reports, per outbound edge, its Earliest Output
-//     Time — min(earliest pending message already in the mailbox, next
-//     local event time + edge min-delay) — and promises propagate
-//     through the edge graph to a fixpoint (see computeEOT). A shard's
-//     horizon becomes max(adaptive bound, min over inbound edges of
-//     EOT), so promises only ever EXTEND horizons: an idle-heavy shard
-//     whose predecessors have nothing queued for seconds of virtual
-//     time advances in seconds-long strides instead of
-//     min-edge-delay-long ones, and when every inbound EOT is +inf the
-//     shard fast-forwards to the Run horizon in a single window.
+//     oracle the dynamic policy is differentially tested against.
+//   - PolicyDynamic: each shard gets its own horizon and is released the
+//     moment its predecessors allow, instead of waiting at a global
+//     barrier. At each coordinator pass every idle shard reports, per
+//     outbound edge, its Earliest Output Time — min(earliest pending
+//     message already in the mailbox, next local event time + edge
+//     min-delay) — and promises propagate through the edge graph to a
+//     fixpoint (see computeEOT). A shard's horizon is max(distance
+//     bound, min over inbound edges of EOT), where the distance bound
+//     (horizonFor) is the earliest time any live predecessor could
+//     reach it along the shortest edge path. Promises only ever EXTEND
+//     horizons: an idle-heavy shard whose predecessors have nothing
+//     queued for seconds of virtual time advances in seconds-long
+//     strides instead of min-edge-delay-long ones, and when every
+//     inbound EOT is +inf the shard fast-forwards to the Run horizon in
+//     a single window.
 //
 // Message hand-off is batched and allocation-free on the hot path.
 // Send appends to the edge's outbox, owned by the source shard while
@@ -64,7 +60,7 @@
 //     (sim.Loop.AtHead): at a shared nanosecond a delivery always runs
 //     before locally scheduled events, no matter which window's flush
 //     inserted it. Policies flush at different points — global at grid
-//     barriers, adaptive at per-shard releases — and the head band is
+//     barriers, dynamic at per-shard releases — and the head band is
 //     what makes that difference invisible to the model. Two same-At
 //     messages for one shard always travel in the same flush (the
 //     horizon guarantee puts any not-yet-flushed message at or beyond
@@ -76,8 +72,8 @@
 // shard/msgs_in, shard/msgs_out, the wall-clock shard/stall_wall_ns
 // (time spent waiting for the slowest shard at global barriers —
 // placement-dependent by nature, so excluded from differential
-// comparisons, and zero under the per-shard policies which have no
-// global barrier), the pow2 histogram shard/horizon_stride_ns (the
+// comparisons, and zero under the dynamic policy which has no global
+// barrier), the pow2 histogram shard/horizon_stride_ns (the
 // virtual-time length of each granted window — the direct observable
 // of how far a policy lets shards stride), and the gauge
 // shard/mailbox_backlog (messages held in the shard's outgoing
@@ -106,27 +102,17 @@ const (
 	// PolicyGlobal advances all shards in lockstep windows sized by the
 	// global minimum edge delay.
 	PolicyGlobal Policy = iota
-	// PolicyAdaptive gives each shard its own horizon from per-shard
-	// shortest-path distances and releases shards independently.
-	PolicyAdaptive
-	// PolicyDynamic extends adaptive with demand-driven earliest-output-
-	// time promises: horizons grow to the earliest time a predecessor
-	// could actually emit, not just the earliest it theoretically might.
+	// PolicyDynamic releases shards independently, each to its own
+	// horizon: the later of the shortest-path distance bound and the
+	// demand-driven earliest-output-time promises of its predecessors.
 	PolicyDynamic
-	// PolicyOptimistic extends dynamic with speculation: a shard whose
-	// loop is snapshottable may execute past its released horizon in a
-	// bounded window, checkpointing as it goes (sim.Loop.Snapshot); a
-	// message arriving below its speculative frontier rolls it back to
-	// the last safe checkpoint and the interval replays byte-identically.
-	// Shards with opaque loops behave exactly as under PolicyDynamic.
-	PolicyOptimistic
 )
 
 // Policies returns every valid policy in flag-name order. Flag help,
 // Spec validation, and the control plane all derive their allowed set
 // (and ParsePolicy its error message) from this one list.
 func Policies() []Policy {
-	return []Policy{PolicyGlobal, PolicyAdaptive, PolicyDynamic, PolicyOptimistic}
+	return []Policy{PolicyGlobal, PolicyDynamic}
 }
 
 // PolicyNames returns the canonical names of Policies, in order.
@@ -141,20 +127,14 @@ func PolicyNames() []string {
 
 // String returns the flag-friendly name of the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyAdaptive:
-		return "adaptive"
-	case PolicyDynamic:
+	if p == PolicyDynamic {
 		return "dynamic"
-	case PolicyOptimistic:
-		return "optimistic"
-	default:
-		return "global"
 	}
+	return "global"
 }
 
-// ParsePolicy converts a flag value ("global", "adaptive", "dynamic" or
-// "optimistic") into a Policy; the empty string selects the default.
+// ParsePolicy converts a flag value ("global" or "dynamic") into a
+// Policy; the empty string selects the default.
 // Unknown values are an error naming the allowed set.
 func ParsePolicy(s string) (Policy, error) {
 	if s == "" {
@@ -202,16 +182,13 @@ type Shard struct {
 	eng  *Engine
 	loop *sim.Loop
 
-	mWindows   *metrics.Counter
-	mReleased  *metrics.Counter
-	mMsgsIn    *metrics.Counter
-	mMsgsOut   *metrics.Counter
-	mStall     *metrics.Counter
-	mSpecWins  *metrics.Counter
-	mRollbacks *metrics.Counter
-	hStride    *metrics.Histogram
-	hRollDepth *metrics.Histogram
-	gBacklog   *metrics.Gauge
+	mWindows  *metrics.Counter
+	mReleased *metrics.Counter
+	mMsgsIn   *metrics.Counter
+	mMsgsOut  *metrics.Counter
+	mStall    *metrics.Counter
+	hStride   *metrics.Histogram
+	gBacklog  *metrics.Gauge
 
 	runCh chan windowReq
 
@@ -226,21 +203,6 @@ type Shard struct {
 	running   bool
 	target    time.Duration
 	inclusive bool
-
-	// PolicyOptimistic state. frontier is the time the shard has
-	// EXECUTED through — equal to barrier except while checkpoints are
-	// open, when [barrier, frontier) is speculative and may roll back.
-	// ckpts mirrors the loop's open checkpoint stack (oldest first) with
-	// the coordinator-side part of each checkpoint: the per-out-edge
-	// outbox length and send sequence at snapshot time, so a rollback can
-	// retract unsent speculative messages and a commit can hand off
-	// exactly the proven prefix. ckpts is appended by the worker during a
-	// speculative window and consumed by the coordinator afterwards; the
-	// completion handshake orders the accesses. Invariant while
-	// SpecDepth > 0: ckpts[0].at == barrier.
-	frontier time.Duration
-	ckpts    []specCkpt
-	specWin  bool
 
 	// inbox is the sorted arena of released-but-not-yet-executed
 	// deliveries. One pre-bound trigger (deliverFn) is armed per entry in
@@ -289,23 +251,8 @@ type Edge struct {
 	// the coordinator moves it into mailbox (swapping arenas when it
 	// can), which only the coordinator ever touches — so releasing a
 	// destination never races with a still-running source.
-	//
-	// While the source speculates (open checkpoints), the outbox arena is
-	// pinned: checkpoints record absolute indices into it, so committed
-	// messages leave through handoffPrefix — which advances outHead but
-	// never resets the arena — and handoff() is deferred until the shard
-	// is fully committed again. outbox[:outHead] is dead (handed off),
-	// outbox[outHead:] is live-but-uncommitted.
 	outbox  []Message
-	outHead int
 	mailbox []Message
-
-	// handSeq is the highest sequence number ever handed off to the
-	// mailbox. After a rollback below an early handoff (handoffSafe),
-	// the replay re-issues those sends byte-identically; Send drops any
-	// message with Seq <= handSeq instead of buffering a duplicate the
-	// destination already has.
-	handSeq uint64
 }
 
 // MinDelay returns the edge's declared minimum propagation delay.
@@ -320,12 +267,7 @@ func (ed *Edge) Send(at time.Duration, payload any) {
 			ed.id, at, now, ed.minDelay))
 	}
 	ed.seq++
-	if ed.seq > ed.handSeq {
-		ed.outbox = append(ed.outbox, Message{At: at, Edge: ed.id, Seq: ed.seq, Payload: payload})
-	}
-	// Below the watermark this is a rollback replay re-issuing a message
-	// the destination already has; only the (rewound) counter is
-	// re-observed.
+	ed.outbox = append(ed.outbox, Message{At: at, Edge: ed.id, Seq: ed.seq, Payload: payload})
 	ed.src.mMsgsOut.Inc()
 }
 
@@ -342,27 +284,18 @@ type Engine struct {
 	inclusiveDone bool
 	started       bool
 
-	// dist[j][i] is the shortest cross-shard path delay from j to i
-	// (noPath when i is unreachable from j); dist[i][i] is the shortest
-	// cycle through i, so self-edges and loops bound a shard's own
-	// horizon. Recomputed at each Run from the edge set.
-	dist [][]time.Duration
-
-	// PolicyDynamic scratch, refilled by computeEOT each coordinator
-	// pass: eot[ed.id] is the earliest time a message can still arrive
-	// over that edge, nextT[s.id] the earliest time shard s can still
-	// act (local event or inbound arrival). noPath means "never again
-	// within this Run".
+	// PolicyDynamic state (dynamic.go). dist[j][i] is the shortest
+	// cross-shard path delay from j to i (noPath when i is unreachable
+	// from j), recomputed at each Run from the edge set; dist[i][i] is
+	// the shortest cycle through i, so self-edges and loops bound a
+	// shard's own horizon. eot and nextT are scratch refilled by
+	// computeEOT each coordinator pass: eot[ed.id] is the earliest time
+	// a message can still arrive over that edge, nextT[s.id] the
+	// earliest time shard s can still act (local event or inbound
+	// arrival). noPath means "never again within this Run".
+	dist  [][]time.Duration
 	eot   []time.Duration
 	nextT []time.Duration
-
-	// PolicyOptimistic tuning: specSpan bounds how far a shard's
-	// speculative frontier may run past its committed barrier, and
-	// specCadence spaces the checkpoints inside a speculative window.
-	// Zero selects the defaults (multiples of the engine lookahead,
-	// resolved at Run).
-	specSpan    time.Duration
-	specCadence time.Duration
 
 	doneCh chan windowDone
 	walls  []time.Duration
@@ -375,23 +308,6 @@ const noPath = time.Duration(math.MaxInt64)
 type windowReq struct {
 	target    time.Duration
 	inclusive bool
-
-	// Speculative window (PolicyOptimistic): run conservatively to safe
-	// (exclusive), then alternate Snapshot and RunBefore in cadence-sized
-	// strides until target. Always exclusive; at least one checkpoint is
-	// taken (safe < target is guaranteed by the grant).
-	spec    bool
-	safe    time.Duration
-	cadence time.Duration
-}
-
-// specCkpt is the coordinator-side half of one open loop checkpoint:
-// the snapshot instant plus, per outbound edge (indexed as in
-// Shard.outEdges), the outbox length and send sequence at that instant.
-type specCkpt struct {
-	at     time.Duration
-	outLen []int
-	outSeq []uint64
 }
 
 type windowDone struct {
@@ -401,7 +317,7 @@ type windowDone struct {
 
 // NewEngine creates n shards whose loops all share the given seed and
 // scheduler backend. The engine starts under PolicyGlobal; use
-// SetPolicy before the first Run to select adaptive windowing.
+// SetPolicy before the first Run to select dynamic windowing.
 func NewEngine(seed int64, n int, sched sim.Scheduler) *Engine {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: engine needs at least one shard, got %d", n))
@@ -411,37 +327,18 @@ func NewEngine(seed int64, n int, sched sim.Scheduler) *Engine {
 		loop := sim.NewLoopScheduler(seed, sched)
 		reg := loop.Metrics()
 		s := &Shard{
-			id:         i,
-			eng:        e,
-			loop:       loop,
-			mWindows:   reg.Counter("shard/windows"),
-			mReleased:  reg.Counter("shard/windows_released"),
-			mMsgsIn:    reg.Counter("shard/msgs_in"),
-			mMsgsOut:   reg.Counter("shard/msgs_out"),
-			mStall:     reg.Counter("shard/stall_wall_ns"),
-			mSpecWins:  reg.Counter("shard/speculated_windows"),
-			mRollbacks: reg.Counter("shard/rollbacks"),
-			hStride:    reg.Histogram("shard/horizon_stride_ns"),
-			hRollDepth: reg.Histogram("shard/rollback_depth"),
-			gBacklog:   reg.Gauge("shard/mailbox_backlog"),
+			id:        i,
+			eng:       e,
+			loop:      loop,
+			mWindows:  reg.Counter("shard/windows"),
+			mReleased: reg.Counter("shard/windows_released"),
+			mMsgsIn:   reg.Counter("shard/msgs_in"),
+			mMsgsOut:  reg.Counter("shard/msgs_out"),
+			mStall:    reg.Counter("shard/stall_wall_ns"),
+			hStride:   reg.Histogram("shard/horizon_stride_ns"),
+			gBacklog:  reg.Gauge("shard/mailbox_backlog"),
 		}
 		s.deliverFn = s.deliverNext
-		// The engine's own per-shard state must survive a loop rollback
-		// too: the inbox arena and its cursor are mutated by deliveries
-		// that a rollback un-fires.
-		loop.OnSnapshot(s.captureInbox)
-		// Coordinator-side instruments record the engine's effort —
-		// grants, rollbacks, stall time — and must not be rewound by the
-		// rollbacks they account for. msgs_in/msgs_out stay checkpointed:
-		// they are observed by (replayed) model-side execution.
-		for _, name := range []string{
-			"shard/windows", "shard/windows_released", "shard/stall_wall_ns",
-			"shard/speculated_windows", "shard/rollbacks",
-			"shard/horizon_stride_ns", "shard/rollback_depth",
-			"shard/mailbox_backlog",
-		} {
-			reg.Exempt(name)
-		}
 		e.shards = append(e.shards, s)
 	}
 	return e
@@ -472,19 +369,6 @@ func (e *Engine) SetPolicy(p Policy) {
 		panic("shard: SetPolicy after Run")
 	}
 	e.policy = p
-}
-
-// SetSpeculation tunes PolicyOptimistic: span bounds how far a shard
-// may speculate past its committed barrier, cadence spaces the
-// checkpoints within that span. Zero values keep the defaults
-// (span = 16x lookahead, cadence = 4x lookahead). Like SetPolicy it
-// must be called before the first Run.
-func (e *Engine) SetSpeculation(span, cadence time.Duration) {
-	if e.started {
-		panic("shard: SetSpeculation after Run")
-	}
-	e.specSpan = span
-	e.specCadence = cadence
 }
 
 // NewEdge declares a directed cross-shard channel. minDelay must be
@@ -521,67 +405,6 @@ func (e *Engine) Lookahead() time.Duration {
 	return w
 }
 
-// computeDist fills e.dist with all-pairs shortest path delays over the
-// edge graph (Floyd–Warshall; n is small — one entry per shard). The
-// diagonal is NOT seeded with zero: dist[i][i] ends up as the shortest
-// cycle through i, which is exactly the bound a self-edge or loop puts
-// on how far i may run ahead of its own unflushed output.
-func (e *Engine) computeDist() {
-	n := len(e.shards)
-	if e.dist == nil {
-		e.dist = make([][]time.Duration, n)
-		for i := range e.dist {
-			e.dist[i] = make([]time.Duration, n)
-		}
-	}
-	for i := range e.dist {
-		for j := range e.dist[i] {
-			e.dist[i][j] = noPath
-		}
-	}
-	for _, ed := range e.edges {
-		if ed.minDelay < e.dist[ed.src.id][ed.dst.id] {
-			e.dist[ed.src.id][ed.dst.id] = ed.minDelay
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			dik := e.dist[i][k]
-			if dik == noPath {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if dkj := e.dist[k][j]; dkj != noPath && dik+dkj < e.dist[i][j] {
-					e.dist[i][j] = dik + dkj
-				}
-			}
-		}
-	}
-}
-
-// horizonFor returns how far shard s may safely advance: the earliest
-// time a message from any still-live shard could reach it. Live shard j
-// executing its window from barrier b can only emit messages with
-// At >= b + direct edge delay >= b + dist(j, s), so everything before
-// the returned horizon is already in a mailbox (or will never exist).
-// Shards that are done contribute nothing; noPath means unconstrained.
-func (e *Engine) horizonFor(s *Shard) time.Duration {
-	h := noPath
-	for j, src := range e.shards {
-		if src.done {
-			continue
-		}
-		d := e.dist[j][s.id]
-		if d == noPath {
-			continue
-		}
-		if b := src.barrier + d; b < h {
-			h = b
-		}
-	}
-	return h
-}
-
 // Run advances every shard to virtual time until (inclusive, like
 // sim.Loop.RunUntil), exchanging cross-shard messages as the window
 // policy allows. Calling Run again with the same horizon is a no-op;
@@ -598,18 +421,12 @@ func (e *Engine) Run(until time.Duration) {
 	e.started = true
 	for _, s := range e.shards {
 		s.barrier = e.now
-		s.frontier = e.now
 		s.done = false
 	}
 	e.startWorkers()
-	switch e.policy {
-	case PolicyAdaptive, PolicyDynamic:
-		e.computeDist()
+	if e.policy == PolicyDynamic {
 		e.runPerShard(until)
-	case PolicyOptimistic:
-		e.computeDist()
-		e.runOptimistic(until)
-	default:
+	} else {
 		e.runGlobal(until)
 	}
 	e.stopWorkers()
@@ -641,89 +458,6 @@ func (e *Engine) runGlobal(until time.Duration) {
 		e.globalWindow(until, true)
 		if !e.anyDue(until) {
 			return
-		}
-	}
-}
-
-// runPerShard is the shared coordinator loop of the per-shard-horizon
-// policies (adaptive and dynamic). It releases every shard whose
-// horizon moved past its barrier, waits for completions, and repeats.
-// A completed (inclusive) shard is reopened when a later handoff parks
-// a due message in one of its mailboxes — that replaces the global
-// drain loop.
-//
-// Under PolicyAdaptive the coordinator pipelines: it waits for ONE
-// completion and immediately reassesses, so a fast shard's next window
-// can start while slow ones still run. Under PolicyDynamic it instead
-// drains to quiescence before each pass: promises come from the EOT
-// fixpoint (computeEOT), and with every shard idle each anchor is a
-// pure function of simulation state (queue heads and mailboxes) rather
-// than of which workers happened to have finished — so the window
-// schedule, and with it the windows/windows_released counters and the
-// stride histogram, is deterministic and CPU-count-independent (the
-// property the bench artifact gates lean on). Parallelism within a
-// round is unaffected: all released shards run concurrently.
-//
-// Promises only ever extend horizons — the dynamic horizon is
-// max(adaptive, promise) — so the stall-freedom argument is inherited
-// from adaptive: among live shards, the one with the minimum barrier b
-// has horizon >= b + (smallest positive distance) > b, so at least one
-// shard is always releasable until all are done.
-func (e *Engine) runPerShard(until time.Duration) {
-	dynamic := e.policy == PolicyDynamic
-	for {
-		progressed := false
-		if dynamic {
-			for e.anyRunning() {
-				e.awaitOne()
-			}
-			e.computeEOT()
-		}
-		for _, s := range e.shards {
-			if s.running {
-				continue
-			}
-			if s.done {
-				if !e.dueInbound(s, until) {
-					continue
-				}
-				s.done = false
-			}
-			h := e.horizonFor(s)
-			if dynamic {
-				if p := e.promiseFor(s); p > h {
-					h = p
-				}
-			}
-			var target time.Duration
-			var inclusive bool
-			switch {
-			case h > until:
-				target, inclusive = until, true
-			case h > s.barrier:
-				target, inclusive = h, false
-			default:
-				continue // a predecessor must advance first
-			}
-			if inclusive {
-				e.release(s, until+1, target, true)
-			} else {
-				e.release(s, target, target, false)
-			}
-			progressed = true
-		}
-		if e.anyRunning() {
-			e.awaitOne()
-			continue
-		}
-		if !progressed {
-			break
-		}
-		// Single-shard engines release inline; loop back to reassess.
-	}
-	for _, s := range e.shards {
-		if !s.done || e.dueInbound(s, until) {
-			panic("shard: per-shard coordinator stalled with undelivered messages")
 		}
 	}
 }
@@ -760,25 +494,7 @@ func (e *Engine) awaitOne() {
 func (e *Engine) complete(s *Shard) {
 	s.running = false
 	s.mWindows.Inc()
-	if s.specWin {
-		// A speculative window advances the frontier, not the barrier:
-		// only the pre-checkpoint prefix [barrier, ckpts[0].at) is final.
-		// Sends recorded before the first checkpoint are committed and
-		// hand off now; everything later stays pinned in the outbox until
-		// the coordinator proves it safe (commitSpec) or retracts it
-		// (rollback).
-		s.specWin = false
-		s.frontier = s.target
-		s.barrier = s.ckpts[0].at
-		s.mSpecWins.Inc()
-		for j, ed := range s.outEdges {
-			ed.handoffPrefix(s.ckpts[0].outLen[j])
-		}
-		e.updateBacklog(s)
-		return
-	}
 	s.barrier = s.target
-	s.frontier = s.target
 	if s.inclusive {
 		s.done = true
 	}
@@ -823,26 +539,8 @@ func (e *Engine) anyDue(until time.Duration) bool {
 }
 
 // handoff moves the edge's outbox into its coordinator-owned mailbox.
-// The common case (empty mailbox) is a pure arena swap. While the
-// source still holds open checkpoints the outbox is pinned (checkpoints
-// index into it) and nothing moves — committed prefixes leave through
-// handoffPrefix instead.
+// The common case (empty mailbox) is a pure arena swap.
 func (ed *Edge) handoff() {
-	if ed.src.loop.SpecDepth() > 0 {
-		return
-	}
-	ed.handSeq = ed.seq
-	if ed.outHead > 0 {
-		// A fully-committed shard whose outbox was partially handed off
-		// during speculation: move the live tail and reset the arena.
-		ed.mailbox = append(ed.mailbox, ed.outbox[ed.outHead:]...)
-		for i := range ed.outbox {
-			ed.outbox[i] = Message{}
-		}
-		ed.outbox = ed.outbox[:0]
-		ed.outHead = 0
-		return
-	}
 	if len(ed.outbox) == 0 {
 		return
 	}
@@ -855,44 +553,6 @@ func (ed *Edge) handoff() {
 		ed.outbox[i] = Message{}
 	}
 	ed.outbox = ed.outbox[:0]
-}
-
-// handoffPrefix moves the committed prefix outbox[outHead:n] into the
-// mailbox without touching the arena beyond it — checkpoints taken
-// during speculation record absolute outbox indices, so the arena must
-// not shift or reset until the shard is fully committed. Idempotent for
-// n <= outHead.
-func (ed *Edge) handoffPrefix(n int) {
-	if n <= ed.outHead {
-		return
-	}
-	seg := ed.outbox[ed.outHead:n]
-	ed.mailbox = append(ed.mailbox, seg...)
-	ed.handSeq = seg[len(seg)-1].Seq
-	for i := range seg {
-		seg[i] = Message{}
-	}
-	ed.outHead = n
-}
-
-// handoffSafe hands off the maximal live outbox prefix whose arrival
-// times are proven safe (At <= hc, the shard's conservative horizon
-// capped by pending arrivals). Such a send is permanent even while its
-// checkpoint segment is still open: every future conflicting arrival —
-// and therefore every rollback target — lies at or above the horizon
-// guarantee, while the send executed strictly below it, so any replay
-// re-issues it byte-identically (and Send suppresses the duplicate via
-// handSeq). Reports whether anything moved.
-func (ed *Edge) handoffSafe(hc time.Duration) bool {
-	n := ed.outHead
-	for n < len(ed.outbox) && ed.outbox[n].At <= hc {
-		n++
-	}
-	if n == ed.outHead {
-		return false
-	}
-	ed.handoffPrefix(n)
-	return true
 }
 
 // flushInto drains every mailbox into shard s of messages due before
@@ -946,10 +606,6 @@ func (e *Engine) updateBacklog(src *Shard) {
 // runWindow executes one window on the shard's loop (on the worker
 // goroutine, or inline for single-shard engines).
 func (s *Shard) runWindow(req windowReq) {
-	if req.spec {
-		s.runSpecWindow(req)
-		return
-	}
 	if req.inclusive {
 		s.loop.RunUntil(req.target)
 	} else {

@@ -2,6 +2,7 @@ package shard_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,5 +260,117 @@ func TestMailboxBacklogGauge(t *testing.T) {
 	}
 	if g.Value != 0 {
 		t.Fatalf("backlog gauge final value = %v, want 0 (all mailboxes drained)", g.Value)
+	}
+}
+
+// TestFinalWindowHorizonSend is the regression test for the
+// final-window horizon drop: a message sent from INSIDE the last
+// inclusive window with At exactly at the horizon used to be stranded
+// in its mailbox when Run returned, because the flush ran before the
+// window and nothing drained afterwards. The engine must deliver it and
+// leave every mailbox empty (zero final backlog gauge).
+func TestFinalWindowHorizonSend(t *testing.T) {
+	for _, p := range shard.Policies() {
+		eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+		eng.SetPolicy(p)
+		d := 2 * time.Millisecond
+		until := 10 * time.Millisecond
+		var deliveredAt time.Duration
+		ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
+			deliveredAt = eng.Shard(1).Loop().Now()
+		})
+		// Fires at until-d, inside the final inclusive window [8ms, 10ms],
+		// after the engine's last pre-window flush has already run.
+		eng.Shard(0).Loop().At(until-d, func() { ed.Send(until, "last") })
+		eng.Run(until)
+		if deliveredAt != until {
+			t.Errorf("policy %v: horizon message delivered at %v, want exactly %v", p, deliveredAt, until)
+		}
+		for i := 0; i < eng.N(); i++ {
+			g := eng.Shard(i).Loop().Metrics().Snapshot().Gauges["shard/mailbox_backlog"]
+			if g.Value != 0 {
+				t.Errorf("policy %v: shard %d final mailbox backlog = %v, want 0", p, i, g.Value)
+			}
+		}
+	}
+}
+
+// TestRunReentryNoOp: calling Run twice with the same horizon must not
+// re-execute the inclusive window — metrics (window counts, deliveries)
+// and loop state stay exactly as the first call left them.
+func TestRunReentryNoOp(t *testing.T) {
+	for _, p := range shard.Policies() {
+		eng := shard.NewEngine(3, 2, sim.SchedulerWheel)
+		eng.SetPolicy(p)
+		d := 2 * time.Millisecond
+		ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(shard.Message) {})
+		eng.Shard(0).Loop().Post(func() { ed.Send(d, 1) })
+		ticks := 0
+		eng.Shard(1).Loop().At(5*time.Millisecond, func() { ticks++ })
+		eng.Run(10 * time.Millisecond)
+
+		snap := make([]string, eng.N())
+		for i := range snap {
+			snap[i] = fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
+				eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
+		}
+		eng.Run(10 * time.Millisecond)
+		if ticks != 1 {
+			t.Fatalf("policy %v: event ran %d times across re-entrant Run calls, want 1", p, ticks)
+		}
+		for i := range snap {
+			got := fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
+				eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
+			if got != snap[i] {
+				t.Errorf("policy %v: shard %d state changed on re-entrant Run:\nbefore: %s\nafter:  %s",
+					p, i, snap[i], got)
+			}
+		}
+	}
+}
+
+// TestParsePolicy covers the flag round-trip.
+func TestParsePolicy(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want shard.Policy
+		ok   bool
+	}{
+		{"global", shard.PolicyGlobal, true},
+		{"", shard.PolicyGlobal, true},
+		{"dynamic", shard.PolicyDynamic, true},
+		{"adaptive", shard.PolicyGlobal, false},
+		{"optimistic", shard.PolicyGlobal, false},
+		{"fancy", shard.PolicyGlobal, false},
+	} {
+		got, err := shard.ParsePolicy(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
+		}
+	}
+	for _, p := range shard.Policies() {
+		if got, err := shard.ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("Policy.String round-trip broken for %v: %v, %v", p, got, err)
+		}
+	}
+	if _, err := shard.ParsePolicy("fancy"); err == nil || !strings.Contains(err.Error(), "(allowed: global, dynamic)") {
+		t.Errorf("unknown-policy error must list the allowed set, got %v", err)
+	}
+}
+
+// TestSetPolicyAfterRunPanics: the window policy is part of the run
+// configuration and must be frozen once shards have advanced.
+func TestSetPolicyAfterRunPanics(t *testing.T) {
+	for _, p := range shard.Policies() {
+		func() {
+			eng := shard.NewEngine(1, 1, sim.SchedulerWheel)
+			eng.Run(time.Millisecond)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetPolicy(%v) after Run did not panic", p)
+				}
+			}()
+			eng.SetPolicy(p)
+		}()
 	}
 }

@@ -74,17 +74,8 @@ type Loop struct {
 	slab    eventSlab // every event of this loop, with its freelist
 	seed    int64
 	rngs    map[string]*rand.Rand
-	rngSrcs map[string]*countingSource
 	stopped bool
 	idleFns []func()
-
-	// Speculation support (snapshot.go). spec is non-nil while at least
-	// one checkpoint segment is open; opaque names the first component
-	// that declared this loop non-restorable (empty = snapshottable);
-	// snapHooks are the registered per-component state capturers.
-	spec      *specState
-	opaque    string
-	snapHooks []func() func()
 
 	intr        func() bool
 	intrCount   int
@@ -108,7 +99,6 @@ func NewLoopScheduler(seed int64, s Scheduler) *Loop {
 	l := &Loop{
 		seed:         seed,
 		rngs:         make(map[string]*rand.Rand),
-		rngSrcs:      make(map[string]*countingSource),
 		reg:          reg,
 		buffers:      bufpool.New(reg),
 		mFired:       reg.Counter("sim/events_fired"),
@@ -150,14 +140,8 @@ func (l *Loop) RNG(name string) *rand.Rand {
 	if r, ok := l.rngs[name]; ok {
 		return r
 	}
-	// The source is wrapped in a draw counter so a loop snapshot can
-	// record each stream's cursor and a rollback can rewind it (see
-	// snapshot.go). The wrapper preserves Source64, so rand.Rand draws
-	// the exact same values it would from the bare source.
-	src := &countingSource{src: rand.NewSource(l.seed ^ int64(hashName(name))).(rand.Source64)}
-	r := rand.New(src)
+	r := rand.New(rand.NewSource(l.seed ^ int64(hashName(name))))
 	l.rngs[name] = r
-	l.rngSrcs[name] = src
 	return r
 }
 
@@ -181,29 +165,12 @@ func (l *Loop) allocEvent(at time.Duration, fn func()) *event {
 	ev.fn = fn
 	ev.pri = priNormal
 	l.seq++
-	if l.spec != nil {
-		// Journal the newborn: a rollback past its birth must remove it
-		// from the queue. gen detects free-and-reuse in the meantime.
-		l.spec.top().born = append(l.spec.top().born, bornEntry{ev: ev, gen: ev.gen})
-	}
 	return ev
 }
 
 // freeEvent recycles an event no longer owned by the queue. The gen
 // bump invalidates any Timer still holding the entry.
-//
-// Events journaled by an open speculation segment (held) are parked in
-// limbo instead: their generation must survive so that a rollback can
-// re-queue them with outstanding Timer handles still valid. The segment
-// owns the parked entry and frees it for real on commit.
 func (l *Loop) freeEvent(ev *event) {
-	if ev.held {
-		ev.fn = nil
-		ev.where = evLimbo
-		ev.prev = 0
-		ev.next = 0
-		return
-	}
 	ev.fn = nil
 	ev.gen++
 	ev.where = evFree
@@ -239,13 +206,6 @@ func (t Timer) Cancel() {
 		return
 	}
 	l.mCancelled.Inc()
-	if l.spec != nil && ev.seq < l.spec.top().watermark {
-		// The event predates the newest checkpoint: journal it so a
-		// rollback can reinstate it. fn is captured before the backend
-		// nils it; held routes the eventual freeEvent into limbo.
-		l.spec.top().limbo = append(l.spec.top().limbo, limboEntry{ev: ev, fn: ev.fn})
-		ev.held = true
-	}
 	l.q.cancel(ev)
 }
 
@@ -439,12 +399,6 @@ func (l *Loop) step() {
 		l.now = ev.at
 	}
 	fn := ev.fn
-	if l.spec != nil && ev.seq < l.spec.top().watermark {
-		// Speculative firing of a pre-checkpoint event: park it so a
-		// rollback can put it back in the queue.
-		ev.held = true
-		l.spec.top().limbo = append(l.spec.top().limbo, limboEntry{ev: ev, fn: fn})
-	}
 	l.freeEvent(ev)
 	fn()
 }

@@ -160,10 +160,6 @@ func (q *wheelQueue) cancel(ev *event) {
 
 func (q *wheelQueue) len() int { return q.count }
 
-// uncancel always fails on the wheel: cancellation evicts immediately,
-// so a restored event must be pushed anew.
-func (q *wheelQueue) uncancel(ev *event) bool { return false }
-
 // advance moves curTick forward until the ready heap holds the next due
 // event (or the queue is empty). It never passes an occupied slot: each
 // jump lands exactly on the next occupied slot's tick range, draining

@@ -35,9 +35,6 @@ type Stack struct {
 // pass a slice's Send for in-slice TCP. The stack claims the node's
 // wildcard TCP handler.
 func NewStack(loop *sim.Loop, node *netsim.Node, sendFn SendFunc) (*Stack, error) {
-	// Connection tables and retransmit state have no snapshot hooks;
-	// the loop cannot be speculatively rolled back.
-	loop.MarkOpaque("tcp.Stack")
 	s := &Stack{
 		loop: loop, node: node, sendFn: sendFn,
 		conns:     make(map[fourTuple]*Conn),

@@ -71,11 +71,10 @@ type MultiCellOptions struct {
 	// Scheduler selects the sim kernel backend on every shard.
 	Scheduler sim.Scheduler
 	// ShardPolicy selects the engine window policy: shard.PolicyGlobal
-	// (lockstep lookahead windows, the default), shard.PolicyAdaptive
-	// (per-shard distance-based horizons) or shard.PolicyDynamic
-	// (adaptive plus demand-driven earliest-output-time promises —
-	// idle-heavy cells stride from event to event instead of edge delay
-	// to edge delay). The policy must not change results — the engine's
+	// (lockstep lookahead windows, the default) or shard.PolicyDynamic
+	// (per-shard distance-based horizons extended by demand-driven
+	// earliest-output-time promises — idle-heavy cells stride from event
+	// to event instead of edge delay to edge delay). The policy must not change results — the engine's
 	// determinism contract covers it, enforced by the same differential
 	// tests as the shard count.
 	ShardPolicy shard.Policy

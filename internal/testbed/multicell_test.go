@@ -48,8 +48,8 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 }
 
 // diffMultiCell runs the same options with shard count 1 (the
-// reference) and then shard count n under every window policy (global
-// lockstep, adaptive distance horizons, dynamic EOT promises), and
+// reference) and then shard count n under both window policies (global
+// lockstep and dynamic per-shard horizons), and
 // asserts byte-identical QoS reports, bearer logs, and placement-
 // independent kernel counters across all runs — the determinism
 // contract covers placement AND window policy.

@@ -189,10 +189,8 @@ func WithCells(cells, terminals int) ScenarioOption {
 func WithShards(n int) ScenarioOption { return func(sc *Scenario) { sc.shards = n } }
 
 // WithShardPolicy selects the shard engine's window policy — global
-// lockstep windows (default), adaptive per-shard horizons, dynamic
-// EOT-promise horizons, or optimistic speculative windows with
-// checkpoint/rollback recovery. Like the shard count, the policy must
-// not change results.
+// lockstep windows (default) or dynamic per-shard horizons. Like the
+// shard count, the policy must not change results.
 func WithShardPolicy(p shard.Policy) ScenarioOption {
 	return func(sc *Scenario) { sc.shardPolicy = p }
 }

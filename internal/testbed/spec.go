@@ -76,8 +76,7 @@ type Spec struct {
 	// Cells. Must not change results.
 	Shards int `json:"shards,omitempty"`
 	// ShardPolicy selects the engine's window policy: "global"
-	// (default), "adaptive", "dynamic", or "optimistic". Requires
-	// Cells. Must not change results.
+	// (default) or "dynamic". Requires Cells. Must not change results.
 	ShardPolicy string `json:"shard_policy,omitempty"`
 	// FlowStart delays the multi-cell senders (default 15s); requires
 	// Cells.

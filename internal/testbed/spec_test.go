@@ -26,12 +26,12 @@ func TestSpecGoldenJSON(t *testing.T) {
 		FaultProfile: "flaky", SelfHeal: true,
 		HealPolicy: &HealPolicySpec{InitialBackoff: Duration(time.Second), MaxAttempts: 3},
 		Analysis:   &AnalysisSpec{Mode: "stream", Exact: true},
-		Cells:      4, Terminals: 2, Shards: 3, ShardPolicy: "adaptive",
+		Cells:      4, Terminals: 2, Shards: 3, ShardPolicy: "dynamic",
 		FlowStart: Duration(15 * time.Second), IdleTerminals: 100, Population: 1000,
 		PopulationSpec: &PopulationSpecJSON{RateBps: 64000, Tick: Duration(100 * time.Millisecond)},
 		FlowGaugeLimit: 64,
 	}
-	const golden = `{"seed":42,"scheduler":"heap","workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"adaptive","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
+	const golden = `{"seed":42,"scheduler":"heap","workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"dynamic","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
 	got, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -81,29 +81,32 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 	cases := []struct {
 		spec Spec
 		path string
+		msg  string // optional substring the error must also contain
 	}{
-		{Spec{Scheduler: "fifo"}, "spec.scheduler"},
-		{Spec{Path: "dsl"}, "spec.path"},
-		{Spec{Workload: "quake"}, "spec.workload"},
-		{Spec{FaultProfile: "chaos"}, "spec.fault_profile"},
-		{Spec{Cells: 2, ShardPolicy: "static"}, "spec.shard_policy"},
-		{Spec{Analysis: &AnalysisSpec{Mode: "online"}}, "spec.analysis.mode"},
-		{Spec{Analysis: &AnalysisSpec{SketchRelErr: -1}}, "spec.analysis.sketch_rel_err"},
-		{Spec{Duration: Duration(-time.Second)}, "spec.duration"},
-		{Spec{Reps: -1}, "spec.reps"},
-		{Spec{HealPolicy: &HealPolicySpec{}}, "spec.heal_policy"},
-		{Spec{Workers: 4}, "spec.workers"},
-		{Spec{Cells: 2, Path: "ethernet"}, "spec.path"},
-		{Spec{Cells: 2, Reps: 3}, "spec.reps"},
-		{Spec{Terminals: 2}, "spec.terminals"},
-		{Spec{Shards: 2}, "spec.shards"},
-		{Spec{ShardPolicy: "global"}, "spec.shard_policy"},
-		{Spec{FlowStart: Duration(time.Second)}, "spec.flow_start"},
-		{Spec{IdleTerminals: 5}, "spec.idle_terminals"},
-		{Spec{Population: 5}, "spec.population"},
-		{Spec{PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec"},
-		{Spec{FlowGaugeLimit: 9}, "spec.flow_gauge_limit"},
-		{Spec{Cells: 2, PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec"},
+		{Spec{Scheduler: "fifo"}, "spec.scheduler", ""},
+		{Spec{Path: "dsl"}, "spec.path", ""},
+		{Spec{Workload: "quake"}, "spec.workload", ""},
+		{Spec{FaultProfile: "chaos"}, "spec.fault_profile", ""},
+		{Spec{Cells: 2, ShardPolicy: "static"}, "spec.shard_policy", ""},
+		{Spec{Cells: 2, ShardPolicy: "adaptive"}, "spec.shard_policy", "(allowed: global, dynamic)"},
+		{Spec{Cells: 2, ShardPolicy: "optimistic"}, "spec.shard_policy", "(allowed: global, dynamic)"},
+		{Spec{Analysis: &AnalysisSpec{Mode: "online"}}, "spec.analysis.mode", ""},
+		{Spec{Analysis: &AnalysisSpec{SketchRelErr: -1}}, "spec.analysis.sketch_rel_err", ""},
+		{Spec{Duration: Duration(-time.Second)}, "spec.duration", ""},
+		{Spec{Reps: -1}, "spec.reps", ""},
+		{Spec{HealPolicy: &HealPolicySpec{}}, "spec.heal_policy", ""},
+		{Spec{Workers: 4}, "spec.workers", ""},
+		{Spec{Cells: 2, Path: "ethernet"}, "spec.path", ""},
+		{Spec{Cells: 2, Reps: 3}, "spec.reps", ""},
+		{Spec{Terminals: 2}, "spec.terminals", ""},
+		{Spec{Shards: 2}, "spec.shards", ""},
+		{Spec{ShardPolicy: "global"}, "spec.shard_policy", ""},
+		{Spec{FlowStart: Duration(time.Second)}, "spec.flow_start", ""},
+		{Spec{IdleTerminals: 5}, "spec.idle_terminals", ""},
+		{Spec{Population: 5}, "spec.population", ""},
+		{Spec{PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec", ""},
+		{Spec{FlowGaugeLimit: 9}, "spec.flow_gauge_limit", ""},
+		{Spec{Cells: 2, PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec", ""},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -113,6 +116,9 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		}
 		if !strings.HasPrefix(err.Error(), c.path+":") {
 			t.Errorf("Validate(%+v) = %q, want %s: prefix", c.spec, err, c.path)
+		}
+		if !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("Validate(%+v) = %q, want it to contain %q", c.spec, err, c.msg)
 		}
 	}
 }
@@ -279,7 +285,7 @@ func TestSpecShardPolicyRoundTrip(t *testing.T) {
 // with a non-default placement.
 func TestSpecDifferentialMultiCell(t *testing.T) {
 	spec := &Spec{Seed: 5, Cells: 3, Terminals: 1, Shards: 2,
-		ShardPolicy: "adaptive", Duration: Duration(12 * time.Second)}
+		ShardPolicy: "dynamic", Duration: Duration(12 * time.Second)}
 	sc, err := spec.Scenario()
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +296,7 @@ func TestSpecDifferentialMultiCell(t *testing.T) {
 	}
 	direct, err := NewScenario(
 		WithSeed(5), WithCells(3, 1), WithShards(2),
-		WithShardPolicy(shard.PolicyAdaptive), WithDuration(12*time.Second),
+		WithShardPolicy(shard.PolicyDynamic), WithDuration(12*time.Second),
 	).Run()
 	if err != nil {
 		t.Fatal(err)

@@ -240,9 +240,6 @@ type Operator struct {
 // registered in nw under "<name>-ggsn". Wire the GGSN's Gi interface to
 // the Internet with nw.WireP2P and pass its name to SetGi.
 func NewOperator(loop *sim.Loop, nw *netsim.Network, cfg Config) *Operator {
-	// Session, pool, and conntrack maps mutate throughout a run and have
-	// no snapshot hooks; the loop cannot be speculatively rolled back.
-	loop.MarkOpaque("umts.Operator")
 	op := &Operator{
 		loop:      loop,
 		cfg:       InternConfig(cfg),

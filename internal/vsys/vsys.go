@@ -111,9 +111,6 @@ type Manager struct {
 
 // NewManager creates the daemon for a host.
 func NewManager(loop *sim.Loop, host *vserver.Host) *Manager {
-	// Script registry, ACLs, and in-flight invocations have no snapshot
-	// hooks; the loop cannot be speculatively rolled back.
-	loop.MarkOpaque("vsys.Manager")
 	return &Manager{
 		loop:    loop,
 		host:    host,

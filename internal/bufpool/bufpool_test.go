@@ -129,3 +129,101 @@ func TestDebugDoublePutOffByDefault(t *testing.T) {
 	p.Put(a)
 	p.Put(a) // corrupts the free list, but must not panic without the detector
 }
+
+type obj struct {
+	n   int
+	buf []byte
+}
+
+func TestObjectReuse(t *testing.T) {
+	reg := metrics.NewRegistry()
+	p := New(reg)
+	a := GetObj[obj](p)
+	a.n = 7
+	PutObj(p, a)
+	PutObj[obj](p, nil)
+	if b := GetObj[obj](p); b != a || b.n != 7 {
+		t.Fatalf("GetObj after PutObj = %p (n=%d), want the recycled %p as its user left it", b, b.n, a)
+	}
+	if c := GetObj[obj](p); c == a || c.n != 0 {
+		t.Fatal("empty object list must hand out a new zero object")
+	}
+	snap := reg.Snapshot()
+	if snap.Counter("bufpool/object_gets") != 3 || snap.Counter("bufpool/object_misses") != 2 {
+		t.Fatalf("counters = %v", snap.Counters)
+	}
+}
+
+func TestObjectListHoldsOneType(t *testing.T) {
+	p := New(metrics.NewRegistry())
+	PutObj(p, &obj{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second object type on one pool did not panic")
+		}
+	}()
+	GetObj[int](p)
+}
+
+// TestOneWayTrafficStaysWithinCap moves packet-like objects and their
+// buffers one way between two loops' pools, as a cross-shard link does
+// for a one-way flow: the sending pool always misses, the receiving
+// pool is freed into and never drawn from. Both must stay within
+// MaxIdle however long the traffic runs.
+func TestOneWayTrafficStaysWithinCap(t *testing.T) {
+	src, dst := New(metrics.NewRegistry()), New(metrics.NewRegistry())
+	for i := 0; i < 3*MaxIdle; i++ {
+		x := GetObj[obj](src)
+		x.buf = src.Get(65 + i%64) // class 1 (128 B)
+		dst.Put(x.buf)
+		x.buf = nil
+		PutObj(dst, x)
+	}
+	for _, p := range []*Pool{src, dst} {
+		for c := range p.free {
+			if n := len(p.free[c]); n > MaxIdle {
+				t.Errorf("class %d holds %d idle buffers, cap %d", c, n, MaxIdle)
+			}
+		}
+		if n := len(list[obj](p).free); n > MaxIdle {
+			t.Errorf("object list holds %d idle objects, cap %d", n, MaxIdle)
+		}
+	}
+	if n := len(dst.free[1]); n != MaxIdle {
+		t.Errorf("receiving class 1 holds %d, want it full at %d", n, MaxIdle)
+	}
+	if n := len(list[obj](dst).free); n != MaxIdle {
+		t.Errorf("receiving object list holds %d, want it full at %d", n, MaxIdle)
+	}
+}
+
+func TestObjectsFollowSetDisabled(t *testing.T) {
+	p := New(metrics.NewRegistry())
+	parked := GetObj[obj](p)
+	PutObj(p, parked)
+	SetDisabled(true)
+	defer SetDisabled(false)
+	if x := GetObj[obj](p); x == parked {
+		t.Fatal("disabled pool handed out a parked object")
+	}
+	PutObj(p, &obj{})
+	SetDisabled(false)
+	if x := GetObj[obj](p); x != parked {
+		t.Fatal("PutObj while disabled entered the list")
+	}
+}
+
+func TestDebugDoublePutObjPanics(t *testing.T) {
+	SetDebugDoublePut(true)
+	defer SetDebugDoublePut(false)
+
+	p := New(metrics.NewRegistry())
+	a := GetObj[obj](p)
+	PutObj(p, a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second PutObj of the same object did not panic")
+		}
+	}()
+	PutObj(p, a)
+}

@@ -280,14 +280,13 @@ func (d *Dialer) startPPP(done func(*Connection, error)) {
 			conn.iface.Peer = peer
 			conn.iface.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
 				// The link owns pkt: marshal into a recycled wire buffer
-				// (SendIPv4 frames and copies it synchronously) and recycle
-				// the payload too.
+				// (SendIPv4 frames and copies it synchronously), then free
+				// both.
 				pool := d.cfg.Loop.Buffers()
 				wire := pkt.AppendMarshal(pool.Get(pkt.Length())[:0])
+				pkt.Free(pool)
 				conn.client.SendIPv4(wire)
 				pool.Put(wire)
-				pool.Put(pkt.Payload)
-				pkt.Payload = nil
 			}))
 			completed = true
 			d.busy = false
@@ -303,8 +302,11 @@ func (d *Dialer) startPPP(done func(*Connection, error)) {
 			conn.down(reason)
 		},
 		OnIPv4: func(b []byte) {
+			if conn.iface == nil {
+				return
+			}
 			pkt, err := netsim.UnmarshalPooled(b, d.cfg.Loop.Buffers())
-			if err != nil || conn.iface == nil {
+			if err != nil {
 				return
 			}
 			conn.iface.Deliver(pkt)

@@ -114,7 +114,8 @@ func CBR1Mbps(flowID uint32, dst netip.Addr, srcPort, dstPort uint16, duration t
 }
 
 // SendFunc injects a packet into some network stack: a node's Send, a
-// slice's Send (VNET+ attribution), or a test capture.
+// slice's Send (VNET+ attribution), or a test capture. It owns the
+// packet on every return, errors included.
 type SendFunc func(*netsim.Packet) error
 
 // Sender generates one flow (the ITGSend analog).
@@ -220,18 +221,18 @@ func (s *Sender) emit() {
 	if s.spec.Meter == MeterRTT {
 		kind |= flagEchoRequest
 	}
-	// Draw the payload from the loop's pool; the stack recycles it at
-	// the point of consumption (marshal onto a byte path, drop, or the
-	// receiver's Handle).
-	pkt := &netsim.Packet{
-		Src:     s.spec.SrcAddr,
-		Dst:     s.spec.DstAddr,
-		Proto:   netsim.ProtoUDP,
-		TOS:     s.spec.TOS,
-		SrcPort: s.spec.SrcPort,
-		DstPort: s.spec.DstPort,
-		Payload: EncodePayloadInto(s.loop.Buffers().Get(size), kind, s.spec.FlowID, s.seq, now),
-	}
+	// Draw the packet and its payload from the loop's pool; send owns
+	// them from here and the stack frees them where the packet ends
+	// (marshal onto a byte path, drop, or the receiver's Handle).
+	pool := s.loop.Buffers()
+	pkt := netsim.NewPacket(pool)
+	pkt.Src = s.spec.SrcAddr
+	pkt.Dst = s.spec.DstAddr
+	pkt.Proto = netsim.ProtoUDP
+	pkt.TOS = s.spec.TOS
+	pkt.SrcPort = s.spec.SrcPort
+	pkt.DstPort = s.spec.DstPort
+	pkt.Payload = EncodePayloadInto(pool.Get(size), kind, s.spec.FlowID, s.seq, now)
 	if err := s.send(pkt); err != nil {
 		s.SendErrors++
 		s.mErrors.Inc()
@@ -265,14 +266,17 @@ func (s *Sender) finish() {
 }
 
 // HandleEcho processes a packet received on the sender's source port
-// (MeterRTT reflections). Non-echo or foreign-flow packets are ignored.
+// (MeterRTT reflections) and frees it. Non-echo or foreign-flow packets
+// are not logged.
 func (s *Sender) HandleEcho(pkt *netsim.Packet) {
 	kind, flowID, seq, txTime, err := DecodePayload(pkt.Payload)
+	size := len(pkt.Payload)
+	pkt.Free(s.loop.Buffers())
 	if err != nil || kind != KindEcho || flowID != s.spec.FlowID {
 		return
 	}
 	rec := Record{
-		FlowID: flowID, Seq: seq, Size: len(pkt.Payload),
+		FlowID: flowID, Seq: seq, Size: size,
 		TxTime: txTime, RxTime: s.loop.Now(),
 	}
 	if s.Stream != nil {
@@ -285,10 +289,6 @@ func (s *Sender) HandleEcho(pkt *netsim.Packet) {
 		s.EchoLog.Add(rec)
 	}
 	s.mEchoed.Inc()
-	// The sender terminates the echo: recycle its payload (Put ignores
-	// buffers that did not come from the pool).
-	s.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
 }
 
 // Receiver logs one or more flows' arrivals and reflects echo-requested
@@ -338,14 +338,17 @@ func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 func (r *Receiver) Expect(n int) { r.expect = n }
 
 // Handle processes one received packet; bind it to the flow's
-// destination port.
+// destination port. It ends the packet, or reflects it as the echo when
+// the sender asked for one.
 func (r *Receiver) Handle(pkt *netsim.Packet) {
 	kind, flowID, seq, txTime, err := DecodePayload(pkt.Payload)
 	if err != nil {
 		r.Malformed++
+		pkt.Free(r.loop.Buffers())
 		return
 	}
 	if kind&^flagEchoRequest != KindData {
+		pkt.Free(r.loop.Buffers())
 		return // stray echo, not ours to log
 	}
 	rec := Record{
@@ -366,22 +369,23 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 		r.RecvLog.Add(rec)
 	}
 	r.mRecv.Inc()
-	size := len(pkt.Payload)
-	if kind&flagEchoRequest != 0 && r.reply != nil {
-		echo := &netsim.Packet{
-			Src:     pkt.Dst,
-			Dst:     pkt.Src,
-			Proto:   netsim.ProtoUDP,
-			SrcPort: pkt.DstPort,
-			DstPort: pkt.SrcPort,
-			Payload: EncodePayloadInto(r.loop.Buffers().Get(size), KindEcho, flowID, seq, txTime),
-		}
-		r.reply(echo)
-		r.mEchoed.Inc()
+	if kind&flagEchoRequest == 0 || r.reply == nil {
+		pkt.Free(r.loop.Buffers())
+		return
 	}
-	// The receiver terminates the data packet: recycle its payload.
-	r.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
+	// Reflect the data packet itself: swap the endpoints, rewrite the
+	// payload header, and clear everything a fresh packet would not
+	// carry (TTL and ID are the sending node's to set).
+	*pkt = netsim.Packet{
+		Src:     pkt.Dst,
+		Dst:     pkt.Src,
+		Proto:   netsim.ProtoUDP,
+		SrcPort: pkt.DstPort,
+		DstPort: pkt.SrcPort,
+		Payload: EncodePayloadInto(pkt.Payload, KindEcho, flowID, seq, txTime),
+	}
+	r.reply(pkt)
+	r.mEchoed.Inc()
 }
 
 func (m Meter) String() string {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -462,5 +463,79 @@ func TestTelnetProfileBursty(t *testing.T) {
 	}
 	if snd.EchoLog.Len() != 0 {
 		t.Fatal("telnet profile is OWD, must not echo")
+	}
+}
+
+// TestEchoReflectsDataPacketClean: the receiver turns the data packet
+// into its echo in place. Everything the data packet picked up on its
+// way in (ingress interface, slice stamp, fwmark, TOS, TTL, IP ID) must
+// be gone, as on a freshly built packet — a stale field here would leak
+// into the echo's routing, filtering or wire bytes.
+func TestEchoReflectsDataPacketClean(t *testing.T) {
+	loop := sim.NewLoop(1)
+	var echo *netsim.Packet
+	rcv := NewReceiver(loop, func(p *netsim.Packet) error { echo = p; return nil })
+	pool := loop.Buffers()
+	src, dst := netsim.MustAddr("10.0.0.1"), netsim.MustAddr("192.0.2.1")
+	data := netsim.NewPacket(pool)
+	*data = netsim.Packet{
+		Src: src, Dst: dst, Proto: netsim.ProtoUDP, TTL: 61, TOS: 0xb8, ID: 77,
+		SrcPort: 5000, DstPort: 9000, Mark: 0x10, SliceCtx: 42, InIface: "eth0",
+		Payload: EncodePayloadInto(pool.Get(100), KindData|flagEchoRequest, 3, 9, 5*time.Millisecond),
+	}
+	copy(data.Payload[MinPayload:], bytes.Repeat([]byte{0xee}, 100)) // padding the sender never wrote
+	rcv.Handle(data)
+	if echo != data {
+		t.Fatal("the echo is not the reflected data packet")
+	}
+	payload := echo.Payload
+	echo.Payload = nil
+	want := netsim.Packet{Src: dst, Dst: src, Proto: netsim.ProtoUDP, SrcPort: 9000, DstPort: 5000}
+	if !reflect.DeepEqual(*echo, want) {
+		t.Fatalf("echo = %+v, want %+v", *echo, want)
+	}
+	kind, flow, seq, tx, err := DecodePayload(payload)
+	if err != nil || kind != KindEcho || flow != 3 || seq != 9 || tx != 5*time.Millisecond || len(payload) != 100 {
+		t.Fatalf("echo payload = kind %d flow %d seq %d tx %v len %d err %v", kind, flow, seq, tx, len(payload), err)
+	}
+	if !bytes.Equal(payload[MinPayload:], make([]byte, 100-MinPayload)) {
+		t.Fatal("echo padding not zeroed")
+	}
+}
+
+// TestHandlersFreeWhatTheyEnd: a packet the receiver does not reflect,
+// and every packet the sender's echo handler gets, ends there and goes
+// back to the loop's free list.
+func TestHandlersFreeWhatTheyEnd(t *testing.T) {
+	loop := sim.NewLoop(1)
+	pool := loop.Buffers()
+	spec := cbrSpec(100, 90, time.Second, MeterRTT)
+	snd := NewSender(loop, "free", spec, func(*netsim.Packet) error { return nil })
+	rcv := NewReceiver(loop, nil)
+	packet := func(kind byte) *netsim.Packet {
+		p := netsim.NewPacket(pool)
+		p.Proto = netsim.ProtoUDP
+		p.Payload = EncodePayloadInto(pool.Get(90), kind, spec.FlowID, 0, 0)
+		return p
+	}
+	for _, c := range []struct {
+		name   string
+		pkt    *netsim.Packet
+		handle func(*netsim.Packet)
+	}{
+		{"owd data", packet(KindData), rcv.Handle},
+		{"stray echo at the receiver", packet(KindEcho), rcv.Handle},
+		{"malformed", func() *netsim.Packet { p := packet(KindData); p.Payload = p.Payload[:5]; return p }(), rcv.Handle},
+		{"echo", packet(KindEcho), snd.HandleEcho},
+		{"data at the sender", packet(KindData), snd.HandleEcho},
+	} {
+		c.handle(c.pkt)
+		if p := netsim.NewPacket(pool); p != c.pkt {
+			t.Errorf("%s: packet not freed", c.name)
+		}
+	}
+	if snd.EchoLog.Len() != 1 || rcv.RecvLog.Len() != 1 || rcv.Malformed != 1 {
+		t.Fatalf("echoes %d, received %d, malformed %d; want 1 each",
+			snd.EchoLog.Len(), rcv.RecvLog.Len(), rcv.Malformed)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // decide pacing, queueing, loss, and where the packet emerges.
 type Link interface {
 	// Send transmits pkt out of the given interface. Implementations take
-	// ownership of pkt.
+	// ownership of pkt: they deliver it, hand it on, or Free it.
 	Send(from *Iface, pkt *Packet)
 }
 
@@ -152,7 +152,7 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 	if d.cfg.LossProb > 0 && d.link.rng.Float64() < d.cfg.LossProb {
 		d.stats.LossDrops++
 		d.mLossDrops.Inc()
-		d.recycle(pkt)
+		pkt.Free(d.link.loop.Buffers())
 		return
 	}
 	if d.busy {
@@ -160,7 +160,7 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 			(d.cfg.QueueBytes > 0 && d.queuedBytes+pkt.Length() > d.cfg.QueueBytes) {
 			d.stats.QueueDrops++
 			d.mQueueDrops.Inc()
-			d.recycle(pkt)
+			pkt.Free(d.link.loop.Buffers())
 			return
 		}
 		d.queue.Push(queued{pkt, to})
@@ -172,15 +172,6 @@ func (d *linkDir) send(to *Iface, pkt *Packet) {
 }
 
 func (d *linkDir) qlen() int { return d.queue.Len() }
-
-// recycle returns a dropped packet's payload to the loop's buffer pool.
-// The link owns pkt at this point, and payload ownership is exclusive
-// throughout the repo (producers copy), so the buffer cannot be live
-// elsewhere; Put ignores buffers that did not come from the pool.
-func (d *linkDir) recycle(pkt *Packet) {
-	d.link.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
-}
 
 func (d *linkDir) transmit(to *Iface, pkt *Packet) {
 	d.busy = true
@@ -229,6 +220,8 @@ func (d *linkDir) deliverHead() {
 	q := d.pending.Pop()
 	if q.to != nil {
 		q.to.Deliver(q.pkt)
+	} else {
+		q.pkt.Free(d.link.loop.Buffers())
 	}
 }
 

@@ -50,7 +50,8 @@ type Hooks struct {
 	Forward     HookFunc // packets being forwarded
 }
 
-// PortHandler consumes packets delivered to a bound transport port.
+// PortHandler consumes packets delivered to a bound transport port. The
+// handler owns pkt: it may Free it, send it on, or keep it.
 type PortHandler func(pkt *Packet)
 
 type portKey struct {
@@ -63,7 +64,7 @@ type NodeStats struct {
 	Sent        uint64 // locally generated packets handed to an interface
 	Received    uint64 // packets delivered to local handlers
 	Forwarded   uint64
-	OutputDrops uint64 // dropped by hooks or routing on the way out
+	OutputDrops uint64 // dropped by hooks, routing or source selection on the way out
 	InputDrops  uint64 // no handler, hook drop, TTL exceeded, not local
 }
 
@@ -177,9 +178,12 @@ func (i *Iface) Link() Link { return i.link }
 // SetLink attaches a custom link implementation (e.g. a PPP device).
 func (i *Iface) SetLink(l Link) { i.link = l }
 
-// Output transmits a packet out of this interface.
+// Output transmits a packet out of this interface. Output owns pkt:
+// the link takes it, or it is freed when the interface is down or
+// detached.
 func (i *Iface) Output(pkt *Packet) {
 	if !i.up || i.link == nil {
+		i.Node.free(pkt)
 		return
 	}
 	i.TxPackets++
@@ -187,9 +191,11 @@ func (i *Iface) Output(pkt *Packet) {
 	i.link.Send(i, pkt)
 }
 
-// Deliver hands a packet arriving from the link to the owning node.
+// Deliver hands a packet arriving from the link to the owning node,
+// which owns it from then on (it is freed if the interface is down).
 func (i *Iface) Deliver(pkt *Packet) {
 	if !i.up {
+		i.Node.free(pkt)
 		return
 	}
 	i.RxPackets++
@@ -213,9 +219,11 @@ var (
 
 // Send transmits a locally generated packet: OUTPUT hook, routing,
 // POSTROUTING hook, then egress. Source address selection: if pkt.Src is
-// the zero value, the egress interface address is used.
+// the zero value, the egress interface address is used. Send owns pkt
+// on every return, errors included: the caller must not touch it again.
 func (n *Node) Send(pkt *Packet) error {
 	if !pkt.Dst.IsValid() {
+		n.free(pkt)
 		return ErrBadPacket
 	}
 	if pkt.TTL == 0 {
@@ -226,8 +234,8 @@ func (n *Node) Send(pkt *Packet) error {
 
 	if h := n.Hooks.Output; h != nil {
 		if h(pkt, nil) == VerdictDrop {
-			n.stats.OutputDrops++
 			n.tracef("%s: OUTPUT drop %s", n.Name, pkt)
+			n.dropOutput(pkt)
 			return ErrHookDrop
 		}
 	}
@@ -244,25 +252,26 @@ func (n *Node) Send(pkt *Packet) error {
 
 	res, err := n.route(pkt)
 	if err != nil {
-		n.stats.OutputDrops++
 		n.tracef("%s: no route for %s", n.Name, pkt)
+		n.dropOutput(pkt)
 		return err
 	}
 	if !pkt.Src.IsValid() {
 		if !res.Iface.Addr.IsValid() {
+			n.dropOutput(pkt)
 			return ErrNoSrcAddr
 		}
 		pkt.Src = res.Iface.Addr
 	}
 	if h := n.Hooks.PostRouting; h != nil {
 		if h(pkt, res.Iface) == VerdictDrop {
-			n.stats.OutputDrops++
 			n.tracef("%s: POSTROUTING drop %s via %s", n.Name, pkt, res.Iface.Name)
+			n.dropOutput(pkt)
 			return ErrHookDrop
 		}
 	}
 	if !res.Iface.up {
-		n.stats.OutputDrops++
+		n.dropOutput(pkt)
 		return ErrIfaceDown
 	}
 	n.stats.Sent++
@@ -305,7 +314,7 @@ func (n *Node) connectedRoute(pkt *Packet) (RouteResult, error) {
 func (n *Node) input(pkt *Packet) {
 	if h := n.Hooks.PreRouting; h != nil {
 		if h(pkt, nil) == VerdictDrop {
-			n.stats.InputDrops++
+			n.dropInput(pkt)
 			return
 		}
 	}
@@ -314,31 +323,31 @@ func (n *Node) input(pkt *Packet) {
 		return
 	}
 	if !n.Forwarding {
-		n.stats.InputDrops++
 		n.tracef("%s: not forwarding, dropped %s", n.Name, pkt)
+		n.dropInput(pkt)
 		return
 	}
 	if pkt.TTL <= 1 {
-		n.stats.InputDrops++
 		n.tracef("%s: TTL exceeded for %s", n.Name, pkt)
+		n.dropInput(pkt)
 		return
 	}
 	pkt.TTL--
 	if h := n.Hooks.Forward; h != nil {
 		if h(pkt, nil) == VerdictDrop {
-			n.stats.InputDrops++
+			n.dropInput(pkt)
 			return
 		}
 	}
 	res, err := n.route(pkt)
 	if err != nil {
-		n.stats.InputDrops++
 		n.tracef("%s: forward no route for %s", n.Name, pkt)
+		n.dropInput(pkt)
 		return
 	}
 	if h := n.Hooks.PostRouting; h != nil {
 		if h(pkt, res.Iface) == VerdictDrop {
-			n.stats.InputDrops++
+			n.dropInput(pkt)
 			return
 		}
 	}
@@ -346,10 +355,25 @@ func (n *Node) input(pkt *Packet) {
 	res.Iface.Output(pkt)
 }
 
+// free ends a packet the node owns, recycling it into the loop's pool.
+func (n *Node) free(pkt *Packet) { pkt.Free(n.Loop.Buffers()) }
+
+// dropOutput counts and frees a packet dropped on the way out.
+func (n *Node) dropOutput(pkt *Packet) {
+	n.stats.OutputDrops++
+	n.free(pkt)
+}
+
+// dropInput counts and frees a packet dropped on the input path.
+func (n *Node) dropInput(pkt *Packet) {
+	n.stats.InputDrops++
+	n.free(pkt)
+}
+
 func (n *Node) deliverLocal(pkt *Packet) {
 	if h := n.Hooks.Input; h != nil {
 		if h(pkt, nil) == VerdictDrop {
-			n.stats.InputDrops++
+			n.dropInput(pkt)
 			return
 		}
 	}
@@ -359,8 +383,8 @@ func (n *Node) deliverLocal(pkt *Packet) {
 		h, ok = n.ports[portKey{pkt.Proto, 0}]
 	}
 	if !ok {
-		n.stats.InputDrops++
 		n.tracef("%s: no handler for %s", n.Name, pkt)
+		n.dropInput(pkt)
 		return
 	}
 	n.stats.Received++

@@ -282,3 +282,100 @@ func TestDuplicateNodePanics(t *testing.T) {
 	nw.AddNode("x")
 	nw.AddNode("x")
 }
+
+func TestSendNoSrcAddrCountsDrop(t *testing.T) {
+	loop := sim.NewLoop(1)
+	n := NewNode(loop, "x")
+	// An unnumbered point-to-point interface: routable, but it has no
+	// address to stamp on a packet that brings none.
+	n.AddIface("gtp0", netip.Addr{}, netip0()).Peer = MustAddr("10.9.0.2")
+	p := &Packet{Dst: MustAddr("10.9.0.2"), Proto: ProtoUDP, SrcPort: 1, DstPort: 2}
+	if err := n.Send(p); err != ErrNoSrcAddr {
+		t.Fatalf("err = %v, want ErrNoSrcAddr", err)
+	}
+	if st := n.Stats(); st.OutputDrops != 1 || st.Sent != 0 {
+		t.Fatalf("stats = %+v, want one output drop and nothing sent", st)
+	}
+}
+
+// TestDropPathsFreePacket walks every place a node or link drops a
+// packet and checks the ownership rule there: the dropped packet and its
+// payload are back on the loop's free lists when the run ends.
+func TestDropPathsFreePacket(t *testing.T) {
+	drop := func(*Packet, *Iface) Verdict { return VerdictDrop }
+	noRoute := func(*Packet) (RouteResult, error) { return RouteResult{}, ErrNoRoute }
+	transit := func(b *Node, p *Packet) {
+		b.Forwarding = true
+		p.Dst = MustAddr("203.0.113.9")
+	}
+	cases := []struct {
+		name  string
+		a2b   LinkConfig
+		setup func(a, b *Node, p *Packet)
+	}{
+		{"bad packet", LinkConfig{}, func(a, b *Node, p *Packet) { p.Dst = netip.Addr{} }},
+		{"output hook", LinkConfig{}, func(a, b *Node, p *Packet) { a.Hooks.Output = drop }},
+		{"no route", LinkConfig{}, func(a, b *Node, p *Packet) { a.Route = noRoute }},
+		{"no source address", LinkConfig{}, func(a, b *Node, p *Packet) {
+			a.Iface("eth0").Addr = netip.Addr{}
+			p.Src = netip.Addr{}
+		}},
+		{"postrouting hook", LinkConfig{}, func(a, b *Node, p *Packet) { a.Hooks.PostRouting = drop }},
+		{"egress down", LinkConfig{}, func(a, b *Node, p *Packet) {
+			a.Route = func(*Packet) (RouteResult, error) { return RouteResult{Iface: a.Iface("eth0")}, nil }
+			a.Iface("eth0").SetUp(false)
+		}},
+		{"link loss", LinkConfig{LossProb: 1}, func(a, b *Node, p *Packet) {}},
+		{"ingress down", LinkConfig{}, func(a, b *Node, p *Packet) { b.Iface("eth0").SetUp(false) }},
+		{"prerouting hook", LinkConfig{}, func(a, b *Node, p *Packet) { b.Hooks.PreRouting = drop }},
+		{"input hook", LinkConfig{}, func(a, b *Node, p *Packet) { b.Hooks.Input = drop }},
+		{"no handler", LinkConfig{}, func(a, b *Node, p *Packet) { p.DstPort = 9999 }},
+		{"not forwarding", LinkConfig{}, func(a, b *Node, p *Packet) { p.Dst = MustAddr("203.0.113.9") }},
+		{"ttl exceeded", LinkConfig{}, func(a, b *Node, p *Packet) { transit(b, p); p.TTL = 1 }},
+		{"forward hook", LinkConfig{}, func(a, b *Node, p *Packet) { transit(b, p); b.Hooks.Forward = drop }},
+		{"forward no route", LinkConfig{}, func(a, b *Node, p *Packet) { transit(b, p); b.Route = noRoute }},
+		{"forward postrouting hook", LinkConfig{}, func(a, b *Node, p *Packet) { transit(b, p); b.Hooks.PostRouting = drop }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			loop, _, a, b, _ := twoHosts(t, c.a2b, LinkConfig{})
+			b.Bind(ProtoUDP, 9000, func(*Packet) {}) // keeps what it gets
+			pool := loop.Buffers()
+			p := NewPacket(pool)
+			*p = *udpPacket(1, 9000, pool.Get(64))
+			payload := &p.Payload[0]
+			c.setup(a, b, p)
+			a.Send(p)
+			loop.Run()
+			if q := NewPacket(pool); q != p {
+				t.Error("dropped packet is not on the loop's free list")
+			}
+			if buf := pool.Get(64); &buf[0] != payload {
+				t.Error("dropped packet's payload is not back in the pool")
+			}
+		})
+	}
+}
+
+// TestQueueOverflowFreesPacket: a drop-tail discard frees exactly the
+// discarded packet; the ones the link accepted reach the receiver.
+func TestQueueOverflowFreesPacket(t *testing.T) {
+	loop, _, a, b, _ := twoHosts(t, LinkConfig{RateBps: 8000, QueuePackets: 1}, LinkConfig{})
+	var got []*Packet
+	b.Bind(ProtoUDP, 9000, func(p *Packet) { got = append(got, p) })
+	pool := loop.Buffers()
+	var sent []*Packet
+	for i := 0; i < 3; i++ {
+		p := NewPacket(pool)
+		*p = *udpPacket(1, 9000, nil)
+		sent = append(sent, p)
+		a.Send(p) // in flight, queued, dropped
+	}
+	loop.Run()
+	if len(got) != 2 || got[0] != sent[0] || got[1] != sent[1] {
+		t.Fatalf("receiver got %v, want the first two packets", got)
+	}
+	if q := NewPacket(pool); q != sent[2] {
+		t.Fatal("the overflowing packet is not on the loop's free list")
+	}
+}

@@ -66,6 +66,28 @@ type Packet struct {
 	InIface  string // ingress interface name, set on receive
 }
 
+// NewPacket returns a zero packet from pool's packet free list, or a new
+// one when the list is empty or pool is nil. Whoever ends the packet
+// hands it back with Free (see DESIGN.md §5d for who that is).
+func NewPacket(pool *bufpool.Pool) *Packet {
+	if pool == nil {
+		return new(Packet)
+	}
+	p := bufpool.GetObj[Packet](pool)
+	*p = Packet{}
+	return p
+}
+
+// Free ends the packet: its payload goes back to pool's buffer classes
+// (Put drops one that did not come from a pool) and the packet to
+// pool's packet free list. The caller must own p and must not touch it,
+// or its payload, afterwards.
+func (p *Packet) Free(pool *bufpool.Pool) {
+	pool.Put(p.Payload)
+	p.Payload = nil
+	bufpool.PutObj(pool, p)
+}
+
 // Length returns the total on-wire IPv4 length of the packet in bytes.
 func (p *Packet) Length() int {
 	n := IPv4HeaderLen + len(p.Payload)
@@ -168,9 +190,9 @@ func (p *Packet) AppendMarshal(dst []byte) []byte {
 // zero: attribution does not cross a wire.
 func Unmarshal(b []byte) (*Packet, error) { return UnmarshalPooled(b, nil) }
 
-// UnmarshalPooled is Unmarshal drawing the payload copy from pool (when
-// non-nil) instead of the allocator. The consumer that terminates the
-// packet may hand the payload back with pool.Put — itg receivers do.
+// UnmarshalPooled is Unmarshal drawing the packet and its payload copy
+// from pool (when non-nil) instead of the allocator. The consumer that
+// ends the packet hands both back with Free.
 func UnmarshalPooled(b []byte, pool *bufpool.Pool) (*Packet, error) {
 	if len(b) < IPv4HeaderLen {
 		return nil, ErrTruncated
@@ -189,28 +211,32 @@ func UnmarshalPooled(b []byte, pool *bufpool.Pool) (*Packet, error) {
 	if total < ihl || total > len(b) {
 		return nil, ErrBadLength
 	}
-	p := &Packet{
-		TOS:   b[1],
-		ID:    binary.BigEndian.Uint16(b[4:]),
-		TTL:   b[8],
-		Proto: Proto(b[9]),
-		Src:   netip.AddrFrom4([4]byte(b[12:16])),
-		Dst:   netip.AddrFrom4([4]byte(b[16:20])),
-	}
+	proto := Proto(b[9])
 	rest := b[ihl:total]
-	if p.Proto == ProtoUDP || p.Proto == ProtoTCP {
+	var srcPort, dstPort uint16
+	if proto == ProtoUDP || proto == ProtoTCP {
 		if len(rest) < UDPHeaderLen {
 			return nil, ErrTruncated
 		}
-		p.SrcPort = binary.BigEndian.Uint16(rest[0:])
-		p.DstPort = binary.BigEndian.Uint16(rest[2:])
+		srcPort = binary.BigEndian.Uint16(rest[0:])
+		dstPort = binary.BigEndian.Uint16(rest[2:])
 		ulen := int(binary.BigEndian.Uint16(rest[4:]))
 		if ulen < UDPHeaderLen || ulen > len(rest) {
 			return nil, ErrBadLength
 		}
-		p.Payload = copyPayload(rest[UDPHeaderLen:ulen], pool)
-	} else {
-		p.Payload = copyPayload(rest, pool)
+		rest = rest[UDPHeaderLen:ulen]
+	}
+	p := NewPacket(pool)
+	*p = Packet{
+		TOS:     b[1],
+		ID:      binary.BigEndian.Uint16(b[4:]),
+		TTL:     b[8],
+		Proto:   proto,
+		Src:     netip.AddrFrom4([4]byte(b[12:16])),
+		Dst:     netip.AddrFrom4([4]byte(b[16:20])),
+		SrcPort: srcPort,
+		DstPort: dstPort,
+		Payload: copyPayload(rest, pool),
 	}
 	return p, nil
 }

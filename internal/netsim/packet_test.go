@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"github.com/onelab/umtslab/internal/bufpool"
+	"github.com/onelab/umtslab/internal/metrics"
 )
 
 func udpPacket(srcPort, dstPort uint16, payload []byte) *Packet {
@@ -187,4 +191,98 @@ func TestPropertyCorruptionSafety(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// stale fills a pool with what a busy loop leaves behind: freed packets
+// whose metadata and wire fields belong to their last user, and payload
+// buffers full of garbage in every class up to the one that fits n.
+func stale(pool *bufpool.Pool, junk byte, n int) {
+	for i := 0; i < 4; i++ {
+		p := NewPacket(pool)
+		*p = Packet{
+			Src: MustAddr("198.51.100.1"), Dst: MustAddr("198.51.100.2"),
+			Proto: ProtoTCP, TTL: junk, TOS: junk, ID: 0xbeef, SrcPort: 7, DstPort: 7,
+			Mark: 0xdead, SliceCtx: 0xbeef, InIface: "stale0",
+			Payload: bytes.Repeat([]byte{junk}, 64<<i),
+		}
+		p.Free(pool)
+	}
+	for c := 64; c <= 1<<16 && c/2 < n; c <<= 1 {
+		b := pool.Get(c)
+		for i := range b {
+			b[i] = junk
+		}
+		pool.Put(b)
+	}
+}
+
+// TestRecycledPacketIsClean is the packet analogue of the recycled
+// checksum-field bug: a packet drawn from a dirty free list must carry
+// nothing of its previous user, whether it is built by hand (NewPacket)
+// or decoded (UnmarshalPooled).
+func TestRecycledPacketIsClean(t *testing.T) {
+	pool := bufpool.New(metrics.NewRegistry())
+	stale(pool, 0xa5, 64)
+	if p := NewPacket(pool); !reflect.DeepEqual(*p, Packet{}) {
+		t.Fatalf("NewPacket from a dirty list = %+v, want the zero packet", *p)
+	}
+	wire := udpPacket(1000, 2000, []byte("fresh")).Marshal()
+	want, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalPooled(wire, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePacket(got, want) {
+		t.Fatalf("UnmarshalPooled from a dirty pool = %+v, want %+v", *got, *want)
+	}
+}
+
+// samePacket compares every field, payload by content.
+func samePacket(a, b *Packet) bool {
+	x, y := *a, *b
+	x.Payload, y.Payload = nil, nil
+	return reflect.DeepEqual(x, y) && bytes.Equal(a.Payload, b.Payload)
+}
+
+// FuzzUnmarshalPooled is a differential target: decoding through a pool
+// whose packets and buffers are dirty must agree with decoding through
+// the allocator (nil pool) on every field and error, and the decoded
+// packet must marshal, into a dirty buffer, to the same bytes.
+func FuzzUnmarshalPooled(f *testing.F) {
+	f.Add(udpPacket(5000, 9000, []byte("seed payload")).Marshal(), byte(0xff))
+	f.Add((&Packet{Src: MustAddr("10.0.0.1"), Dst: MustAddr("10.0.0.2"), Proto: ProtoTCP, TTL: 3, TOS: 0x10,
+		SrcPort: 22, DstPort: 40000, Payload: bytes.Repeat([]byte{0x7e, 0x7d}, 40)}).Marshal(), byte(0x7e))
+	f.Add(NewEchoRequest(MustAddr("10.0.0.1"), MustAddr("10.0.0.2"), 1, 2, []byte("ping")).Marshal(), byte(0))
+	f.Add(udpPacket(1, 2, nil).Marshal()[:IPv4HeaderLen+3], byte(1))
+	f.Add([]byte{0x46, 0, 0, 24}, byte(2))
+	f.Fuzz(func(t *testing.T, b []byte, junk byte) {
+		want, werr := Unmarshal(b)
+		pool := bufpool.New(metrics.NewRegistry())
+		stale(pool, junk, len(b))
+		got, gerr := UnmarshalPooled(b, pool)
+		if gerr != werr {
+			t.Fatalf("error %v through a dirty pool, %v through the allocator", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		if !samePacket(got, want) {
+			t.Fatalf("decoded %+v through a dirty pool, %+v through the allocator", *got, *want)
+		}
+		wire := want.Marshal()
+		dirty := pool.Get(len(wire))
+		for i := range dirty {
+			dirty[i] = junk
+		}
+		if again := got.AppendMarshal(dirty[:0]); !bytes.Equal(again, wire) {
+			t.Fatalf("marshal into a dirty buffer = %x, want %x", again, wire)
+		}
+		back, err := Unmarshal(wire)
+		if err != nil || !samePacket(back, want) {
+			t.Fatalf("round trip = %+v, %v; want %+v", back, err, *want)
+		}
+	})
 }

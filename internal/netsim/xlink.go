@@ -22,10 +22,10 @@ import (
 // delay therefore bounds the engine's synchronization window, so
 // cross-shard links must have Delay > 0.
 //
-// Packets cross by pointer: payload buffers are owned by exactly one
-// side at a time (producers copy; see bufpool), so handing the pointer
-// over migrates ownership to the destination loop's pool without a
-// copy.
+// Packets cross by pointer: a packet and its payload buffer are owned
+// by exactly one side at a time (producers copy; see bufpool), so
+// handing the pointer over migrates ownership to the destination loop
+// without a copy, and the destination frees them into its own pool.
 type CrossLink struct {
 	name string
 	ends [2]*Iface
@@ -146,16 +146,11 @@ func newXlinkDir(loop *sim.Loop, name string, cfg LinkConfig, to *Iface) *xlinkD
 
 func (d *xlinkDir) qlen() int { return d.queue.Len() }
 
-func (d *xlinkDir) recycle(pkt *Packet) {
-	d.loop.Buffers().Put(pkt.Payload)
-	pkt.Payload = nil
-}
-
 func (d *xlinkDir) send(pkt *Packet) {
 	if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
 		d.stats.LossDrops++
 		d.mLossDrops.Inc()
-		d.recycle(pkt)
+		pkt.Free(d.loop.Buffers())
 		return
 	}
 	if d.busy {
@@ -163,7 +158,7 @@ func (d *xlinkDir) send(pkt *Packet) {
 			(d.cfg.QueueBytes > 0 && d.queuedBytes+pkt.Length() > d.cfg.QueueBytes) {
 			d.stats.QueueDrops++
 			d.mQueueDrops.Inc()
-			d.recycle(pkt)
+			pkt.Free(d.loop.Buffers())
 			return
 		}
 		d.queue.Push(pkt)

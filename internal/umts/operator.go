@@ -445,12 +445,11 @@ func (op *Operator) newSession(term *Terminal) (*session, error) {
 	sess.iface = op.ggsn.AddIface(name, netip.Addr{}, netip.Prefix{})
 	sess.iface.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
 		// The link owns pkt: marshal into a recycled wire buffer and
-		// return the payload to the pool right away. The wire buffer is
-		// recycled once the PPP server has framed it (SendIPv4's channel
-		// write copies into the radio queue).
+		// free the packet right away. The wire buffer is recycled once
+		// the PPP server has framed it (SendIPv4's channel write copies
+		// into the radio queue).
 		wire := pkt.AppendMarshal(loop.Buffers().Get(pkt.Length())[:0])
-		loop.Buffers().Put(pkt.Payload)
-		pkt.Payload = nil
+		pkt.Free(loop.Buffers())
 		sess.toPPP.Push(wire)
 		loop.After(op.cfg.CoreDelay, sess.toPPPFn)
 	}))
@@ -499,12 +498,15 @@ func (sess *session) deliverToPPP() {
 }
 
 // deliverToGGSN ends an uplink core transit: the oldest datagram in
-// transit emerges on the session's gtp interface.
+// transit emerges on the session's gtp interface, or is freed if the
+// session closed meanwhile.
 func (sess *session) deliverToGGSN() {
 	pkt := sess.toGGSN.Pop()
-	if !sess.closed {
-		sess.iface.Deliver(pkt)
+	if sess.closed {
+		pkt.Free(sess.op.loop.Buffers())
+		return
 	}
+	sess.iface.Deliver(pkt)
 }
 
 func (sess *session) logf(format string, args ...any) {

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"net/netip"
 	"testing"
 
 	"github.com/onelab/umtslab/internal/netsim"
@@ -26,6 +27,7 @@ func TestSendStampsContext(t *testing.T) {
 		return netsim.VerdictAccept
 	}
 	p := &netsim.Packet{Dst: netsim.MustAddr("10.0.0.2"), Proto: netsim.ProtoUDP, SrcPort: 1, DstPort: 2}
+	n := uint64(p.Length()) // Send owns p from here on
 	if err := v.Send(1234, p); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +36,7 @@ func TestSendStampsContext(t *testing.T) {
 		t.Fatalf("SliceCtx = %d", stamped)
 	}
 	st := v.Stats(1234)
-	if st.TxPackets != 1 || st.TxBytes != uint64(p.Length()) {
+	if st.TxPackets != 1 || st.TxBytes != n {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -98,5 +100,29 @@ func TestStatsUnknownContext(t *testing.T) {
 	_, v, _ := newPair(t)
 	if st := v.Stats(42); st != (SliceStats{}) {
 		t.Fatalf("unknown ctx stats = %+v", st)
+	}
+}
+
+// TestSendCountsBytesOfAPacketTheLinkEnds: a byte-path link (PPP, GTP)
+// marshals and frees the packet inside node.Send, so the slice's byte
+// count must be taken before the packet is handed over.
+func TestSendCountsBytesOfAPacketTheLinkEnds(t *testing.T) {
+	loop := sim.NewLoop(1)
+	n := netsim.NewNode(loop, "umts")
+	ifc := n.AddIface("ppp0", netsim.MustAddr("10.3.0.1"), netip.Prefix{})
+	ifc.Peer = netsim.MustAddr("10.3.0.2")
+	var wire []byte
+	ifc.SetLink(netsim.FuncLink(func(_ *netsim.Iface, pkt *netsim.Packet) {
+		wire = pkt.Marshal()
+		pkt.Free(loop.Buffers())
+	}))
+	v := New(n)
+	pkt := netsim.NewPacket(loop.Buffers())
+	pkt.Dst, pkt.Proto, pkt.Payload = netsim.MustAddr("192.0.2.1"), netsim.ProtoUDP, loop.Buffers().Get(90)
+	if err := v.Send(9, pkt); err != nil {
+		t.Fatal(err)
+	}
+	if st := v.Stats(9); st.TxPackets != 1 || st.TxBytes != 118 || len(wire) != 118 {
+		t.Fatalf("stats = %+v for a %d-byte datagram, want 1 packet of 118 bytes", st, len(wire))
 	}
 }

@@ -125,8 +125,10 @@ type Slice struct {
 func (s *Slice) Host() *Host { return s.host }
 
 // Send transmits a packet from inside the slice. VNET+ attributes it.
+// Send owns pkt on every return.
 func (s *Slice) Send(pkt *netsim.Packet) error {
 	if s.deleted {
+		pkt.Free(s.host.vnet.Node().Loop.Buffers())
 		return fmt.Errorf("%w: %q", ErrNoSlice, s.Name)
 	}
 	return s.host.vnet.Send(s.Ctx, pkt)

@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFrame$$' -fuzztime 10s ./internal/ppp
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPooled$$' -fuzztime 10s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/testbed
 
 # serve-smoke runs the measurement-service mode end to end in one
 # process: start the control plane, submit two declarative specs
@@ -51,10 +52,9 @@ serve-smoke:
 bench:
 	$(GO) run ./cmd/experiments -figure 1 -reps 5 -dur 60s -bench-parallel BENCH_parallel.json
 
-# bench-sched times the sim-kernel configurations on the paper's
-# VoIP/UMTS cell — reference heap without buffer pooling (the
-# pre-optimization baseline), heap with pooling, timer wheel with
-# pooling — verifies all three decode identically, and records the
+# bench-sched times the sim kernel on the paper's VoIP/UMTS cell with
+# buffer pooling off (nopool) and on (pool, the shipping
+# configuration), verifies both decode identically, and records the
 # comparison in BENCH_sched.json.
 bench-sched:
 	$(GO) run ./cmd/experiments -bench-sched BENCH_sched.json -dur 30s -reps 3
@@ -124,7 +124,7 @@ bench-analysis:
 
 # bench-compare re-measures the scheduler benchmark with the same
 # parameters as bench-sched and fails when the shipping configuration
-# (wheel + pool) is more than 25% slower per run than the committed
+# (pool) is more than 25% slower per run than the committed
 # BENCH_sched.json — run it before committing changes to the sim kernel.
 bench-compare:
 	$(GO) run ./cmd/experiments -bench-sched-compare BENCH_sched.json -dur 30s -reps 3

@@ -486,37 +486,24 @@ func BenchmarkRepsParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPaperExperimentScheduler runs the complete §3 VoIP cell
-// (dial-up, 30 s of traffic, decode) on each sim-scheduler backend with
-// allocation reporting — the end-to-end acceptance benchmark for the
-// timer wheel and the zero-allocation packet path. The two backends
-// produce byte-identical reports (see internal/testbed's
-// TestSchedulerByteIdenticalExperiment); this measures only cost.
-func BenchmarkPaperExperimentScheduler(b *testing.B) {
-	for _, sc := range []struct {
-		name  string
-		sched sim.Scheduler
-	}{
-		{"wheel", sim.SchedulerWheel},
-		{"heap", sim.SchedulerHeap},
-	} {
-		b.Run(sc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rp, err := testbed.NewScenario(
-					testbed.WithSeed(1), testbed.WithScheduler(sc.sched),
-					testbed.WithPath(testbed.PathUMTS),
-					testbed.WithWorkload(testbed.WorkloadVoIP),
-					testbed.WithDuration(30*time.Second),
-				).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rp.Results[0].Decoded.Received == 0 {
-					b.Fatal("no traffic")
-				}
-			}
-		})
+// BenchmarkPaperExperiment runs the complete §3 VoIP cell (dial-up,
+// 30 s of traffic, decode) with allocation reporting — the end-to-end
+// benchmark for the sim kernel and the zero-allocation packet path.
+func BenchmarkPaperExperiment(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rp, err := testbed.NewScenario(
+			testbed.WithSeed(1),
+			testbed.WithPath(testbed.PathUMTS),
+			testbed.WithWorkload(testbed.WorkloadVoIP),
+			testbed.WithDuration(30*time.Second),
+		).Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rp.Results[0].Decoded.Received == 0 {
+			b.Fatal("no traffic")
+		}
 	}
 }
 
@@ -603,7 +590,7 @@ func BenchmarkPopulationProbe(b *testing.B) {
 	cfg.Fades = umts.FadeConfig{}
 	spec := umts.PopulationSpec{RateBps: 64e3, Start: 5 * time.Second, Duration: 20 * time.Second}
 	for i := 0; i < b.N; i++ {
-		res, _, err := umts.MeasurePopulation(int64(i+1), sim.SchedulerHeap, cfg, 40, spec)
+		res, _, err := umts.MeasurePopulation(int64(i+1), cfg, 40, spec)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/testbed"
 	"github.com/onelab/umtslab/internal/umts"
@@ -132,11 +131,11 @@ func benchFleet(path string, seed int64, cells, active, idle, population int) er
 	probeCfg := umts.FleetCell(0)
 	probeCfg.Fades = umts.FadeConfig{}
 	spec := umts.PopulationSpec{RateBps: 64e3, Start: 5 * time.Second, Duration: 20 * time.Second}
-	realLeg, err := umts.MeasureEnsemble(seed, sim.SchedulerHeap, probeCfg, 40, spec)
+	realLeg, err := umts.MeasureEnsemble(seed, probeCfg, 40, spec)
 	if err != nil {
 		return err
 	}
-	modelLeg, _, err := umts.MeasurePopulation(seed, sim.SchedulerHeap, probeCfg, 40, spec)
+	modelLeg, _, err := umts.MeasurePopulation(seed, probeCfg, 40, spec)
 	if err != nil {
 		return err
 	}

@@ -44,9 +44,9 @@
 // -metrics dumps each cell's rep-0 metrics snapshot as JSON ("-" for
 // stdout); -bench-parallel times the sequential vs. pooled schedule and
 // writes the comparison as JSON instead of running the normal report;
-// -bench-sched times the sim-kernel configurations (reference heap
-// without buffer pooling, heap with pooling, timer wheel with pooling)
-// on one paper cell and writes wall time and allocation counts as JSON.
+// -bench-sched times the sim kernel with buffer pooling off and on
+// over one paper cell and writes wall time and allocation counts as
+// JSON.
 // -cpuprofile/-memprofile write pprof profiles of whichever mode ran.
 //
 // -fault-profile injects a named deterministic fault preset (drops,
@@ -127,7 +127,6 @@ import (
 	"github.com/onelab/umtslab/internal/bufpool"
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/stats"
 	"github.com/onelab/umtslab/internal/testbed"
@@ -276,7 +275,7 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for repetitions (<=0: GOMAXPROCS)")
 	metricsOut := flag.String("metrics", "", `write rep-0 metrics snapshots as JSON to this file ("-" for stdout)`)
 	benchOut := flag.String("bench-parallel", "", "time sequential vs parallel schedules, write JSON to this file, and exit")
-	benchSchedOut := flag.String("bench-sched", "", "time the heap/wheel scheduler and pooling configurations, write JSON to this file, and exit")
+	benchSchedOut := flag.String("bench-sched", "", "time the sim kernel with buffer pooling off and on, write JSON to this file, and exit")
 	cells := flag.Int("cells", 0, "run the K-cell scale-out scenario instead of the paper figures")
 	terminals := flag.Int("terminals", 1, "terminals per cell for -cells")
 	fleetIdle := flag.Int("fleet", 0, "additional idle (never-dialing) compact terminals per cell for -cells")
@@ -285,7 +284,7 @@ func main() {
 	shards := flag.Int("shards", 0, "shard count for -cells (0: one per cell plus the wired core)")
 	shardPolicyFlag := flag.String("shard-policy", "global", "shard engine window policy for -cells: global (lockstep windows) or dynamic (per-shard horizons with EOT promises)")
 	benchShardOut := flag.String("bench-shard", "", "time the -cells scenario on 1 vs -shards shards under every window policy, write JSON to this file, and exit")
-	benchSchedCmp := flag.String("bench-sched-compare", "", "re-measure the scheduler benchmark and fail if wheel_pool wall time regressed >25% vs this committed JSON")
+	benchSchedCmp := flag.String("bench-sched-compare", "", "re-measure the scheduler benchmark and fail if pool wall time regressed >25% vs this committed JSON")
 	benchShardCmp := flag.String("bench-shard-compare", "", "validate this committed bench-shard JSON: both policies identical, dynamic windows <= global, idle-fleet reduction >= 5x, dynamic wall <= 1.05x global on >=4 cores")
 	benchCheckList := flag.String("bench-check", "", "comma-separated committed BENCH_*.json artifacts: parse each and fail unless every *_identical field is true")
 	analysisFlag := flag.String("analysis", "batch", "QoS pipeline: batch (reference), stream (batch + live stream decoder), stream-only (constant-memory, per-packet logs dropped)")
@@ -625,29 +624,23 @@ type schedBenchReport struct {
 	Path     string  `json:"path"`
 	FlowS    float64 `json:"flow_duration_s"`
 	Reps     int     `json:"reps"`
-	// Baseline is the pre-optimization kernel: the reference binary-heap
-	// scheduler with buffer pooling disabled, i.e. every packet buffer
-	// freshly allocated, as the seed tree behaved.
-	Baseline schedBenchConfig `json:"baseline_heap_nopool"`
-	// HeapPool isolates the pooling win (same scheduler as baseline).
-	HeapPool schedBenchConfig `json:"heap_pool"`
-	// WheelPool is the shipping configuration.
-	WheelPool schedBenchConfig `json:"wheel_pool"`
-	// AllocImprovement is baseline allocs per run over wheel+pool allocs
-	// per run (higher is better; the acceptance bar is 1.5).
+	// NoPool is the kernel with buffer pooling disabled: every packet
+	// buffer and packet freshly allocated.
+	NoPool schedBenchConfig `json:"nopool"`
+	// Pool is the shipping configuration.
+	Pool schedBenchConfig `json:"pool"`
+	// AllocImprovement is nopool allocs per run over pool allocs per
+	// run (higher is better; the acceptance bar is 1.5).
 	AllocImprovement float64 `json:"alloc_improvement"`
 	WallImprovement  float64 `json:"wall_improvement"`
-	// Identical reports whether all three configurations decoded the
-	// same QoS result — recycling and the wheel are optimizations, never
-	// semantics.
+	// Identical reports whether both configurations decoded the same
+	// QoS result — recycling is an optimization, never semantics.
 	Identical bool `json:"results_identical"`
 }
 
-// benchSched times the paper's VoIP/UMTS cell under three sim-kernel
-// configurations — reference heap without pooling (the pre-optimization
-// baseline), heap with pooling, timer wheel with pooling — verifies all
-// three decode identically, and writes the comparison as JSON (the
-// `make bench-sched` artifact).
+// benchSched times the paper's VoIP/UMTS cell with buffer pooling off
+// and on, verifies both decode identically, and writes the comparison
+// as JSON (the `make bench-sched` artifact).
 func benchSched(path string, seed int64, reps int) error {
 	rep, err := measureSched(seed, reps)
 	if err != nil {
@@ -661,20 +654,19 @@ func benchSched(path string, seed int64, reps int) error {
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("bench-sched: %d rep(s) of %v VoIP/UMTS: heap+nopool %.3f s %.0f allocs, heap+pool %.3f s %.0f allocs, wheel+pool %.3f s %.0f allocs; alloc x%.2f, wall x%.2f, identical=%v -> %s\n",
+	fmt.Printf("bench-sched: %d rep(s) of %v VoIP/UMTS: nopool %.3f s %.0f allocs, pool %.3f s %.0f allocs; alloc x%.2f, wall x%.2f, identical=%v -> %s\n",
 		reps, dur,
-		rep.Baseline.WallSPerRun, float64(rep.Baseline.AllocsPerRun),
-		rep.HeapPool.WallSPerRun, float64(rep.HeapPool.AllocsPerRun),
-		rep.WheelPool.WallSPerRun, float64(rep.WheelPool.AllocsPerRun),
+		rep.NoPool.WallSPerRun, float64(rep.NoPool.AllocsPerRun),
+		rep.Pool.WallSPerRun, float64(rep.Pool.AllocsPerRun),
 		rep.AllocImprovement, rep.WallImprovement, rep.Identical, path)
 	return nil
 }
 
 // benchSchedCompare re-measures the scheduler benchmark with the same
-// flags and fails when the shipping configuration (wheel + pool) got
-// more than 25% slower per run than the committed artifact — a cheap
-// regression tripwire for the sim-kernel hot path. Allocation counts
-// are compared too, but only reported: wall time is the gate.
+// flags and fails when the shipping configuration (pool) got more than
+// 25% slower per run than the committed artifact — a cheap regression
+// tripwire for the sim-kernel hot path. Allocation counts are compared
+// too, but only reported: wall time is the gate.
 func benchSchedCompare(path string, seed int64, reps int) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -684,44 +676,38 @@ func benchSchedCompare(path string, seed int64, reps int) error {
 	if err := json.Unmarshal(raw, &committed); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	if committed.WheelPool.WallSPerRun <= 0 {
-		return fmt.Errorf("%s: no wheel_pool wall time to compare against", path)
+	if committed.Pool.WallSPerRun <= 0 {
+		return fmt.Errorf("%s: no pool wall time to compare against", path)
 	}
 	fresh, err := measureSched(seed, reps)
 	if err != nil {
 		return err
 	}
-	ratio := fresh.WheelPool.WallSPerRun / committed.WheelPool.WallSPerRun
-	allocRatio := float64(fresh.WheelPool.AllocsPerRun) / float64(committed.WheelPool.AllocsPerRun)
-	fmt.Printf("bench-sched-compare: wheel+pool %.3f s/run vs committed %.3f s/run (x%.2f wall, x%.2f allocs)\n",
-		fresh.WheelPool.WallSPerRun, committed.WheelPool.WallSPerRun, ratio, allocRatio)
+	ratio := fresh.Pool.WallSPerRun / committed.Pool.WallSPerRun
+	allocRatio := float64(fresh.Pool.AllocsPerRun) / float64(committed.Pool.AllocsPerRun)
+	fmt.Printf("bench-sched-compare: pool %.3f s/run vs committed %.3f s/run (x%.2f wall, x%.2f allocs)\n",
+		fresh.Pool.WallSPerRun, committed.Pool.WallSPerRun, ratio, allocRatio)
 	if !fresh.Identical {
 		return fmt.Errorf("kernel configurations no longer decode identical results")
 	}
 	if ratio > 1.25 {
-		return fmt.Errorf("wheel+pool wall time regressed x%.2f (>1.25) vs %s", ratio, path)
+		return fmt.Errorf("pool wall time regressed x%.2f (>1.25) vs %s", ratio, path)
 	}
 	fmt.Println("bench-sched-compare: within budget")
 	return nil
 }
 
-// measureSched runs the three sim-kernel configurations and fills a
+// measureSched runs the two sim-kernel configurations and fills a
 // schedBenchReport; benchSched writes it, benchSchedCompare diffs it
 // against the committed artifact.
 func measureSched(seed int64, reps int) (schedBenchReport, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	type config struct {
-		name  string
-		sched sim.Scheduler
-		pool  bool
-	}
-	configs := []config{
-		{"baseline_heap_nopool", sim.SchedulerHeap, false},
-		{"heap_pool", sim.SchedulerHeap, true},
-		{"wheel_pool", sim.SchedulerWheel, true},
-	}
+	configs := []struct {
+		name string
+		pool bool
+	}{{"nopool", false}, {"pool", true}}
 	measured := make([]schedBenchConfig, len(configs))
 	firsts := make([]*testbed.ExperimentResult, len(configs))
 	for i, cfg := range configs {
@@ -733,7 +719,6 @@ func measureSched(seed int64, reps int) (schedBenchReport, error) {
 		for rep := 0; rep < reps; rep++ {
 			rp, err := testbed.NewScenario(
 				testbed.WithSeed(testbed.RepSeed(seed, rep)),
-				testbed.WithScheduler(cfg.sched),
 				testbed.WithPath(testbed.PathUMTS),
 				testbed.WithWorkload(testbed.WorkloadVoIP),
 				testbed.WithDuration(dur),
@@ -755,19 +740,16 @@ func measureSched(seed int64, reps int) (schedBenchReport, error) {
 		}
 	}
 	bufpool.SetDisabled(false)
-	identical := reflect.DeepEqual(firsts[0].Decoded, firsts[1].Decoded) &&
-		reflect.DeepEqual(firsts[0].Decoded, firsts[2].Decoded)
 	return schedBenchReport{
 		Workload:         testbed.WorkloadVoIP.String(),
 		Path:             testbed.PathUMTS.String(),
 		FlowS:            dur.Seconds(),
 		Reps:             reps,
-		Baseline:         measured[0],
-		HeapPool:         measured[1],
-		WheelPool:        measured[2],
-		AllocImprovement: float64(measured[0].AllocsPerRun) / float64(measured[2].AllocsPerRun),
-		WallImprovement:  measured[0].WallSPerRun / measured[2].WallSPerRun,
-		Identical:        identical,
+		NoPool:           measured[0],
+		Pool:             measured[1],
+		AllocImprovement: float64(measured[0].AllocsPerRun) / float64(measured[1].AllocsPerRun),
+		WallImprovement:  measured[0].WallSPerRun / measured[1].WallSPerRun,
+		Identical:        reflect.DeepEqual(firsts[0].Decoded, firsts[1].Decoded),
 	}, nil
 }
 

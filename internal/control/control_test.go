@@ -99,12 +99,11 @@ func getResult(t *testing.T, ts *httptest.Server, id string) []byte {
 // TestJobByteIdenticalToDirectRun is the service's core correctness
 // claim: a Spec submitted over HTTP produces exactly the bytes the
 // same Spec produces when built and run directly (the one-shot CLI
-// path), on both kernel schedulers and on a multi-shard placement.
+// path), on a single cell and on a multi-shard placement.
 func TestJobByteIdenticalToDirectRun(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 	cases := []string{
 		`{"seed":11,"duration":"` + testDur + `"}`,
-		`{"seed":11,"scheduler":"heap","duration":"` + testDur + `"}`,
 		`{"seed":5,"cells":3,"terminals":1,"shards":2,"shard_policy":"dynamic","duration":"` + testDur + `"}`,
 	}
 	for _, specJSON := range cases {
@@ -499,6 +498,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	for body, wantFrag := range map[string]string{
 		`{not json`:                 "spec",
 		`{"sheduler":"heap"}`:       "sheduler",
+		`{"scheduler":"heap"}`:      `unknown field \"scheduler\"`,
 		`{"shard_policy":"bogus"}`:  "spec.shard_policy",
 		`{"cells":2,"path":"umts"}`: "spec.path",
 	} {
@@ -514,5 +514,37 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if !strings.Contains(string(got), wantFrag) {
 			t.Errorf("submit(%s) error %s does not mention %q", body, got, wantFrag)
 		}
+	}
+}
+
+// TestSubmitRejectsPanickingSpecs: specs whose values would panic deep
+// in the run (a quantile sketch error bound outside (0, 1), a shrinking
+// redial backoff) are refused at submission with 400, and the server
+// goes on to complete a valid job.
+func TestSubmitRejectsPanickingSpecs(t *testing.T) {
+	_, ts := newTestService(t, Config{})
+	for body, wantFrag := range map[string]string{
+		`{"duration":"2s","analysis":{"mode":"stream","sketch_rel_err":1.5}}`: "spec.analysis.sketch_rel_err",
+		`{"duration":"2s","self_heal":true,"heal_policy":{"multiplier":0.5}}`: "spec.heal_policy.multiplier",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit(%s): %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(string(got), wantFrag) {
+			t.Errorf("submit(%s) error %s does not mention %q", body, got, wantFrag)
+		}
+	}
+	id := submit(t, ts, `{"seed":3,"duration":"`+testDur+`"}`)
+	if st := waitState(t, ts, id); st.State != StateDone {
+		t.Fatalf("valid job after rejected specs ended %s (%s)", st.State, st.Error)
+	}
+	if len(getResult(t, ts, id)) == 0 {
+		t.Fatal("valid job after rejected specs returned an empty result")
 	}
 }

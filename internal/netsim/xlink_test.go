@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
@@ -13,7 +12,7 @@ import (
 // shard (n-1) of an n-shard engine.
 func crossHosts(t *testing.T, seed int64, n int, a2b, b2a LinkConfig) (*shard.Engine, *Node, *Node) {
 	t.Helper()
-	eng := shard.NewEngine(seed, n, sim.SchedulerWheel)
+	eng := shard.NewEngine(seed, n)
 	sa, sb := eng.Shard(0), eng.Shard(n-1)
 	a := NewNode(sa.Loop(), "a")
 	b := NewNode(sb.Loop(), "b")
@@ -122,7 +121,7 @@ func TestCrossLinkQueueDrops(t *testing.T) {
 }
 
 func TestCrossLinkZeroDelayPanics(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	a := NewNode(eng.Shard(0).Loop(), "a")
 	b := NewNode(eng.Shard(1).Loop(), "b")
 	defer func() {

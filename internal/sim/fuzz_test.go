@@ -8,26 +8,26 @@ import (
 	"time"
 )
 
-// fuzzDelay maps a level selector and a raw value onto a delay inside
-// one band of the wheel: zero, sub-tick, each of the four levels, and
-// past the overflow epoch (the wheel addresses 2^42 ns, ~73 minutes).
+// fuzzDelay maps a band selector and a raw value onto a delay inside
+// one band: zero, under 1 µs, then spans of 2^18, 2^26, 2^34 and 2^42
+// ns (about 262 µs, 67 ms, 17 s and 73 min), and 73 to 366 minutes out.
 func fuzzDelay(sel byte, v uint32) time.Duration {
 	lo, span := uint64(0), uint64(0)
 	switch sel % 7 {
 	case 0:
 		return 0
 	case 1:
-		span = 1 << tickShift
+		span = 1 << 10
 	case 2:
-		span = 1 << (tickShift + levelBits)
+		span = 1 << 18
 	case 3:
-		span = 1 << (tickShift + 2*levelBits)
+		span = 1 << 26
 	case 4:
-		span = 1 << (tickShift + 3*levelBits)
+		span = 1 << 34
 	case 5:
-		span = 1 << (tickShift + wheelBits)
+		span = 1 << 42
 	default:
-		lo, span = 1<<(tickShift+wheelBits), 1<<(tickShift+wheelBits+2)
+		lo, span = 1<<42, 1<<44
 	}
 	hi, _ := bits.Mul64(uint64(v)<<32, span)
 	return time.Duration(lo + hi)
@@ -48,8 +48,8 @@ type fuzzFiring struct {
 	at time.Duration
 }
 
-func newFuzzLoop(s Scheduler) *fuzzLoop {
-	f := &fuzzLoop{l: NewLoopScheduler(1, s)}
+func newFuzzLoop(l *Loop) *fuzzLoop {
+	f := &fuzzLoop{l: l}
 	f.fnByID = func(id int) func() {
 		return func() {
 			f.fired = append(f.fired, fuzzFiring{id, f.l.Now()})
@@ -82,42 +82,51 @@ func (f *fuzzLoop) schedule(head bool, at time.Duration) {
 }
 
 // runFuzzOps decodes data into a stream of scheduler operations,
-// applies it to a wheel loop and a heap loop in lockstep, and fails on
-// the first observable difference: firing order and timestamps, clocks,
-// PeekNext answers and every handle's Pending state.
+// applies it to a production loop and an oracle loop in lockstep, and
+// fails on the first observable difference: firing order and
+// timestamps, clocks, PeekNext answers and every handle's Pending
+// state. It also checks that the production Len, which counts live
+// events only, equals the number of pending handles.
 func runFuzzOps(t *testing.T, data []byte) {
-	w, h := newFuzzLoop(SchedulerWheel), newFuzzLoop(SchedulerHeap)
-	both := func(fn func(f *fuzzLoop)) { fn(w); fn(h) }
+	p, o := newFuzzLoop(NewLoop(1)), newFuzzLoop(newOracleLoop(1))
+	both := func(fn func(f *fuzzLoop)) { fn(p); fn(o) }
 	checked := 0 // firings already compared
 	check := func(op int) {
 		t.Helper()
-		if w.l.Now() != h.l.Now() {
-			t.Fatalf("op %d: clocks diverged: wheel %v heap %v", op, w.l.Now(), h.l.Now())
+		if p.l.Now() != o.l.Now() {
+			t.Fatalf("op %d: clocks diverged: loop %v oracle %v", op, p.l.Now(), o.l.Now())
 		}
-		if len(w.fired) != len(h.fired) {
-			t.Fatalf("op %d: fired %d events on wheel, %d on heap", op, len(w.fired), len(h.fired))
+		if len(p.fired) != len(o.fired) {
+			t.Fatalf("op %d: fired %d events on loop, %d on oracle", op, len(p.fired), len(o.fired))
 		}
-		for i := checked; i < len(w.fired); i++ {
-			if w.fired[i] != h.fired[i] {
-				t.Fatalf("op %d: firing %d diverged: wheel %+v heap %+v", op, i, w.fired[i], h.fired[i])
+		for i := checked; i < len(p.fired); i++ {
+			if p.fired[i] != o.fired[i] {
+				t.Fatalf("op %d: firing %d diverged: loop %+v oracle %+v", op, i, p.fired[i], o.fired[i])
 			}
 		}
-		checked = len(w.fired)
-		wt, wok := w.l.PeekNext()
-		ht, hok := h.l.PeekNext()
-		if wt != ht || wok != hok {
-			t.Fatalf("op %d: PeekNext diverged: wheel (%v, %v) heap (%v, %v)", op, wt, wok, ht, hok)
+		checked = len(p.fired)
+		pt, pok := p.l.PeekNext()
+		ot, ook := o.l.PeekNext()
+		if pt != ot || pok != ook {
+			t.Fatalf("op %d: PeekNext diverged: loop (%v, %v) oracle (%v, %v)", op, pt, pok, ot, ook)
 		}
-		if len(w.timers) != len(h.timers) {
-			t.Fatalf("op %d: %d handles on wheel, %d on heap", op, len(w.timers), len(h.timers))
+		if len(p.timers) != len(o.timers) {
+			t.Fatalf("op %d: %d handles on loop, %d on oracle", op, len(p.timers), len(o.timers))
 		}
 		if op%64 != 63 && op >= 0 {
 			return // Pending of every handle: sampled, and after the final Run
 		}
-		for i := range w.timers {
-			if w.timers[i].Pending() != h.timers[i].Pending() {
-				t.Fatalf("op %d: handle %d Pending: wheel %v heap %v", op, i, w.timers[i].Pending(), h.timers[i].Pending())
+		pending := 0
+		for i := range p.timers {
+			if p.timers[i].Pending() != o.timers[i].Pending() {
+				t.Fatalf("op %d: handle %d Pending: loop %v oracle %v", op, i, p.timers[i].Pending(), o.timers[i].Pending())
 			}
+			if p.timers[i].Pending() {
+				pending++
+			}
+		}
+		if p.l.Len() != pending {
+			t.Fatalf("op %d: Len = %d, want %d pending handles", op, p.l.Len(), pending)
 		}
 	}
 	for op := 0; len(data) >= 6 && op < 4096; op++ {
@@ -140,19 +149,19 @@ func runFuzzOps(t *testing.T, data []byte) {
 		case 6:
 			both(func(f *fuzzLoop) { f.l.RunBefore(f.l.Now() + d/16) })
 		case 7:
-			// Scheduling into the past clamps to Now on both backends.
+			// Scheduling into the past clamps to Now on both queues.
 			both(func(f *fuzzLoop) { f.schedule(sel&1 == 0, f.l.Now()-d) })
 		}
 		check(op)
 	}
 	both(func(f *fuzzLoop) { f.l.Run() })
 	check(-1)
-	if w.l.Len() != 0 {
-		t.Fatalf("wheel holds %d events after Run", w.l.Len())
+	if p.l.Len() != 0 {
+		t.Fatalf("loop holds %d events after Run", p.l.Len())
 	}
 }
 
-// diffShapeSeed encodes the operation mix of TestDifferentialWheelVsHeap
+// diffShapeSeed encodes the operation mix of TestDifferentialHeapVsOracle
 // (55% schedule, 20% cancel, 25% advance) as a fuzz input.
 func diffShapeSeed(seed int64, ops int) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -177,9 +186,9 @@ func diffShapeSeed(seed int64, ops int) []byte {
 	return b
 }
 
-// FuzzSchedulerDifferential drives the wheel and the reference heap
-// with a fuzz-chosen operation stream — At/AtHead across every wheel
-// level and past the overflow epoch, cancels through live and stale
+// FuzzSchedulerDifferential drives the production queue and the
+// reference heap with a fuzz-chosen operation stream — At/AtHead from
+// zero delay to hours out, cancels through live and stale
 // handles, chained scheduling and cancelling from inside callbacks,
 // RunUntil/RunBefore/PeekNext — and requires identical observations.
 func FuzzSchedulerDifferential(f *testing.F) {
@@ -189,4 +198,97 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 0, 0, 0, 0, 2, 1, 0, 0, 0, 5, 2, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(runFuzzOps)
+}
+
+// randomDelay spreads delays from zero to three hours: sub-microsecond,
+// µs..ms, s..min, and hours out.
+func randomDelay(rng *rand.Rand) time.Duration {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1:
+		return time.Duration(rng.Intn(1024))
+	case 2:
+		return time.Duration(rng.Intn(int(time.Millisecond)))
+	case 3:
+		return time.Duration(rng.Intn(int(time.Second)))
+	case 4:
+		return time.Duration(rng.Intn(int(10 * time.Minute)))
+	default:
+		return time.Duration(rng.Intn(int(3 * time.Hour)))
+	}
+}
+
+// TestDifferentialHeapVsOracle drives the production queue and the
+// reference heap with an identical randomized stream of 100k
+// schedule/cancel/advance operations (including chained events
+// scheduled from inside callbacks) and requires the exact same firing
+// order and timestamps from both.
+func TestDifferentialHeapVsOracle(t *testing.T) {
+	const ops = 100000
+	type firing struct {
+		id int
+		at time.Duration
+	}
+	prod := NewLoop(1)
+	ref := newOracleLoop(1)
+	var pOrder, rOrder []firing
+	var pTimers, rTimers []Timer
+
+	// schedule registers event id on one loop; a tenth of the events
+	// chain a follow-up from inside the callback, with a delay derived
+	// from the id so both loops chain identically.
+	schedule := func(l *Loop, order *[]firing, id int, delay time.Duration) Timer {
+		var fn func(id int) func()
+		fn = func(id int) func() {
+			return func() {
+				*order = append(*order, firing{id, l.Now()})
+				if id%10 == 3 && id < 1000000 {
+					chained := id + 1000000
+					d := time.Duration(uint64(id)*2654435761%uint64(2*time.Second)) + 1
+					l.After(d, fn(chained))
+				}
+			}
+		}
+		return l.At(l.Now()+delay, fn(id))
+	}
+
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < ops; i++ {
+		switch r := rng.Float64(); {
+		case r < 0.55:
+			d := randomDelay(rng)
+			pTimers = append(pTimers, schedule(prod, &pOrder, i, d))
+			rTimers = append(rTimers, schedule(ref, &rOrder, i, d))
+		case r < 0.75:
+			if len(pTimers) > 0 {
+				j := rng.Intn(len(pTimers))
+				pTimers[j].Cancel()
+				rTimers[j].Cancel()
+			}
+		default:
+			d := randomDelay(rng) / 16
+			prod.RunUntil(prod.Now() + d)
+			ref.RunUntil(ref.Now() + d)
+			if prod.Now() != ref.Now() {
+				t.Fatalf("clocks diverged after op %d: loop %v oracle %v", i, prod.Now(), ref.Now())
+			}
+		}
+	}
+	prod.Run()
+	ref.Run()
+	if prod.Now() != ref.Now() {
+		t.Fatalf("final clocks diverged: loop %v oracle %v", prod.Now(), ref.Now())
+	}
+	if len(pOrder) != len(rOrder) {
+		t.Fatalf("fired %d events on loop, %d on oracle", len(pOrder), len(rOrder))
+	}
+	for i := range pOrder {
+		if pOrder[i] != rOrder[i] {
+			t.Fatalf("firing %d diverged: loop %+v oracle %+v", i, pOrder[i], rOrder[i])
+		}
+	}
+	if len(pOrder) == 0 {
+		t.Fatal("no events fired; workload generator broken")
+	}
 }

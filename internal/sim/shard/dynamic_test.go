@@ -7,16 +7,15 @@ import (
 	"testing"
 	"time"
 
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
 // TestDynamicMatchesGlobal pins the dynamic policy to the byte-identity
-// contract: for every scheduler backend and placement, traces must
-// match the lockstep global engine exactly. The
-// pingPong ring is the adversarial case for promises — it cycles, so a
-// one-hop promise without fixpoint propagation would let a shard outrun
-// the echo traffic coming back around the ring.
+// contract: for every placement, traces must match the lockstep global
+// engine exactly. The pingPong ring is the adversarial case for
+// promises — it cycles, so a one-hop promise without fixpoint
+// propagation would let a shard outrun the echo traffic coming back
+// around the ring.
 func TestDynamicMatchesGlobal(t *testing.T) {
 	const nParts = 4
 	until := 200 * time.Millisecond
@@ -25,24 +24,22 @@ func TestDynamicMatchesGlobal(t *testing.T) {
 		"2shards": {0, 1, 0, 1},
 		"4shards": {0, 1, 2, 3},
 	}
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		global := shard.NewEngine(7, 4, sched)
-		ref := pingPong(t, 7, nParts, global, []int{0, 1, 2, 3}, until)
-		for name, mapping := range mappings {
-			n := 1
-			for _, m := range mapping {
-				if m >= n {
-					n = m + 1
-				}
+	global := shard.NewEngine(7, 4)
+	ref := pingPong(t, 7, nParts, global, []int{0, 1, 2, 3}, until)
+	for name, mapping := range mappings {
+		n := 1
+		for _, m := range mapping {
+			if m >= n {
+				n = m + 1
 			}
-			eng := shard.NewEngine(7, n, sched)
-			eng.SetPolicy(shard.PolicyDynamic)
-			got := pingPong(t, 7, nParts, eng, mapping, until)
-			for i := 0; i < nParts; i++ {
-				if ref[i] != got[i] {
-					t.Fatalf("sched %v %s: station %d trace differs global vs dynamic:\n--- global ---\n%s--- dynamic ---\n%s",
-						sched, name, i, ref[i], got[i])
-				}
+		}
+		eng := shard.NewEngine(7, n)
+		eng.SetPolicy(shard.PolicyDynamic)
+		got := pingPong(t, 7, nParts, eng, mapping, until)
+		for i := 0; i < nParts; i++ {
+			if ref[i] != got[i] {
+				t.Fatalf("%s: station %d trace differs global vs dynamic:\n--- global ---\n%s--- dynamic ---\n%s",
+					name, i, ref[i], got[i])
 			}
 		}
 	}
@@ -55,7 +52,7 @@ func TestDynamicMatchesGlobal(t *testing.T) {
 // shard 1 echoes each message back, so promises must propagate through
 // the cycle rather than assume quiet forever.
 func sparseEngine(p shard.Policy, period, until time.Duration) *shard.Engine {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	eng.SetPolicy(p)
 	d := time.Millisecond
 	var fwd, back *shard.Edge
@@ -99,7 +96,7 @@ func TestDynamicStridesPastIdle(t *testing.T) {
 // message (every EOT is +inf), the shard must cross the whole Run span
 // in a single inclusive window instead of min-delay hops.
 func TestDynamicIdleFastForward(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	eng.SetPolicy(shard.PolicyDynamic)
 	// An edge exists (so the distance bound alone would stride in 1ms
 	// hops), but its source never schedules anything.
@@ -116,7 +113,7 @@ func TestDynamicIdleFastForward(t *testing.T) {
 func TestSingleShardCoordinatorNoOp(t *testing.T) {
 	until := 100 * time.Millisecond
 	for _, p := range shard.Policies() {
-		eng := shard.NewEngine(9, 1, sim.SchedulerWheel)
+		eng := shard.NewEngine(9, 1)
 		eng.SetPolicy(p)
 		loop := eng.Shard(0).Loop()
 		fired := 0
@@ -193,8 +190,7 @@ func TestDynamicNeverTrailsGlobal(t *testing.T) {
 // TestDynamicStress is the randomized coordinator stress test: for
 // several seeds, a random edge topology (a ring, which guarantees
 // cycles, plus random chords) with random delays and random station
-// activity runs under both scheduler backends, under global
-// (reference) and under dynamic at two different GOMAXPROCS values.
+// activity runs under global (reference) and under dynamic at two different GOMAXPROCS values.
 // Model state must be byte-identical to the reference, and — because
 // every coordinator decision is made at a quiescent pass from
 // simulation state only — the window counts must be identical across
@@ -226,8 +222,8 @@ func TestDynamicStress(t *testing.T) {
 		for i := range periods {
 			periods[i] = time.Duration(5+topo.Intn(40)) * time.Millisecond
 		}
-		run := func(p shard.Policy, sched sim.Scheduler) ([]string, []int64) {
-			eng := shard.NewEngine(seed, nShards, sched)
+		run := func(p shard.Policy) ([]string, []int64) {
+			eng := shard.NewEngine(seed, nShards)
 			eng.SetPolicy(p)
 			traces := make([]string, nShards)
 			outBy := make([][]*shard.Edge, nShards)
@@ -266,27 +262,25 @@ func TestDynamicStress(t *testing.T) {
 			}
 			return traces, windows
 		}
-		for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-			refTr, _ := run(shard.PolicyGlobal, sched)
-			prev := runtime.GOMAXPROCS(0)
-			gotTr1, w1 := run(shard.PolicyDynamic, sched)
-			runtime.GOMAXPROCS(1)
-			gotTr2, w2 := run(shard.PolicyDynamic, sched)
-			runtime.GOMAXPROCS(prev)
-			for i := range refTr {
-				if refTr[i] != gotTr1[i] {
-					t.Fatalf("seed %d sched %v shard %d: dynamic trace differs from global:\n--- global ---\n%s--- dynamic ---\n%s",
-						seed, sched, i, refTr[i], gotTr1[i])
-				}
-				if gotTr1[i] != gotTr2[i] {
-					t.Fatalf("seed %d sched %v shard %d: trace differs across GOMAXPROCS", seed, sched, i)
-				}
+		refTr, _ := run(shard.PolicyGlobal)
+		prev := runtime.GOMAXPROCS(0)
+		gotTr1, w1 := run(shard.PolicyDynamic)
+		runtime.GOMAXPROCS(1)
+		gotTr2, w2 := run(shard.PolicyDynamic)
+		runtime.GOMAXPROCS(prev)
+		for i := range refTr {
+			if refTr[i] != gotTr1[i] {
+				t.Fatalf("seed %d shard %d: dynamic trace differs from global:\n--- global ---\n%s--- dynamic ---\n%s",
+					seed, i, refTr[i], gotTr1[i])
 			}
-			for i := range w1 {
-				if w1[i] != w2[i] {
-					t.Fatalf("seed %d sched %v: window counts differ across GOMAXPROCS:\n%v\n%v",
-						seed, sched, w1, w2)
-				}
+			if gotTr1[i] != gotTr2[i] {
+				t.Fatalf("seed %d shard %d: trace differs across GOMAXPROCS", seed, i)
+			}
+		}
+		for i := range w1 {
+			if w1[i] != w2[i] {
+				t.Fatalf("seed %d: window counts differ across GOMAXPROCS:\n%v\n%v",
+					seed, w1, w2)
 			}
 		}
 	}

@@ -315,16 +315,16 @@ type windowDone struct {
 	wall time.Duration
 }
 
-// NewEngine creates n shards whose loops all share the given seed and
-// scheduler backend. The engine starts under PolicyGlobal; use
-// SetPolicy before the first Run to select dynamic windowing.
-func NewEngine(seed int64, n int, sched sim.Scheduler) *Engine {
+// NewEngine creates n shards whose loops all share the given seed. The
+// engine starts under PolicyGlobal; use SetPolicy before the first Run
+// to select dynamic windowing.
+func NewEngine(seed int64, n int) *Engine {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: engine needs at least one shard, got %d", n))
 	}
 	e := &Engine{seed: seed, walls: make([]time.Duration, n)}
 	for i := 0; i < n; i++ {
-		loop := sim.NewLoopScheduler(seed, sched)
+		loop := sim.NewLoop(seed)
 		reg := loop.Metrics()
 		s := &Shard{
 			id:        i,

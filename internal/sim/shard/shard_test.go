@@ -69,24 +69,22 @@ func pingPong(t *testing.T, seed int64, nParts int, eng *shard.Engine, mapping [
 func TestShardedRunMatchesSingleShard(t *testing.T) {
 	const nParts = 4
 	until := 200 * time.Millisecond
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		single := shard.NewEngine(7, 1, sched)
-		ref := pingPong(t, 7, nParts, single, []int{0, 0, 0, 0}, until)
+	single := shard.NewEngine(7, 1)
+	ref := pingPong(t, 7, nParts, single, []int{0, 0, 0, 0}, until)
 
-		four := shard.NewEngine(7, 4, sched)
-		got := pingPong(t, 7, nParts, four, []int{0, 1, 2, 3}, until)
+	four := shard.NewEngine(7, 4)
+	got := pingPong(t, 7, nParts, four, []int{0, 1, 2, 3}, until)
 
-		two := shard.NewEngine(7, 2, sched)
-		got2 := pingPong(t, 7, nParts, two, []int{0, 1, 0, 1}, until)
+	two := shard.NewEngine(7, 2)
+	got2 := pingPong(t, 7, nParts, two, []int{0, 1, 0, 1}, until)
 
-		for i := 0; i < nParts; i++ {
-			if ref[i] != got[i] {
-				t.Fatalf("sched %v: station %d trace differs 1-shard vs 4-shard:\n--- 1 shard ---\n%s--- 4 shards ---\n%s",
-					sched, i, ref[i], got[i])
-			}
-			if ref[i] != got2[i] {
-				t.Fatalf("sched %v: station %d trace differs 1-shard vs 2-shard", sched, i)
-			}
+	for i := 0; i < nParts; i++ {
+		if ref[i] != got[i] {
+			t.Fatalf("station %d trace differs 1-shard vs 4-shard:\n--- 1 shard ---\n%s--- 4 shards ---\n%s",
+				i, ref[i], got[i])
+		}
+		if ref[i] != got2[i] {
+			t.Fatalf("station %d trace differs 1-shard vs 2-shard", i)
 		}
 	}
 }
@@ -95,7 +93,7 @@ func TestMessageOrderingAcrossEdges(t *testing.T) {
 	// Two edges deliberately deliver at the identical instant; the
 	// delivery order must follow edge creation order regardless of which
 	// source sent first in wall-clock or scheduling terms.
-	eng := shard.NewEngine(1, 3, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 3)
 	var order []int
 	d := time.Millisecond
 	e0 := eng.NewEdge(eng.Shard(0), eng.Shard(2), d, func(m shard.Message) { order = append(order, 0) })
@@ -110,7 +108,7 @@ func TestMessageOrderingAcrossEdges(t *testing.T) {
 }
 
 func TestPerEdgeFIFO(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	var got []int
 	d := time.Millisecond
 	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
@@ -133,7 +131,7 @@ func TestPerEdgeFIFO(t *testing.T) {
 }
 
 func TestLookaheadViolationPanics(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), 5*time.Millisecond, func(shard.Message) {})
 	defer func() {
 		if recover() == nil {
@@ -145,7 +143,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestNonPositiveMinDelayPanics(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero min delay did not panic")
@@ -156,7 +154,7 @@ func TestNonPositiveMinDelayPanics(t *testing.T) {
 
 func TestNoEdgesSingleWindow(t *testing.T) {
 	// Independent shards run the whole span as one window each.
-	eng := shard.NewEngine(1, 3, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 3)
 	fired := make([]bool, 3)
 	for i := 0; i < 3; i++ {
 		i := i
@@ -180,7 +178,7 @@ func TestNoEdgesSingleWindow(t *testing.T) {
 // longer than the lookahead window is held at intermediate barriers and
 // still arrives exactly on time.
 func TestLongEdgeHoldsMessages(t *testing.T) {
-	eng := shard.NewEngine(1, 3, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 3)
 	var at time.Duration
 	short := time.Millisecond
 	long := 10 * time.Millisecond
@@ -196,7 +194,7 @@ func TestLongEdgeHoldsMessages(t *testing.T) {
 }
 
 func TestWindowAndMessageCounters(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	d := 2 * time.Millisecond
 	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(shard.Message) {})
 	eng.Shard(0).Loop().Post(func() { ed.Send(d, 1) })
@@ -220,7 +218,7 @@ func TestWindowAndMessageCounters(t *testing.T) {
 // TestIncrementalRun verifies Run can be called repeatedly and the
 // engine resumes from its last horizon.
 func TestIncrementalRun(t *testing.T) {
-	eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 2)
 	d := time.Millisecond
 	var got []time.Duration
 	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
@@ -249,7 +247,7 @@ func TestIncrementalRun(t *testing.T) {
 // across intermediate barriers, and the source shard's gauge records
 // that peak.
 func TestMailboxBacklogGauge(t *testing.T) {
-	eng := shard.NewEngine(1, 3, sim.SchedulerWheel)
+	eng := shard.NewEngine(1, 3)
 	eng.NewEdge(eng.Shard(0), eng.Shard(1), time.Millisecond, func(shard.Message) {})
 	ed := eng.NewEdge(eng.Shard(0), eng.Shard(2), 10*time.Millisecond, func(shard.Message) {})
 	eng.Shard(0).Loop().Post(func() { ed.Send(10*time.Millisecond, "x") })
@@ -271,7 +269,7 @@ func TestMailboxBacklogGauge(t *testing.T) {
 // leave every mailbox empty (zero final backlog gauge).
 func TestFinalWindowHorizonSend(t *testing.T) {
 	for _, p := range shard.Policies() {
-		eng := shard.NewEngine(1, 2, sim.SchedulerWheel)
+		eng := shard.NewEngine(1, 2)
 		eng.SetPolicy(p)
 		d := 2 * time.Millisecond
 		until := 10 * time.Millisecond
@@ -300,7 +298,7 @@ func TestFinalWindowHorizonSend(t *testing.T) {
 // and loop state stay exactly as the first call left them.
 func TestRunReentryNoOp(t *testing.T) {
 	for _, p := range shard.Policies() {
-		eng := shard.NewEngine(3, 2, sim.SchedulerWheel)
+		eng := shard.NewEngine(3, 2)
 		eng.SetPolicy(p)
 		d := 2 * time.Millisecond
 		ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(shard.Message) {})
@@ -363,7 +361,7 @@ func TestParsePolicy(t *testing.T) {
 func TestSetPolicyAfterRunPanics(t *testing.T) {
 	for _, p := range shard.Policies() {
 		func() {
-			eng := shard.NewEngine(1, 1, sim.SchedulerWheel)
+			eng := shard.NewEngine(1, 1)
 			eng.Run(time.Millisecond)
 			defer func() {
 				if recover() == nil {

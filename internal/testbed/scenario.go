@@ -9,7 +9,6 @@ import (
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/modem"
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
@@ -29,13 +28,12 @@ import (
 //	).Run()
 //
 // The zero scenario (no options) runs one UMTS-path VoIP cell with
-// paper parameters on the default scheduler. The declarative
-// counterpart is Spec: a JSON-serializable description that
-// round-trips losslessly to a Scenario (see Spec.Scenario and
-// Scenario.Spec), shared by the CLI flags and the control plane.
+// paper parameters. The declarative counterpart is Spec: a
+// JSON-serializable description that round-trips losslessly to a
+// Scenario (see Spec.Scenario and Scenario.Spec), shared by the CLI
+// flags and the control plane.
 type Scenario struct {
 	seed     int64
-	sched    sim.Scheduler
 	path     Path
 	workload Workload
 	duration time.Duration
@@ -92,9 +90,6 @@ func NewScenario(options ...ScenarioOption) *Scenario {
 // WithSeed sets the base simulation seed (repetition r runs with
 // RepSeed(seed, r), so rep 0 reproduces a plain single run).
 func WithSeed(seed int64) ScenarioOption { return func(sc *Scenario) { sc.seed = seed } }
-
-// WithScheduler selects the sim kernel backend (wheel or heap).
-func WithScheduler(s sim.Scheduler) ScenarioOption { return func(sc *Scenario) { sc.sched = s } }
 
 // WithPath selects the end-to-end path (single-cell scenarios only).
 func WithPath(p Path) ScenarioOption { return func(sc *Scenario) { sc.path = p } }
@@ -270,8 +265,7 @@ func (sc *Scenario) Run() (*Report, error) {
 			Seed: sc.seed, Cells: sc.cells, Terminals: sc.terminals,
 			Shards: sc.shards, ShardPolicy: sc.shardPolicy, Workload: sc.workload,
 			FlowStart: sc.flowStart, Duration: sc.duration, Window: sc.window,
-			Scheduler: sc.sched, Faults: sc.faults,
-			SelfHeal: sc.selfHeal, HealPolicy: sc.healPolicy,
+			Faults: sc.faults, SelfHeal: sc.selfHeal, HealPolicy: sc.healPolicy,
 			Analysis:      sc.analysis,
 			IdleTerminals: sc.idleTerminals, Population: sc.population,
 			PopulationSpec: sc.populationSpec, FlowGaugeLimit: sc.flowGaugeLimit,
@@ -344,7 +338,7 @@ func (sc *Scenario) runRep(i int) (*ExperimentResult, error) {
 	}
 	tb, err := New(Options{
 		Seed: RepSeed(sc.seed, i), Operator: sc.operator,
-		Card: sc.card, PIN: sc.pin, Scheduler: sc.sched,
+		Card: sc.card, PIN: sc.pin,
 		Faults: sc.faults, SelfHeal: sc.selfHeal, HealPolicy: sc.healPolicy,
 		Trace: sc.trace, Interrupt: sc.interrupt,
 	})

@@ -8,58 +8,55 @@ import (
 
 	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
-	"github.com/onelab/umtslab/internal/sim"
 )
 
 // TestScenarioMatchesDirectRun: the Scenario front door must be pure
 // plumbing — the same seed through NewScenario(...).Run() and through
-// hand-built New+RunExperiment produces byte-identical results, on both
-// scheduler backends. This is the refactor's safety net: collapsing the
-// entry points must not move a single event.
+// hand-built New+RunExperiment produces byte-identical results. This is
+// the refactor's safety net: collapsing the entry points must not move
+// a single event.
 func TestScenarioMatchesDirectRun(t *testing.T) {
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		tb, err := New(Options{Seed: 7, Scheduler: sched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := tb.RunExperiment(ExperimentSpec{
-			Path: PathUMTS, Workload: WorkloadVoIP, Duration: 20 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	tb, err := New(Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := tb.RunExperiment(ExperimentSpec{
+		Path: PathUMTS, Workload: WorkloadVoIP, Duration: 20 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		rep, err := NewScenario(
-			WithSeed(7), WithScheduler(sched),
-			WithPath(PathUMTS), WithWorkload(WorkloadVoIP),
-			WithDuration(20*time.Second),
-		).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Results) != 1 {
-			t.Fatalf("scenario returned %d results, want 1", len(rep.Results))
-		}
-		viaAPI := rep.Results[0]
+	rep, err := NewScenario(
+		WithSeed(7),
+		WithPath(PathUMTS), WithWorkload(WorkloadVoIP),
+		WithDuration(20*time.Second),
+	).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 1 {
+		t.Fatalf("scenario returned %d results, want 1", len(rep.Results))
+	}
+	viaAPI := rep.Results[0]
 
-		if !reflect.DeepEqual(direct.Decoded, viaAPI.Decoded) {
-			t.Errorf("%v: decoded QoS differs between direct run and Scenario", sched)
-		}
-		if !reflect.DeepEqual(direct.BearerEvents, viaAPI.BearerEvents) {
-			t.Errorf("%v: bearer logs differ", sched)
-		}
-		if direct.SetupTime != viaAPI.SetupTime {
-			t.Errorf("%v: setup %v vs %v", sched, direct.SetupTime, viaAPI.SetupTime)
-		}
-		if !reflect.DeepEqual(direct.Status, viaAPI.Status) {
-			t.Errorf("%v: final status differs", sched)
-		}
-		if !reflect.DeepEqual(direct.Metrics.Counters, viaAPI.Metrics.Counters) {
-			t.Errorf("%v: metric counters differ", sched)
-		}
-		if len(viaAPI.Outages) != 0 || len(rep.Outages) != 0 {
-			t.Errorf("%v: faultless run reports outages %v", sched, rep.Outages)
-		}
+	if !reflect.DeepEqual(direct.Decoded, viaAPI.Decoded) {
+		t.Error("decoded QoS differs between direct run and Scenario")
+	}
+	if !reflect.DeepEqual(direct.BearerEvents, viaAPI.BearerEvents) {
+		t.Error("bearer logs differ")
+	}
+	if direct.SetupTime != viaAPI.SetupTime {
+		t.Errorf("setup %v vs %v", direct.SetupTime, viaAPI.SetupTime)
+	}
+	if !reflect.DeepEqual(direct.Status, viaAPI.Status) {
+		t.Error("final status differs")
+	}
+	if !reflect.DeepEqual(direct.Metrics.Counters, viaAPI.Metrics.Counters) {
+		t.Error("metric counters differ")
+	}
+	if len(viaAPI.Outages) != 0 || len(rep.Outages) != 0 {
+		t.Errorf("faultless run reports outages %v", rep.Outages)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
@@ -18,11 +17,11 @@ import (
 // Spec is the declarative counterpart of Scenario: a JSON-serializable
 // description of one experiment that the CLI flags, config files, and
 // the HTTP control plane all share. Every knob is a wire-friendly
-// scalar (scheduler/path/workload/policy names, Go duration strings),
-// and a valid Spec round-trips losslessly through Scenario:
-// Spec.Scenario followed by Scenario.Spec yields a Spec that builds an
-// identical Scenario — so a submitted Spec reproduces a one-shot CLI
-// run byte for byte.
+// scalar (path/workload/policy names, Go duration strings), and a
+// valid Spec round-trips losslessly through Scenario: Spec.Scenario
+// followed by Scenario.Spec yields a Spec that builds an identical
+// Scenario — so a submitted Spec reproduces a one-shot CLI run byte
+// for byte.
 //
 // Zero fields keep the paper defaults of the underlying runner, same
 // as omitting the matching flag or functional option. Runtime hooks
@@ -33,9 +32,6 @@ type Spec struct {
 	// Seed is the base simulation seed; repetition r derives
 	// RepSeed(seed, r).
 	Seed int64 `json:"seed,omitempty"`
-	// Scheduler selects the sim kernel backend: "wheel" (default) or
-	// "heap".
-	Scheduler string `json:"scheduler,omitempty"`
 	// Path selects the single-cell end-to-end path: "umts" (default)
 	// or "ethernet". Single-cell only.
 	Path string `json:"path,omitempty"`
@@ -237,9 +233,6 @@ func ParseSpec(data []byte) (*Spec, error) {
 // cross-field constraints the runners enforce, reporting the first
 // problem with its field path (e.g. "spec.shard_policy: ...").
 func (s *Spec) Validate() error {
-	if _, err := sim.ParseScheduler(s.Scheduler); err != nil {
-		return fmt.Errorf("spec.scheduler: %v", err)
-	}
 	if _, err := ParsePath(s.Path); err != nil {
 		return fmt.Errorf("spec.path: %v", err)
 	}
@@ -257,9 +250,12 @@ func (s *Spec) Validate() error {
 		if _, err := ParseAnalysisMode(s.Analysis.Mode); err != nil {
 			return fmt.Errorf("spec.analysis.mode: %v", err)
 		}
-		if s.Analysis.SketchRelErr < 0 {
-			return fmt.Errorf("spec.analysis.sketch_rel_err: must be >= 0")
+		if e := s.Analysis.SketchRelErr; e < 0 || e >= 1 {
+			return fmt.Errorf("spec.analysis.sketch_rel_err: must be in [0, 1) (0 selects the default)")
 		}
+	}
+	if h := s.HealPolicy; h != nil && h.Multiplier != 0 && h.Multiplier < 1 {
+		return fmt.Errorf("spec.heal_policy.multiplier: must be >= 1 (0 selects the default); backoff must not shrink")
 	}
 	for _, f := range []struct {
 		name string
@@ -326,12 +322,10 @@ func (s *Spec) Scenario() (*Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	sched, _ := sim.ParseScheduler(s.Scheduler)
 	path, _ := ParsePath(s.Path)
 	wl, _ := ParseWorkload(s.Workload)
 	opts := []ScenarioOption{
-		WithSeed(s.Seed), WithScheduler(sched),
-		WithPath(path), WithWorkload(wl),
+		WithSeed(s.Seed), WithPath(path), WithWorkload(wl),
 		WithDuration(time.Duration(s.Duration)),
 		WithWindow(time.Duration(s.Window)),
 	}
@@ -431,9 +425,6 @@ func (sc *Scenario) Spec() (*Spec, error) {
 		// means anything next to a repetition sweep, and Validate
 		// rejects it elsewhere.
 		s.Workers = sc.workers
-	}
-	if sc.sched != sim.SchedulerWheel {
-		s.Scheduler = sc.sched.String()
 	}
 	if sc.path != PathUMTS {
 		s.Path = sc.path.Name()

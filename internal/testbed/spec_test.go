@@ -11,17 +11,20 @@ import (
 	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/modem"
-	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
+
+// specGolden is the wire form of TestSpecGoldenJSON's spec, which sets
+// every field group.
+const specGolden = `{"seed":42,"workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"dynamic","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
 
 // TestSpecGoldenJSON pins the wire format: field names, duration
 // strings, and omitted defaults must not drift, because specs live in
 // files and HTTP bodies outside this repo's control.
 func TestSpecGoldenJSON(t *testing.T) {
 	spec := &Spec{
-		Seed: 42, Scheduler: "heap", Workload: "cbr1m",
+		Seed: 42, Workload: "cbr1m",
 		Duration: Duration(90 * time.Second), Window: Duration(200 * time.Millisecond),
 		FaultProfile: "flaky", SelfHeal: true,
 		HealPolicy: &HealPolicySpec{InitialBackoff: Duration(time.Second), MaxAttempts: 3},
@@ -31,13 +34,12 @@ func TestSpecGoldenJSON(t *testing.T) {
 		PopulationSpec: &PopulationSpecJSON{RateBps: 64000, Tick: Duration(100 * time.Millisecond)},
 		FlowGaugeLimit: 64,
 	}
-	const golden = `{"seed":42,"scheduler":"heap","workload":"cbr1m","duration":"1m30s","window":"200ms","fault_profile":"flaky","self_heal":true,"heal_policy":{"initial_backoff":"1s","max_attempts":3},"analysis":{"mode":"stream","exact":true},"cells":4,"terminals":2,"shards":3,"shard_policy":"dynamic","flow_start":"15s","idle_terminals":100,"population":1000,"population_spec":{"rate_bps":64000,"tick":"100ms"},"flow_gauge_limit":64}`
 	got, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != golden {
-		t.Errorf("wire format drifted:\n got %s\nwant %s", got, golden)
+	if string(got) != specGolden {
+		t.Errorf("wire format drifted:\n got %s\nwant %s", got, specGolden)
 	}
 	back, err := ParseSpec(got)
 	if err != nil {
@@ -83,7 +85,6 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		path string
 		msg  string // optional substring the error must also contain
 	}{
-		{Spec{Scheduler: "fifo"}, "spec.scheduler", ""},
 		{Spec{Path: "dsl"}, "spec.path", ""},
 		{Spec{Workload: "quake"}, "spec.workload", ""},
 		{Spec{FaultProfile: "chaos"}, "spec.fault_profile", ""},
@@ -92,6 +93,10 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 		{Spec{Cells: 2, ShardPolicy: "optimistic"}, "spec.shard_policy", "(allowed: global, dynamic)"},
 		{Spec{Analysis: &AnalysisSpec{Mode: "online"}}, "spec.analysis.mode", ""},
 		{Spec{Analysis: &AnalysisSpec{SketchRelErr: -1}}, "spec.analysis.sketch_rel_err", ""},
+		{Spec{Analysis: &AnalysisSpec{SketchRelErr: 1}}, "spec.analysis.sketch_rel_err", "[0, 1)"},
+		{Spec{Analysis: &AnalysisSpec{Mode: "stream", SketchRelErr: 1.5}}, "spec.analysis.sketch_rel_err", "[0, 1)"},
+		{Spec{SelfHeal: true, HealPolicy: &HealPolicySpec{Multiplier: 0.5}}, "spec.heal_policy.multiplier", ">= 1"},
+		{Spec{SelfHeal: true, HealPolicy: &HealPolicySpec{Multiplier: -1}}, "spec.heal_policy.multiplier", ">= 1"},
 		{Spec{Duration: Duration(-time.Second)}, "spec.duration", ""},
 		{Spec{Reps: -1}, "spec.reps", ""},
 		{Spec{HealPolicy: &HealPolicySpec{}}, "spec.heal_policy", ""},
@@ -123,6 +128,50 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec feeds arbitrary bytes to the spec parser. Every input
+// must either be rejected or build a Scenario, and a built Scenario
+// must export a Spec whose encoding parses back to the same Spec and
+// the same Scenario: the wire form is a fixed point after one
+// normalization.
+func FuzzParseSpec(f *testing.F) {
+	f.Add([]byte(specGolden))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"duration":"2s","analysis":{"mode":"stream","sketch_rel_err":1.5}}`))
+	f.Add([]byte(`{"duration":"2s","self_heal":true,"heal_policy":{"multiplier":0.5}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseSpec(data)
+		if err != nil {
+			return
+		}
+		sc, err := spec.Scenario()
+		if err != nil {
+			t.Fatalf("valid spec %s does not build: %v", data, err)
+		}
+		spec2, err := sc.Spec()
+		if err != nil {
+			t.Fatalf("spec %s: scenario does not export: %v", data, err)
+		}
+		enc, err := json.Marshal(spec2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec3, err := ParseSpec(enc)
+		if err != nil {
+			t.Fatalf("exported spec %s does not re-parse: %v", enc, err)
+		}
+		if !reflect.DeepEqual(spec2, spec3) {
+			t.Fatalf("exported spec not a fixed point:\n %+v\n %+v", spec2, spec3)
+		}
+		sc3, err := spec3.Scenario()
+		if err != nil {
+			t.Fatalf("exported spec %s does not build: %v", enc, err)
+		}
+		if !reflect.DeepEqual(sc, sc3) {
+			t.Fatalf("spec %s: round trip changed the scenario:\n %+v\n %+v", data, sc, sc3)
+		}
+	})
+}
+
 // TestSpecScenarioRoundTrip: Spec -> Scenario -> Spec' -> Scenario'
 // must reproduce the identical Scenario — the definition of a lossless
 // wire form. Runtime hooks are all nil on both sides, so DeepEqual is
@@ -130,7 +179,7 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 func TestSpecScenarioRoundTrip(t *testing.T) {
 	specs := []*Spec{
 		{}, // all paper defaults
-		{Seed: 7, Scheduler: "heap", Path: "ethernet", Workload: "telnet",
+		{Seed: 7, Path: "ethernet", Workload: "telnet",
 			Duration: Duration(30 * time.Second), Reps: 3, Workers: 2},
 		{Seed: 9, FaultProfile: "flaps", SelfHeal: true,
 			HealPolicy: &HealPolicySpec{MaxAttempts: -1, NoJitter: true, Multiplier: 1.5}},
@@ -218,30 +267,26 @@ func resultBytes(t *testing.T, rep *Report) []byte {
 }
 
 // TestSpecDifferentialSingleCell: a Spec-built run must be
-// byte-identical to the directly-built Scenario run, on both kernel
-// schedulers — the control plane's core correctness claim.
+// byte-identical to the directly-built Scenario run — the control
+// plane's core correctness claim.
 func TestSpecDifferentialSingleCell(t *testing.T) {
-	for _, sched := range []sim.Scheduler{sim.SchedulerWheel, sim.SchedulerHeap} {
-		spec := &Spec{Seed: 11, Scheduler: sched.String(), Workload: "voip",
-			Duration: Duration(parTestDur)}
-		sc, err := spec.Scenario()
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaSpec, err := sc.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := NewScenario(
-			WithSeed(11), WithScheduler(sched),
-			WithWorkload(WorkloadVoIP), WithDuration(parTestDur),
-		).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resultBytes(t, viaSpec), resultBytes(t, direct)) {
-			t.Errorf("scheduler %v: spec-built run differs from direct run", sched)
-		}
+	spec := &Spec{Seed: 11, Workload: "voip", Duration: Duration(parTestDur)}
+	sc, err := spec.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSpec, err := sc.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := NewScenario(
+		WithSeed(11), WithWorkload(WorkloadVoIP), WithDuration(parTestDur),
+	).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resultBytes(t, viaSpec), resultBytes(t, direct)) {
+		t.Error("spec-built run differs from direct run")
 	}
 }
 

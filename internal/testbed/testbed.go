@@ -55,11 +55,6 @@ type Options struct {
 	EthDelay time.Duration
 	// EthJitter is the per-hop wired jitter bound (default 300 µs).
 	EthJitter time.Duration
-	// Scheduler selects the sim kernel's event queue (default the timer
-	// wheel; sim.SchedulerHeap restores the reference binary heap). The
-	// two produce byte-identical runs — the knob exists for differential
-	// testing and benchmarking.
-	Scheduler sim.Scheduler
 	// Faults is the deterministic fault schedule armed against the
 	// scenario: carrier drops, fades, rate fades, registration losses,
 	// network-side LCP terminates, and Gi-link flaps, all at virtual
@@ -134,7 +129,7 @@ func New(opts Options) (*Testbed, error) {
 		opts.EthJitter = 300 * time.Microsecond
 	}
 
-	loop := sim.NewLoopScheduler(opts.Seed, opts.Scheduler)
+	loop := sim.NewLoop(opts.Seed)
 	if opts.Interrupt != nil {
 		loop.SetInterrupt(opts.Interrupt)
 	}

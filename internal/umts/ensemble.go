@@ -56,12 +56,12 @@ func probeSpecCheck(cfg Config, spec *PopulationSpec) error {
 // register, dial, and write spec-rate CBR into their bearers over
 // [Start, Start+Duration]. Use a fade-free cfg — per-session random
 // fades are exactly what the fluid model does not reproduce.
-func MeasureEnsemble(seed int64, sched sim.Scheduler, cfg Config, n int, spec PopulationSpec) (EnsembleResult, error) {
+func MeasureEnsemble(seed int64, cfg Config, n int, spec PopulationSpec) (EnsembleResult, error) {
 	var res EnsembleResult
 	if err := probeSpecCheck(cfg, &spec); err != nil {
 		return res, err
 	}
-	loop := sim.NewLoopScheduler(seed, sched)
+	loop := sim.NewLoop(seed)
 	nw := netsim.NewNetwork(loop)
 	op := NewOperator(loop, nw, cfg)
 
@@ -105,12 +105,12 @@ func MeasureEnsemble(seed int64, sched sim.Scheduler, cfg Config, n int, spec Po
 
 // MeasurePopulation runs the model leg: one Population under the same
 // spec, measured the same way.
-func MeasurePopulation(seed int64, sched sim.Scheduler, cfg Config, n int, spec PopulationSpec) (EnsembleResult, PopulationStats, error) {
+func MeasurePopulation(seed int64, cfg Config, n int, spec PopulationSpec) (EnsembleResult, PopulationStats, error) {
 	var res EnsembleResult
 	if err := probeSpecCheck(cfg, &spec); err != nil {
 		return res, PopulationStats{}, err
 	}
-	loop := sim.NewLoopScheduler(seed, sched)
+	loop := sim.NewLoop(seed)
 	nw := netsim.NewNetwork(loop)
 	op := NewOperator(loop, nw, cfg)
 	pop, err := NewPopulation(op, n, spec)

@@ -29,39 +29,35 @@ func probeSpec() PopulationSpec {
 // the fluid population carries the same utilization as an ensemble of
 // real dialed terminals driving identical CBR into their bearers,
 // within DefaultPopulationTolerance, and holds the same number of pool
-// addresses — on both scheduler backends.
+// addresses.
 func TestPopulationMatchesEnsemble(t *testing.T) {
-	for _, sched := range []sim.Scheduler{sim.SchedulerHeap, sim.SchedulerWheel} {
-		t.Run(fmt.Sprint(sched), func(t *testing.T) {
-			const n = 5
-			real, err := MeasureEnsemble(42, sched, probeCfg(), n, probeSpec())
-			if err != nil {
-				t.Fatalf("ensemble: %v", err)
-			}
-			model, st, err := MeasurePopulation(42, sched, probeCfg(), n, probeSpec())
-			if err != nil {
-				t.Fatalf("population: %v", err)
-			}
-			tol := probeSpec().Tolerance
-			if tol == 0 {
-				tol = DefaultPopulationTolerance
-			}
-			if real.Utilization <= 0 || model.Utilization <= 0 {
-				t.Fatalf("degenerate utilizations: real %v model %v", real.Utilization, model.Utilization)
-			}
-			if diff := math.Abs(real.Utilization - model.Utilization); diff > tol {
-				t.Fatalf("utilization diverges: real %.4f model %.4f (|diff| %.4f > tol %.4f)",
-					real.Utilization, model.Utilization, diff, tol)
-			}
-			if real.PoolOccupancy != n || model.PoolOccupancy != n {
-				t.Fatalf("pool occupancy: real %d model %d, want %d both", real.PoolOccupancy, model.PoolOccupancy, n)
-			}
-			// The window has closed: the population must have detached
-			// and released its addresses after accounting the full span.
-			if st.Attached || st.AddrsReserved != 0 || st.ActiveFor <= 0 {
-				t.Fatalf("population stats after the window: %+v", st)
-			}
-		})
+	const n = 5
+	real, err := MeasureEnsemble(42, probeCfg(), n, probeSpec())
+	if err != nil {
+		t.Fatalf("ensemble: %v", err)
+	}
+	model, st, err := MeasurePopulation(42, probeCfg(), n, probeSpec())
+	if err != nil {
+		t.Fatalf("population: %v", err)
+	}
+	tol := probeSpec().Tolerance
+	if tol == 0 {
+		tol = DefaultPopulationTolerance
+	}
+	if real.Utilization <= 0 || model.Utilization <= 0 {
+		t.Fatalf("degenerate utilizations: real %v model %v", real.Utilization, model.Utilization)
+	}
+	if diff := math.Abs(real.Utilization - model.Utilization); diff > tol {
+		t.Fatalf("utilization diverges: real %.4f model %.4f (|diff| %.4f > tol %.4f)",
+			real.Utilization, model.Utilization, diff, tol)
+	}
+	if real.PoolOccupancy != n || model.PoolOccupancy != n {
+		t.Fatalf("pool occupancy: real %d model %d, want %d both", real.PoolOccupancy, model.PoolOccupancy, n)
+	}
+	// The window has closed: the population must have detached
+	// and released its addresses after accounting the full span.
+	if st.Attached || st.AddrsReserved != 0 || st.ActiveFor <= 0 {
+		t.Fatalf("population stats after the window: %+v", st)
 	}
 }
 
@@ -73,7 +69,7 @@ func TestPopulationOverloadDropsDeterministically(t *testing.T) {
 	spec := probeSpec()
 	spec.RateBps = 600e3 // > 384 kbps uplink: persistent overload
 	const n = 3
-	_, st, err := MeasurePopulation(1, sim.SchedulerHeap, cfg, n, spec)
+	_, st, err := MeasurePopulation(1, cfg, n, spec)
 	if err != nil {
 		t.Fatalf("population: %v", err)
 	}
@@ -88,7 +84,7 @@ func TestPopulationOverloadDropsDeterministically(t *testing.T) {
 		t.Fatalf("byte conservation: carried+dropped+backlog = %v, offered = %v", got, st.OfferedBytes)
 	}
 	// Exactly reproducible: the model draws no randomness.
-	_, st2, err := MeasurePopulation(99, sim.SchedulerWheel, cfg, n, spec)
+	_, st2, err := MeasurePopulation(99, cfg, n, spec)
 	if err != nil {
 		t.Fatalf("population rerun: %v", err)
 	}
@@ -178,12 +174,12 @@ func TestPopulationValidatesSpec(t *testing.T) {
 	}
 	long := probeSpec()
 	long.Duration = time.Minute
-	if _, err := MeasureEnsemble(1, sim.SchedulerHeap, probeCfg(), 1, long); err == nil {
+	if _, err := MeasureEnsemble(1, probeCfg(), 1, long); err == nil {
 		t.Fatal("probe windows past the LCP budget must be rejected")
 	}
 	early := probeSpec()
 	early.Start = 0
-	if _, err := MeasureEnsemble(1, sim.SchedulerHeap, probeCfg(), 1, early); err == nil {
+	if _, err := MeasureEnsemble(1, probeCfg(), 1, early); err == nil {
 		t.Fatal("probe starting before registration+attach must be rejected")
 	}
 }

@@ -36,6 +36,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPooled$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/testbed
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLog$$' -fuzztime 10s ./internal/itg
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/itg
 
 # serve-smoke runs the measurement-service mode end to end in one
 # process: start the control plane, submit two declarative specs

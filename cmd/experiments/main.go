@@ -60,12 +60,13 @@
 // outage, redial, and delivery accounting as JSON (the `make
 // bench-fault` artifact).
 //
-// -analysis selects the QoS pipeline: batch (the reference post-hoc
-// decode of retained per-packet logs), stream (batch plus a live
-// constant-memory stream decoder, for differential comparison), or
-// stream-only (per-packet logs dropped; analysis memory stays
-// O(windows + flows) however long the flow runs). -bench-analysis
-// times batch vs streaming decode over identical paper-scale logs,
+// -analysis selects the QoS reports of the live per-flow decode (no
+// mode keeps per-packet logs): batch (the exact reference, keeping
+// 8 B per delay/RTT sample for exact percentiles), stream (batch plus
+// sketched percentiles from the same feed), or stream-only (sketch
+// only; analysis memory stays O(windows + flows) however long the flow
+// runs). -bench-analysis times the offline decoders — batch Decode vs
+// one streaming pass — over identical paper-scale logs,
 // records the retained bytes and the quantile sketch's observed
 // percentile error, and writes the comparison as JSON (the `make
 // bench-analysis` artifact).
@@ -287,7 +288,7 @@ func main() {
 	benchSchedCmp := flag.String("bench-sched-compare", "", "re-measure the scheduler benchmark and fail if pool wall time regressed >25% vs this committed JSON")
 	benchShardCmp := flag.String("bench-shard-compare", "", "validate this committed bench-shard JSON: both policies identical, dynamic windows <= global, idle-fleet reduction >= 5x, dynamic wall <= 1.05x global on >=4 cores")
 	benchCheckList := flag.String("bench-check", "", "comma-separated committed BENCH_*.json artifacts: parse each and fail unless every *_identical field is true")
-	analysisFlag := flag.String("analysis", "batch", "QoS pipeline: batch (reference), stream (batch + live stream decoder), stream-only (constant-memory, per-packet logs dropped)")
+	analysisFlag := flag.String("analysis", "batch", "QoS reports: batch (exact reference), stream (batch + sketched percentiles), stream-only (sketch only, constant memory)")
 	benchAnalysisOut := flag.String("bench-analysis", "", "time batch vs streaming decode over identical paper-scale logs, write JSON to this file, and exit")
 	faultProfile := flag.String("fault-profile", "none", "deterministic fault preset injected into every run: none, drops, fades, degrade, regloss, flaps, flaky")
 	selfHealFlag := flag.Bool("self-heal", false, "run the umts backend in recover mode (supervised redial instead of failing the slice)")
@@ -1198,10 +1199,8 @@ func runMultiCell(seed int64, cells, terminals, shards, fleetIdle, population in
 			ms(f.Decoded.AvgJitter), ms(f.Decoded.AvgRTT))
 	}
 	merged := metrics.MergeSnapshots(res.Snapshots...)
-	if b := merged.GaugeSum("itg/stream/", "/retained_bytes"); b > 0 {
-		fmt.Printf("\nstreaming analysis (%v): %d records streamed, %.0f B retained across %d decoders\n",
-			analysisCfg.Mode, merged.Counters["itg/records_streamed"], b, len(res.Flows))
-	}
+	fmt.Printf("\nlive analysis (%v): %d records decoded, %.0f B retained across %d decoders\n",
+		analysisCfg.Mode, merged.Counters["itg/records_streamed"], merged.GaugeSum("itg/stream/", "/retained_bytes"), len(res.Flows))
 	if metricsOut != "" {
 		out := map[string]metrics.Snapshot{}
 		for i, snap := range res.Snapshots {

@@ -28,9 +28,9 @@ type Result struct {
 // RepResult is one repetition's QoS outcome.
 type RepResult struct {
 	Decoded *itg.Result `json:"decoded"`
-	// Streamed is the live stream decoder's result (nil in batch
-	// mode; in stream-only mode Decoded aliases it and it is elided
-	// here to keep the encoding canonical).
+	// Streamed is the sketched report (nil in batch mode; in
+	// stream-only mode Decoded aliases it and it is elided here to
+	// keep the encoding canonical).
 	Streamed     *itg.Result   `json:"streamed,omitempty"`
 	SetupTime    time.Duration `json:"setup_time_ns,omitempty"`
 	BearerEvents []string      `json:"bearer_events,omitempty"`

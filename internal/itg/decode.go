@@ -2,6 +2,7 @@ package itg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -64,6 +65,13 @@ type Result struct {
 	P99Delay time.Duration
 	P95RTT   time.Duration
 	P99RTT   time.Duration
+}
+
+// Clone returns a deep copy of r (its own Windows slice).
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Windows = slices.Clone(r.Windows)
+	return &c
 }
 
 // Decode correlates a sender log, receiver log, and (optionally) the

@@ -48,8 +48,9 @@ type FlowSpec struct {
 // ExpectedPackets returns how many packets the flow sends if it runs to
 // completion: exact for a Constant IDT, the mean count for an
 // Exponential one, and 0 (unknown) for every other distribution or a
-// degenerate IDT. Senders and receivers size their logs with it, so a
-// full-length flow's logs are allocated once instead of grown.
+// degenerate IDT. Senders size their logs and stream decoders their
+// samples with it, so a full-length flow's buffers are allocated once
+// instead of grown.
 func (f FlowSpec) ExpectedPackets() int {
 	var idt float64
 	switch d := f.IDT.(type) {
@@ -129,22 +130,20 @@ type Sender struct {
 	mEchoed   *metrics.Counter
 	mErrors   *metrics.Counter
 	mStreamed *metrics.Counter
-	mDropped  *metrics.Counter
 
-	// SentLog records every transmitted data packet.
+	// SentLog records every transmitted data packet, and EchoLog every
+	// reflected one (MeterRTT: TxTime is the original departure, RxTime
+	// the echo arrival) — but only while Stream is nil: a sender logs
+	// for post-hoc decoding (ITGDec, Decode) or decodes live, never
+	// both.
 	SentLog Log
-	// EchoLog records reflected packets (MeterRTT): TxTime is the
-	// original departure, RxTime the echo arrival.
 	EchoLog Log
 	// Stream, when non-nil, receives every sent and echo record at the
-	// moment it is logged (AddSent/AddEcho) — set it before Start, on
-	// the decoder built for this flow. Streaming does not perturb the
-	// simulation: no timers, no randomness, only accumulator updates.
+	// moment it is observed (AddSent/AddEcho) in place of the logs —
+	// set it before Start, on the decoder built for this flow.
+	// Streaming does not perturb the simulation: no timers, no
+	// randomness, only accumulator updates.
 	Stream *StreamDecoder
-	// DropLogs skips appending to SentLog/EchoLog, making the sender's
-	// analysis memory constant — only meaningful with Stream set, since
-	// otherwise the records are simply lost.
-	DropLogs bool
 	// OnDone fires once generation finishes (all departures scheduled
 	// within Duration are sent).
 	OnDone func()
@@ -170,7 +169,6 @@ func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sende
 		mEchoed:   reg.Counter("itg/echoes_received"),
 		mErrors:   reg.Counter("itg/send_errors"),
 		mStreamed: reg.Counter("itg/records_streamed"),
-		mDropped:  reg.Counter("itg/log_records_dropped"),
 	}
 	s.emitFn = s.emit
 	return s
@@ -180,15 +178,15 @@ func NewSender(loop *sim.Loop, name string, spec FlowSpec, send SendFunc) *Sende
 func (s *Sender) Spec() FlowSpec { return s.spec }
 
 // Start begins generation: the first packet departs immediately, each
-// subsequent one after an IDT sample, until Duration elapses. Unless
-// DropLogs is set, the logs are reserved for the expected packet count
-// up front.
+// subsequent one after an IDT sample, until Duration elapses. Without
+// a decoder, the logs are reserved for the expected packet count up
+// front.
 func (s *Sender) Start() {
 	if s.started {
 		return
 	}
 	s.started = true
-	if n := s.spec.ExpectedPackets(); n > 0 && !s.DropLogs {
+	if n := s.spec.ExpectedPackets(); n > 0 && s.Stream == nil {
 		s.SentLog.Reserve(n)
 		if s.spec.Meter == MeterRTT {
 			s.EchoLog.Reserve(n)
@@ -241,9 +239,6 @@ func (s *Sender) emit() {
 	if s.Stream != nil {
 		s.Stream.AddSent(rec)
 		s.mStreamed.Inc()
-	}
-	if s.DropLogs {
-		s.mDropped.Inc()
 	} else {
 		s.SentLog.Add(rec)
 	}
@@ -282,9 +277,6 @@ func (s *Sender) HandleEcho(pkt *netsim.Packet) {
 	if s.Stream != nil {
 		s.Stream.AddEcho(rec)
 		s.mStreamed.Inc()
-	}
-	if s.DropLogs {
-		s.mDropped.Inc()
 	} else {
 		s.EchoLog.Add(rec)
 	}
@@ -297,25 +289,21 @@ type Receiver struct {
 	loop *sim.Loop
 	// reply transmits reflections; nil disables echoing.
 	reply SendFunc
-	// RecvLog records every data packet received.
+	// RecvLog records every data packet received while Stream is nil
+	// (see Sender.SentLog).
 	RecvLog Log
-	// Stream, when non-nil, receives every arrival record as it is
-	// logged (AddRecv) — the receiver's loop time is monotone, so the
+	// Stream, when non-nil, receives every arrival record in place of
+	// RecvLog (AddRecv) — the receiver's loop time is monotone, so the
 	// feed satisfies the decoder's RxTime-order contract for free. The
 	// decoder may simultaneously be fed by the flow's Sender from
 	// another shard loop; the two sides touch disjoint state.
 	Stream *StreamDecoder
-	// DropLogs skips appending to RecvLog (see Sender.DropLogs).
-	DropLogs bool
 	// Malformed counts packets that did not carry an ITG header.
 	Malformed uint64
-
-	expect int // records to reserve in RecvLog at the first arrival
 
 	mRecv     *metrics.Counter
 	mEchoed   *metrics.Counter
 	mStreamed *metrics.Counter
-	mDropped  *metrics.Counter
 }
 
 // NewReceiver creates a receiver; reply (may be nil) is used to send
@@ -327,15 +315,9 @@ func NewReceiver(loop *sim.Loop, reply SendFunc) *Receiver {
 		mRecv:     reg.Counter("itg/packets_received"),
 		mEchoed:   reg.Counter("itg/packets_echoed"),
 		mStreamed: reg.Counter("itg/records_streamed"),
-		mDropped:  reg.Counter("itg/log_records_dropped"),
 	}
 	return r
 }
-
-// Expect sizes RecvLog for n records (typically the flow's
-// ExpectedPackets). The reservation is made at the first logged
-// arrival, so a receiver whose flow never starts allocates nothing.
-func (r *Receiver) Expect(n int) { r.expect = n }
 
 // Handle processes one received packet; bind it to the flow's
 // destination port. It ends the packet, or reflects it as the echo when
@@ -358,14 +340,7 @@ func (r *Receiver) Handle(pkt *netsim.Packet) {
 	if r.Stream != nil {
 		r.Stream.AddRecv(rec)
 		r.mStreamed.Inc()
-	}
-	if r.DropLogs {
-		r.mDropped.Inc()
 	} else {
-		if r.expect > 0 {
-			r.RecvLog.Reserve(r.expect)
-			r.expect = 0
-		}
 		r.RecvLog.Add(rec)
 	}
 	r.mRecv.Inc()

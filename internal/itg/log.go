@@ -98,6 +98,10 @@ var logMagic = [4]byte{'I', 'T', 'G', 1}
 
 const recordSize = 4 + 4 + 4 + 8 + 8
 
+// maxLogPrealloc caps the records DecodeLog reserves before reading
+// them (128 KiB of Records).
+const maxLogPrealloc = 4096
+
 // Encode writes the log in the binary format.
 func (l *Log) Encode(w io.Writer) error {
 	if _, err := w.Write(logMagic[:]); err != nil {
@@ -135,8 +139,12 @@ func DecodeLog(r io.Reader) (*Log, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("itg: reading log header: %w", err)
 	}
+	// The header's count is untrusted until the records arrive: reserve
+	// at most maxLogPrealloc up front and grow with the input beyond
+	// that, so a forged count cannot allocate more than the reader
+	// actually supplies.
 	n := binary.BigEndian.Uint32(hdr[:])
-	l := &Log{Records: make([]Record, 0, n)}
+	l := &Log{Records: make([]Record, 0, min(n, maxLogPrealloc))}
 	buf := make([]byte, recordSize)
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(r, buf); err != nil {

@@ -9,15 +9,18 @@ import (
 )
 
 // StreamDecoder is the online counterpart of Decode: records are fed
-// one at a time as they are logged, and per-window accumulators are
-// maintained incrementally, so a flow's QoS report costs
-// O(windows + flows) memory instead of the batch decoder's O(packets).
-// Duplicate deliveries are detected with a per-flow sliding sequence
-// bitmap (span WithReorderSpan, default 4096 sequence numbers) rather
-// than a map keyed by every packet ever received, and tail percentiles
-// come from a bounded-relative-error quantile sketch
-// (stats.QuantileSketch) unless WithExactPercentiles retains the raw
-// samples for differential testing.
+// one at a time as the flow's endpoints observe them, and per-window
+// accumulators are maintained incrementally, so nothing per packet is
+// kept but what the tail percentiles need. Duplicate deliveries are
+// detected with a per-flow sliding sequence bitmap (span
+// WithReorderSpan, default 4096 sequence numbers) rather than a map
+// keyed by every packet ever received. Tail percentiles come either
+// from a bounded-relative-error quantile sketch (stats.QuantileSketch,
+// the default: O(windows + flows) memory whatever the packet count) or,
+// with WithExactPercentiles, from the raw delay/RTT samples (8 B each) —
+// the testbed's default analysis, which reproduces Decode exactly from
+// one live pass. WithSketch keeps both, so one feed yields both results
+// (FinalizeBoth).
 //
 // Equivalence with Decode. Finalize reproduces the batch result
 // field-for-field — counts, bytes, per-window means, loss, totals —
@@ -50,12 +53,10 @@ type StreamDecoder struct {
 	window time.Duration
 	start  time.Duration
 	exact  bool
+	sketch bool
 	relErr float64
 	span   uint32
-
-	recv streamRecvAcc
-	sent streamSentAcc
-	echo streamEchoAcc
+	expect int // exact samples to reserve per series (Expect)
 
 	// Live-window subscription (WithLiveWindows). When live is set the
 	// decoder serializes every Add*/Finalize call under mu — the price
@@ -68,7 +69,21 @@ type StreamDecoder struct {
 	mu         sync.Mutex
 	sealed     int
 	lateSealed int
+
+	// The two feed sides write their accumulators on every record, from
+	// two goroutines in a multi-cell run: keep them off each other's
+	// cache lines and off the read-mostly fields above. Unpadded,
+	// BenchmarkStreamDecodeTwoFeeds ran about 2x slower on 2 cores.
+	_    cacheLinePad
+	recv streamRecvAcc
+	_    cacheLinePad
+	sent streamSentAcc
+	echo streamEchoAcc
+	_    cacheLinePad
 }
+
+// cacheLinePad spans a 64-byte cache line.
+type cacheLinePad [64]byte
 
 // StreamOption configures a StreamDecoder.
 type StreamOption func(*StreamDecoder)
@@ -81,16 +96,24 @@ func WithStart(start time.Duration) StreamOption {
 	return func(d *StreamDecoder) { d.start = start }
 }
 
-// WithExactPercentiles retains every delay/RTT sample so Finalize
-// computes P95/P99 exactly as the batch decoder does (one sort per
-// series). This reintroduces O(packets) memory — it exists for
-// differential testing, not production monitoring.
+// WithExactPercentiles retains every delay/RTT sample (8 B each, sized
+// by Expect) so Finalize computes P95/P99 exactly as Decode does, and
+// drops the sketch unless WithSketch keeps it too. This is the one
+// O(packets) cost of a live decode: 16 B per echoed packet, a sixth
+// of the three 32-byte log records Decode needs for it.
 func WithExactPercentiles() StreamOption {
 	return func(d *StreamDecoder) { d.exact = true }
 }
 
+// WithSketch keeps the quantile sketch next to the exact samples of
+// WithExactPercentiles, so FinalizeBoth can return the exact and the
+// sketched result of one feed (a sketch-only decoder needs no option).
+func WithSketch() StreamOption {
+	return func(d *StreamDecoder) { d.sketch = true }
+}
+
 // WithSketchRelErr sets the quantile sketch's relative error bound
-// (default stats.DefaultSketchRelErr; ignored in exact mode).
+// (default stats.DefaultSketchRelErr; ignored without a sketch).
 func WithSketchRelErr(relErr float64) StreamOption {
 	return func(d *StreamDecoder) { d.relErr = relErr }
 }
@@ -203,6 +226,9 @@ func NewStreamDecoder(window time.Duration, opts ...StreamOption) *StreamDecoder
 	}
 	d.recv.flows = make(map[uint32]*flowDedup)
 	if !d.exact {
+		d.sketch = true
+	}
+	if d.sketch {
 		d.recv.sketch = stats.NewQuantileSketch(d.relErr)
 		d.echo.sketch = stats.NewQuantileSketch(d.relErr)
 	}
@@ -211,6 +237,13 @@ func NewStreamDecoder(window time.Duration, opts ...StreamOption) *StreamDecoder
 
 // Window returns the decoder's sample window.
 func (d *StreamDecoder) Window() time.Duration { return d.window }
+
+// Expect sizes each exact sample series for n records (typically the
+// flow's ExpectedPackets), so a full-length flow's samples are
+// allocated once instead of grown. Each series is reserved at its first
+// record — an OWD flow never reserves RTT samples. Call it before
+// feeding; it is a no-op without WithExactPercentiles.
+func (d *StreamDecoder) Expect(n int) { d.expect = n }
 
 // widx maps a (rebased) time to a window index with the batch
 // decoder's lower clamp. There is no upper clamp: windows grow with
@@ -273,8 +306,12 @@ func (d *StreamDecoder) AddRecv(r Record) {
 	w.bytes += r.Size
 	delay := rx - tx
 	if d.exact {
+		if a.samples == nil {
+			a.samples = make([]float64, 0, d.expect)
+		}
 		a.samples = append(a.samples, float64(delay))
-	} else {
+	}
+	if a.sketch != nil {
 		a.sketch.Add(float64(delay))
 	}
 	w.delaySum += delay
@@ -374,8 +411,12 @@ func (d *StreamDecoder) AddEcho(r Record) {
 	}
 	rtt := rx - tx
 	if d.exact {
+		if a.samples == nil {
+			a.samples = make([]float64, 0, d.expect)
+		}
 		a.samples = append(a.samples, float64(rtt))
-	} else {
+	}
+	if a.sketch != nil {
 		a.sketch.Add(float64(rtt))
 	}
 	i := d.widx(rx)
@@ -537,32 +578,50 @@ func (d *StreamDecoder) Finalize() *Result {
 		res.AvgRTT = d.echo.totalRTT / time.Duration(d.echo.count)
 	}
 	if d.exact {
+		// Selection reorders the samples in place; the multiset, and
+		// so a repeated call's answer, is unchanged.
 		if len(d.recv.samples) > 0 {
-			ps := stats.Percentiles(d.recv.samples, 95, 99)
+			ps := stats.SelectPercentiles(d.recv.samples, 95, 99)
 			res.P95Delay, res.P99Delay = time.Duration(ps[0]), time.Duration(ps[1])
 		}
 		if len(d.echo.samples) > 0 {
-			ps := stats.Percentiles(d.echo.samples, 95, 99)
+			ps := stats.SelectPercentiles(d.echo.samples, 95, 99)
 			res.P95RTT, res.P99RTT = time.Duration(ps[0]), time.Duration(ps[1])
 		}
 	} else {
-		if d.recv.sketch.Count() > 0 {
-			res.P95Delay = time.Duration(d.recv.sketch.Quantile(95))
-			res.P99Delay = time.Duration(d.recv.sketch.Quantile(99))
-		}
-		if d.echo.sketch.Count() > 0 {
-			res.P95RTT = time.Duration(d.echo.sketch.Quantile(95))
-			res.P99RTT = time.Duration(d.echo.sketch.Quantile(99))
-		}
+		d.sketchPercentiles(res)
 	}
 	return res
+}
+
+// FinalizeBoth is Finalize for a decoder that keeps both percentile
+// sources (WithExactPercentiles and WithSketch): exact is Finalize's
+// result, and sketched is a copy of it that carries the sketch's
+// P95/P99 instead.
+func (d *StreamDecoder) FinalizeBoth() (exact, sketched *Result) {
+	exact = d.Finalize()
+	sketched = exact.Clone()
+	d.sketchPercentiles(sketched)
+	return exact, sketched
+}
+
+func (d *StreamDecoder) sketchPercentiles(res *Result) {
+	res.P95Delay, res.P99Delay, res.P95RTT, res.P99RTT = 0, 0, 0, 0
+	if d.recv.sketch.Count() > 0 {
+		res.P95Delay = time.Duration(d.recv.sketch.Quantile(95))
+		res.P99Delay = time.Duration(d.recv.sketch.Quantile(99))
+	}
+	if d.echo.sketch.Count() > 0 {
+		res.P95RTT = time.Duration(d.echo.sketch.Quantile(95))
+		res.P99RTT = time.Duration(d.echo.sketch.Quantile(99))
+	}
 }
 
 // RetainedBytes reports the decoder's current memory footprint: window
 // accumulators, per-flow duplicate bitmaps, and sketches. In the
 // default sketch mode this is O(windows + flows) regardless of how
 // many records were fed; WithExactPercentiles adds the retained sample
-// slices (O(packets), by design).
+// slices (8 B per delay or RTT sample).
 func (d *StreamDecoder) RetainedBytes() int {
 	const (
 		winAccBytes = 40 // 5 machine words

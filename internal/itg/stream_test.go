@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -176,45 +177,60 @@ func TestStreamLateBeyondSpanIsCountedAsDuplicate(t *testing.T) {
 }
 
 func TestStreamLiveFeedMatchesBatch(t *testing.T) {
-	// Feed the decoder live from a Sender/Receiver pair and compare
-	// against the batch decode of the logs the same run produced: the
-	// live feed order must be exactly the order batch's stable sort
-	// reconstructs.
-	loop := sim.NewLoop(3)
-	snd, rcv := loopback(t, loop, 25*time.Millisecond, cbrSpec(100, 120, 5*time.Second, MeterRTT))
-	d := NewStreamDecoder(200*time.Millisecond, WithExactPercentiles())
-	snd.Stream, rcv.Stream = d, d
-	snd.Start()
-	loop.Run()
-	batch := Decode(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, 200*time.Millisecond)
-	stream := d.Finalize()
-	if !reflect.DeepEqual(batch, stream) {
-		t.Fatalf("live stream result differs from batch decode of the same run\nbatch:  %+v\nstream: %+v", batch, stream)
+	// Run the same seeded flow twice — once logged and decoded by
+	// Decode, once decoded live: the live feed order must be exactly
+	// the order batch's stable sort reconstructs.
+	spec := cbrSpec(100, 120, 5*time.Second, MeterRTT)
+	build := func(loop *sim.Loop) (*Sender, *Receiver) { return loopback(t, loop, 25*time.Millisecond, spec) }
+	batch, _ := runFlow(3, spec, build, false)
+	live, _ := runFlow(3, spec, build, true)
+	if !reflect.DeepEqual(batch, live) {
+		t.Fatalf("live stream result differs from batch decode of the same run\nbatch:  %+v\nstream: %+v", batch, live)
 	}
 }
 
-func TestStreamDropLogsKeepsResultLosesLogs(t *testing.T) {
-	run := func(drop bool) (*Result, int) {
+// runFlow runs spec to completion on a fresh loop seeded with seed over
+// the endpoints build wires up, and returns its QoS result and the
+// loop: decoded live by an exact StreamDecoder, or logged and decoded
+// by Decode.
+func runFlow(seed int64, spec FlowSpec, build func(*sim.Loop) (*Sender, *Receiver), live bool) (*Result, *sim.Loop) {
+	loop := sim.NewLoop(seed)
+	snd, rcv := build(loop)
+	var d *StreamDecoder
+	if live {
+		d = NewStreamDecoder(200*time.Millisecond, WithExactPercentiles())
+		d.Expect(spec.ExpectedPackets())
+		snd.Stream, rcv.Stream = d, d
+	}
+	snd.Start()
+	loop.Run()
+	if live {
+		return d.Finalize(), loop
+	}
+	return Decode(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, 200*time.Millisecond), loop
+}
+
+// TestEndpointsLogOnlyWithoutDecoder pins the one logging rule: an
+// endpoint with a decoder attached feeds it every record and logs none
+// (itg/records_streamed counts the feed), one without logs everything.
+func TestEndpointsLogOnlyWithoutDecoder(t *testing.T) {
+	for _, live := range []bool{false, true} {
 		loop := sim.NewLoop(11)
 		snd, rcv := loopback(t, loop, 20*time.Millisecond, cbrSpec(200, 90, 3*time.Second, MeterRTT))
-		d := NewStreamDecoder(200*time.Millisecond, WithExactPercentiles())
-		snd.Stream, rcv.Stream = d, d
-		snd.DropLogs, rcv.DropLogs = drop, drop
+		if live {
+			d := NewStreamDecoder(200*time.Millisecond, WithExactPercentiles())
+			snd.Stream, rcv.Stream = d, d
+		}
 		snd.Start()
 		loop.Run()
-		retained := snd.SentLog.Len() + rcv.RecvLog.Len() + snd.EchoLog.Len()
-		return d.Finalize(), retained
-	}
-	kept, keptLogs := run(false)
-	dropped, droppedLogs := run(true)
-	if droppedLogs != 0 {
-		t.Fatalf("DropLogs left %d records in the logs", droppedLogs)
-	}
-	if keptLogs == 0 {
-		t.Fatal("control run retained no log records")
-	}
-	if !reflect.DeepEqual(kept, dropped) {
-		t.Fatalf("dropping logs changed the streamed result\nkept:    %+v\ndropped: %+v", kept, dropped)
+		logged := int64(snd.SentLog.Len() + rcv.RecvLog.Len() + snd.EchoLog.Len())
+		streamed := loop.Metrics().Counter("itg/records_streamed").Value()
+		// 600 packets, every one received and echoed.
+		if want := int64(3 * 600); live && (logged != 0 || streamed != want) {
+			t.Errorf("with a decoder: %d records logged, %d streamed; want 0 and %d", logged, streamed, want)
+		} else if !live && (logged != want || streamed != 0) {
+			t.Errorf("without a decoder: %d records logged, %d streamed; want %d and 0", logged, streamed, want)
+		}
 	}
 }
 
@@ -398,5 +414,45 @@ func TestDecodeUnsortedLogMatchesSortedFastPath(t *testing.T) {
 	b := Decode(sent, sortedCopy, echo, 200*time.Millisecond)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("fast path and sort fallback disagree")
+	}
+}
+
+// BenchmarkStreamDecodeTwoFeeds feeds one exact decoder from two
+// goroutines, as a multi-cell run does: the sender shard's sent and echo
+// records on one, the core shard's arrivals on the other. Run it with
+// -cpu 2; it measures whether the two sides' accumulators share cache
+// lines.
+func BenchmarkStreamDecodeTwoFeeds(b *testing.B) {
+	const n = 100000
+	rec := func(k int, rx time.Duration) Record {
+		t := time.Duration(k) * 10 * time.Millisecond
+		r := Record{FlowID: 1, Seq: uint32(k), Size: 90, TxTime: t}
+		if rx > 0 {
+			r.RxTime = t + rx
+		}
+		return r
+	}
+	for i := 0; i < b.N; i++ {
+		d := NewStreamDecoder(200*time.Millisecond, WithExactPercentiles())
+		d.Expect(n)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				d.AddSent(rec(k, 0))
+				d.AddEcho(rec(k, 200*time.Millisecond))
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				d.AddRecv(rec(k, 100*time.Millisecond))
+			}
+		}()
+		wg.Wait()
+		if res := d.Finalize(); res.Lost != 0 {
+			b.Fatalf("%d lost", res.Lost)
+		}
 	}
 }

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -85,27 +86,63 @@ func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return 0
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	return SelectPercentiles(append([]float64(nil), values...), p)[0]
 }
 
-// Percentiles returns the requested percentiles (0..100) of values,
-// sorting the input once — use this instead of repeated Percentile calls
-// when extracting several quantiles from the same slice. values is not
-// modified. An empty input yields NaN for every requested percentile.
+// Percentiles returns the requested percentiles (0..100) of values —
+// use this instead of repeated Percentile calls when extracting several
+// quantiles from the same slice. values is not modified: it works on a
+// copy (see SelectPercentiles to skip the copy). An empty input yields
+// NaN for every requested percentile.
 func Percentiles(values []float64, ps ...float64) []float64 {
+	return SelectPercentiles(append([]float64(nil), values...), ps...)
+}
+
+// SelectPercentiles returns the same percentiles as Percentiles, bit for
+// bit, without copying or sorting: it reorders values in place and
+// places only the order statistics the interpolation reads (expected
+// O(n) per requested percentile instead of one O(n log n) sort). Values
+// order as sort.Float64s orders them (NaN first). An empty input yields
+// NaN for every requested percentile.
+func SelectPercentiles(values []float64, ps ...float64) []float64 {
 	out := make([]float64, len(ps))
-	if len(values) == 0 {
+	n := len(values)
+	if n == 0 {
 		for i := range out {
 			out[i] = math.NaN()
 		}
 		return out
 	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
+	// Visit the requests by ascending rank: once rank k and its
+	// neighbour are placed, every later rank lies in values[from:], so
+	// each selection only partitions what the previous ones left.
+	order := make([]int, len(ps))
+	for i := range order {
+		order[i] = i
+		for j := i; j > 0 && ps[order[j]] < ps[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	from := 0
+	for _, i := range order {
+		lo, hi, frac := rankOf(ps[i], n)
+		if lo >= from {
+			selectRank(values[from:], lo-from)
+			from = lo + 1
+		}
+		if hi >= from {
+			// values[hi:] holds everything above rank lo: its minimum
+			// is rank hi.
+			m := hi
+			for j := hi + 1; j < n; j++ {
+				if less(values[j], values[m]) {
+					m = j
+				}
+			}
+			values[hi], values[m] = values[m], values[hi]
+			from = hi + 1
+		}
+		out[i] = interpolate(values[lo], values[hi], frac)
 	}
 	return out
 }
@@ -113,20 +150,88 @@ func Percentiles(values []float64, ps ...float64) []float64 {
 // percentileSorted interpolates the p-th percentile of an already-sorted
 // non-empty slice.
 func percentileSorted(sorted []float64, p float64) float64 {
+	lo, hi, frac := rankOf(p, len(sorted))
+	return interpolate(sorted[lo], sorted[hi], frac)
+}
+
+// rankOf maps the p-th percentile of n sorted values to the two ranks
+// it interpolates between and the weight of the upper one.
+func rankOf(p float64, n int) (lo, hi int, frac float64) {
 	if p <= 0 {
-		return sorted[0]
+		return 0, 0, 0
 	}
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return n - 1, n - 1, 0
 	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
+	rank := p / 100 * float64(n-1)
+	lo = int(math.Floor(rank))
+	hi = int(math.Ceil(rank))
+	return lo, hi, rank - float64(lo)
+}
+
+// interpolate is the one place the percentile arithmetic happens, so
+// the sorted and the selected paths round identically.
+func interpolate(lo, hi, frac float64) float64 {
+	if frac == 0 {
+		return lo
 	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return lo*(1-frac) + hi*frac
+}
+
+// less is sort.Float64s' order: NaN before every number.
+func less(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// selectRank reorders v so that v[k] holds the value sort.Float64s
+// would put there, with nothing greater before it and nothing smaller
+// after it. It is quickselect with a median-of-three pivot and a
+// three-way partition (duplicate-heavy input stays linear); after
+// 2·log2(n) rounds without converging it sorts the remaining range, so
+// the worst case is O(n log n).
+func selectRank(v []float64, k int) {
+	lo, hi := 0, len(v)-1
+	for budget := 2 * bits.Len(uint(len(v))); lo < hi; budget-- {
+		if budget == 0 {
+			sort.Float64s(v[lo : hi+1])
+			return
+		}
+		pivot := median3(v[lo], v[lo+(hi-lo)/2], v[hi])
+		// v[lo:lt] < pivot, v[lt:i] == pivot, v[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := v[i]; {
+			case less(x, pivot):
+				v[lt], v[i] = x, v[lt]
+				lt++
+				i++
+			case less(pivot, x):
+				v[i], v[gt] = v[gt], x
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if less(b, a) {
+		a, b = b, a
+	}
+	if less(c, b) {
+		b = c
+		if less(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // Point is one timestamped sample of a series.

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -203,5 +204,67 @@ func TestPercentilesSingleSample(t *testing.T) {
 		if v != 42 {
 			t.Fatalf("percentile %d of a single sample = %v, want 42", i, v)
 		}
+	}
+}
+
+// TestSelectPercentilesMatchesSort pins the selection path to the
+// sort-based reference bit for bit: every requested percentile, in any
+// request order, on random, duplicate-heavy, pre-ordered and tiny inputs.
+func TestSelectPercentilesMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	gen := map[string]func(n int) []float64{
+		"random": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = rng.NormFloat64() * 1e6
+			}
+			return v
+		},
+		"duplicates": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(rng.Intn(4))
+			}
+			return v
+		},
+		"ascending": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(i)
+			}
+			return v
+		},
+		"descending": func(n int) []float64 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = float64(n - i)
+			}
+			return v
+		},
+	}
+	ps := []float64{99, 95, 0, 50, 100, 95, 99.9, 1, 33.3}
+	for name, g := range gen {
+		for _, n := range []int{1, 2, 3, 10, 1000, 12001} {
+			for rep := 0; rep < 3; rep++ {
+				vals := g(n)
+				ref := append([]float64(nil), vals...)
+				sort.Float64s(ref)
+				got := SelectPercentiles(vals, ps...)
+				for i, p := range ps {
+					if want := percentileSorted(ref, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+						t.Fatalf("%s n=%d: P%v = %v, sort reference %v", name, n, p, got[i], want)
+					}
+				}
+				sort.Float64s(vals)
+				for i := range vals {
+					if vals[i] != ref[i] {
+						t.Fatalf("%s n=%d: selection lost or changed a value", name, n)
+					}
+				}
+			}
+		}
+	}
+	if got := SelectPercentiles([]float64{3, 1}, 50, 0, 100); got[0] != 2 || got[1] != 1 || got[2] != 3 {
+		t.Fatalf("two samples: P50/P0/P100 = %v, want [2 1 3]", got)
 	}
 }

@@ -7,23 +7,24 @@ import (
 	"github.com/onelab/umtslab/internal/itg"
 )
 
-// AnalysisMode selects how a run's flow logs become QoS reports.
+// AnalysisMode selects which QoS reports a run produces. Every mode
+// decodes each flow live, in one pass, with one itg.StreamDecoder fed
+// by the flow's endpoints; no mode retains per-packet logs.
 type AnalysisMode int
 
 const (
-	// AnalysisBatch is the reference pipeline: retain full per-packet
-	// logs and decode them post-hoc with itg.Decode (O(packets)
-	// analysis memory).
+	// AnalysisBatch is the reference report: an exact live decode that
+	// keeps only the raw delay/RTT samples (8 B each) for exact
+	// percentiles, and reproduces itg.Decode of full ITG logs field
+	// for field.
 	AnalysisBatch AnalysisMode = iota
-	// AnalysisStream runs both pipelines: logs are retained and batch-
-	// decoded as usual, AND an itg.StreamDecoder is fed live — results
-	// land in Streamed next to Decoded. This is the differential-
-	// testing mode; it costs the most memory and exists to prove the
-	// streaming path correct.
+	// AnalysisStream adds the sketched report: the same single feed
+	// also fills a quantile sketch, so Decoded (exact) and Streamed
+	// (sketched P95/P99) come from one decoder.
 	AnalysisStream
-	// AnalysisStreamOnly drops the per-packet logs entirely and decodes
-	// from the live stream alone: analysis memory is O(windows + flows)
-	// regardless of run horizon. Decoded aliases Streamed.
+	// AnalysisStreamOnly keeps only the sketch: analysis memory is
+	// O(windows + flows) regardless of run horizon. Decoded aliases
+	// Streamed.
 	AnalysisStreamOnly
 )
 
@@ -54,16 +55,16 @@ func ParseAnalysisMode(s string) (AnalysisMode, error) {
 	}
 }
 
-// AnalysisConfig parameterizes the streaming analysis pipeline. The
-// zero value is the batch reference path.
+// AnalysisConfig parameterizes the live analysis. The zero value is
+// the exact reference report.
 type AnalysisConfig struct {
 	Mode AnalysisMode
 	// SketchRelErr is the quantile sketch's relative error bound for
 	// P95/P99 (<= 0: stats.DefaultSketchRelErr). Ignored with Exact.
 	SketchRelErr float64
-	// Exact retains raw delay/RTT samples in the stream decoder so its
-	// percentiles match batch exactly (differential testing only: this
-	// restores O(packets) memory on the stream side).
+	// Exact makes the streaming modes report exact percentiles too:
+	// Streamed then equals Decoded (stream), or Decoded is exact
+	// (stream-only, at 8 B per delay/RTT sample).
 	Exact bool
 	// Live, when non-nil, subscribes to every flow's QoS windows while
 	// the run executes (itg.WithLiveWindows): window i is delivered as
@@ -90,21 +91,23 @@ type LiveWindow struct {
 	Stats    itg.WindowStats `json:"stats"`
 }
 
-// streaming reports whether a live StreamDecoder should be attached.
-func (c AnalysisConfig) streaming() bool { return c.Mode != AnalysisBatch }
-
-// newDecoder builds the per-flow stream decoder: window-aligned to the
-// flow start (mirroring the batch path's Log.Rebase) and configured
-// for sketch or exact percentiles. id carries the flow's identity into
-// the Live subscription, if one is configured.
-func (c AnalysisConfig) newDecoder(window, start time.Duration, id LiveWindow) *itg.StreamDecoder {
+// newDecoder builds the per-flow decoder: window-aligned to the flow
+// start, sized for the flow's expected packet count, and keeping exact
+// samples, a sketch, or both as the mode needs. id carries the flow's
+// identity into the Live subscription, which only the streaming modes
+// serve.
+func (c AnalysisConfig) newDecoder(window, start time.Duration, flow itg.FlowSpec, id LiveWindow) *itg.StreamDecoder {
 	opts := []itg.StreamOption{itg.WithStart(start)}
-	if c.Exact {
+	if c.Exact || c.Mode != AnalysisStreamOnly {
 		opts = append(opts, itg.WithExactPercentiles())
-	} else if c.SketchRelErr > 0 {
+	}
+	if c.Mode == AnalysisStream && !c.Exact {
+		opts = append(opts, itg.WithSketch())
+	}
+	if c.SketchRelErr > 0 {
 		opts = append(opts, itg.WithSketchRelErr(c.SketchRelErr))
 	}
-	if c.Live != nil {
+	if c.Live != nil && c.Mode != AnalysisBatch {
 		sink := c.Live
 		opts = append(opts, itg.WithLiveWindows(c.LiveLag, func(i int, w itg.WindowStats) {
 			ev := id
@@ -113,31 +116,25 @@ func (c AnalysisConfig) newDecoder(window, start time.Duration, id LiveWindow) *
 			sink(ev)
 		}))
 	}
-	return itg.NewStreamDecoder(window, opts...)
+	d := itg.NewStreamDecoder(window, opts...)
+	d.Expect(flow.ExpectedPackets())
+	return d
 }
 
-// attach wires the decoder into a flow's endpoints before the sender
-// starts; stream-only mode additionally drops the per-packet logs.
-func (c AnalysisConfig) attach(d *itg.StreamDecoder, snd *itg.Sender, recv *itg.Receiver) {
-	c.attachSend(d, snd)
-	c.attachRecv(d, recv)
-}
-
-// attachRecv wires the decoder's receiver side. The multi-cell scenario
-// calls it eagerly (the receiver lives on the core shard and must be
-// bound before the engine runs) while the sender side attaches lazily
-// when the terminal's stack materializes.
-func (c AnalysisConfig) attachRecv(d *itg.StreamDecoder, recv *itg.Receiver) {
-	recv.Stream = d
-	if c.Mode == AnalysisStreamOnly {
-		recv.DropLogs = true
+// finalize folds a finished flow's decoder into its reports: Decoded,
+// and Streamed in the streaming modes (nil in batch; an alias of
+// Decoded in stream-only).
+func (c AnalysisConfig) finalize(d *itg.StreamDecoder) (decoded, streamed *itg.Result) {
+	switch c.Mode {
+	case AnalysisBatch:
+		return d.Finalize(), nil
+	case AnalysisStreamOnly:
+		decoded = d.Finalize()
+		return decoded, decoded
 	}
-}
-
-// attachSend wires the decoder's sender side; see attachRecv.
-func (c AnalysisConfig) attachSend(d *itg.StreamDecoder, snd *itg.Sender) {
-	snd.Stream = d
-	if c.Mode == AnalysisStreamOnly {
-		snd.DropLogs = true
+	if c.Exact {
+		decoded = d.Finalize()
+		return decoded, decoded.Clone()
 	}
+	return d.FinalizeBoth()
 }

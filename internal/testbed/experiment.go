@@ -156,9 +156,9 @@ type ExperimentSpec struct {
 	Duration time.Duration
 	// Window of the QoS samples (paper: 200 ms).
 	Window time.Duration
-	// Analysis selects the QoS pipeline: the batch reference decoder
-	// (zero value), batch plus a live stream decoder for differential
-	// comparison, or stream-only with per-packet logs dropped.
+	// Analysis selects the QoS reports of the flow's live decode: the
+	// exact reference (zero value), exact plus sketched percentiles,
+	// or sketch-only.
 	Analysis AnalysisConfig
 }
 
@@ -166,8 +166,8 @@ type ExperimentSpec struct {
 type ExperimentResult struct {
 	Spec    ExperimentSpec
 	Decoded *itg.Result
-	// Streamed is the live StreamDecoder's result (nil in batch mode).
-	// In stream-only mode Decoded aliases it.
+	// Streamed is the sketched report (nil in batch mode). In
+	// stream-only mode Decoded aliases it.
 	Streamed *itg.Result
 	// Status is the final `umts status` (UMTS path only).
 	Status core.Status
@@ -191,7 +191,7 @@ type ExperimentResult struct {
 // RunExperiment reproduces one cell of the paper's evaluation on this
 // testbed: bring the path up, generate the flow from a slice on the
 // Napoli node to a slice on the INRIA node with the RTT meter, and
-// decode the logs over the sample window.
+// decode it live over the sample window.
 func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) {
 	if spec.Duration == 0 {
 		spec.Duration = 120 * time.Second
@@ -238,7 +238,6 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	if err != nil {
 		return nil, err
 	}
-	receiver.Expect(flow.ExpectedPackets())
 	snd := itg.NewSender(tb.Loop, fmt.Sprintf("%v/%v", spec.Path, spec.Workload), flow,
 		func(pkt *netsim.Packet) error { return sender.Send(pkt) })
 	if err := sender.Bind(netsim.ProtoUDP, senderPort, snd.HandleEcho); err != nil {
@@ -246,11 +245,8 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	}
 
 	start := tb.Loop.Now()
-	var stream *itg.StreamDecoder
-	if spec.Analysis.streaming() {
-		stream = spec.Analysis.newDecoder(spec.Window, start, LiveWindow{FlowID: 1})
-		spec.Analysis.attach(stream, snd, receiver)
-	}
+	stream := spec.Analysis.newDecoder(spec.Window, start, flow, LiveWindow{FlowID: 1})
+	snd.Stream, receiver.Stream = stream, stream
 	snd.Start()
 	// Run the flow plus drain time for queued packets and echoes.
 	tb.Loop.RunUntil(start + spec.Duration + 10*time.Second)
@@ -259,22 +255,10 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	}
 
 	res.SenderErrors = snd.SendErrors
-	if stream != nil {
-		res.Streamed = stream.Finalize()
-		// Recorded before the final snapshot so the decoder's footprint
-		// lands in the run's metrics next to the flow counters.
-		tb.Loop.Metrics().Gauge("itg/stream/flow1/retained_bytes").Set(float64(stream.RetainedBytes()))
-	}
-	if spec.Analysis.Mode == AnalysisStreamOnly {
-		res.Decoded = res.Streamed
-	} else {
-		res.Decoded = itg.Decode(
-			snd.SentLog.Rebase(start),
-			receiver.RecvLog.Rebase(start),
-			snd.EchoLog.Rebase(start),
-			spec.Window,
-		)
-	}
+	res.Decoded, res.Streamed = spec.Analysis.finalize(stream)
+	// Recorded before the final snapshot so the decoder's footprint
+	// lands in the run's metrics next to the flow counters.
+	tb.Loop.Metrics().Gauge("itg/stream/flow1/retained_bytes").Set(float64(stream.RetainedBytes()))
 
 	if spec.Path == PathUMTS {
 		res.BearerEvents = tb.Terminal.SessionEvents()

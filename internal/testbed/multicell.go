@@ -86,13 +86,13 @@ type MultiCellOptions struct {
 	// mode, as in Options.
 	SelfHeal   bool
 	HealPolicy *dialer.Policy
-	// Analysis selects the per-flow QoS pipeline (see AnalysisConfig).
-	// In the streaming modes every terminal gets a private
-	// StreamDecoder fed concurrently by its sender (cell shard) and
-	// the server-side receiver (core shard) — the two sides touch
-	// disjoint decoder state, and the engine's deterministic delivery
-	// order makes the streamed results placement-independent: the
-	// shard-count determinism contract extends to Streamed.
+	// Analysis selects the per-flow QoS reports (see AnalysisConfig).
+	// Every terminal gets a private StreamDecoder fed concurrently by
+	// its sender (cell shard) and the server-side receiver (core
+	// shard) — the two sides touch disjoint decoder state, and the
+	// engine's deterministic delivery order makes the decoded results
+	// placement-independent: the shard-count determinism contract
+	// extends to Decoded and Streamed.
 	Analysis AnalysisConfig
 	// IdleTerminals powers on this many additional subscribers per
 	// cell that register but never dial: each is a compact
@@ -191,8 +191,8 @@ type FlowResult struct {
 	SetupTime time.Duration
 	// Decoded is the flow's QoS report over the sample window.
 	Decoded *itg.Result
-	// Streamed is the live StreamDecoder's result (nil in batch mode);
-	// in stream-only mode Decoded aliases it.
+	// Streamed is the sketched report (nil in batch mode); in
+	// stream-only mode Decoded aliases it.
 	Streamed *itg.Result
 	// BearerEvents is the terminal's radio session log.
 	BearerEvents []string
@@ -430,7 +430,7 @@ func runMultiCell(opts MultiCellOptions) (*MultiCellResult, error) {
 	// Per-flow retained-bytes gauges are O(flows) metric cardinality;
 	// past the limit they collapse into per-cell sum + max aggregates
 	// (satellite: metrics stay bounded at fleet scale).
-	aggregateGauges := opts.Analysis.streaming() && opts.FlowGaugeLimit > 0 && len(terms) > opts.FlowGaugeLimit
+	aggregateGauges := opts.FlowGaugeLimit > 0 && len(terms) > opts.FlowGaugeLimit
 	type gaugeAgg struct {
 		sum, max float64
 		count    int64
@@ -456,33 +456,19 @@ func runMultiCell(opts MultiCellOptions) (*MultiCellResult, error) {
 			BearerEvents: ts.term.SessionEvents(),
 			SendErrors:   ts.snd.SendErrors,
 		}
-		if ts.stream != nil {
-			fr.Streamed = ts.stream.Finalize()
-			if aggregateGauges {
-				rb := float64(ts.stream.RetainedBytes())
-				a := &cellAggs[ts.cell]
-				a.sum += rb
-				if rb > a.max {
-					a.max = rb
-				}
-				a.count++
-			} else {
-				// Per-flow footprint gauge, recorded before the snapshots
-				// below; distinct names make the merged GaugeSum
-				// placement-independent.
-				ts.loop.Metrics().Gauge(fmt.Sprintf("itg/stream/c%dt%d/retained_bytes", ts.cell, ts.idx)).
-					Set(float64(ts.stream.RetainedBytes()))
+		fr.Decoded, fr.Streamed = opts.Analysis.finalize(ts.stream)
+		if rb := float64(ts.stream.RetainedBytes()); aggregateGauges {
+			a := &cellAggs[ts.cell]
+			a.sum += rb
+			if rb > a.max {
+				a.max = rb
 			}
-		}
-		if opts.Analysis.Mode == AnalysisStreamOnly {
-			fr.Decoded = fr.Streamed
+			a.count++
 		} else {
-			fr.Decoded = itg.Decode(
-				ts.snd.SentLog.Rebase(opts.FlowStart),
-				ts.recv.RecvLog.Rebase(opts.FlowStart),
-				ts.snd.EchoLog.Rebase(opts.FlowStart),
-				opts.Window,
-			)
+			// Per-flow footprint gauge, recorded before the snapshots
+			// below; distinct names make the merged GaugeSum
+			// placement-independent.
+			ts.loop.Metrics().Gauge(fmt.Sprintf("itg/stream/c%dt%d/retained_bytes", ts.cell, ts.idx)).Set(rb)
 		}
 		res.Flows = append(res.Flows, fr)
 	}
@@ -577,19 +563,18 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 	// binding mutates core-shard state and must not happen from a
 	// cell-shard event.
 	ts.recv = itg.NewReceiver(env.server.Loop, func(pkt *netsim.Packet) error { return env.server.Send(pkt) })
-	ts.recv.Expect(flow.ExpectedPackets())
 	if err := env.server.Bind(netsim.ProtoUDP, rPort, ts.recv.Handle); err != nil {
 		return nil, err
 	}
-	if opts.Analysis.streaming() {
-		// One decoder per flow, window-aligned to FlowStart exactly like
-		// the batch path's Rebase. The sender/echo side runs on this
-		// cell's shard loop and the receiver side on the core shard —
-		// a legal concurrent feed (disjoint accumulators).
-		ts.stream = opts.Analysis.newDecoder(opts.Window, opts.FlowStart,
-			LiveWindow{Cell: c, Terminal: m, FlowID: flowID})
-		opts.Analysis.attachRecv(ts.stream, ts.recv)
-	}
+	// One decoder per flow, window-aligned to FlowStart. The
+	// sender/echo side runs on this cell's shard loop and the receiver
+	// side on the core shard — a legal concurrent feed (disjoint
+	// accumulators). The receiver side attaches now, because binding
+	// mutates core-shard state; the sender side attaches when the
+	// terminal's stack materializes.
+	ts.stream = opts.Analysis.newDecoder(opts.Window, opts.FlowStart, flow,
+		LiveWindow{Cell: c, Terminal: m, FlowID: flowID})
+	ts.recv.Stream = ts.stream
 
 	// Asynchronous bring-up: materialize the stack, then run the
 	// frontend commands, whose vsys callbacks complete on this shard's
@@ -677,8 +662,6 @@ func (ts *mcTerminal) materialize() error {
 	if err := slice.Bind(netsim.ProtoUDP, senderPort, ts.snd.HandleEcho); err != nil {
 		return err
 	}
-	if ts.stream != nil {
-		opts.Analysis.attachSend(ts.stream, ts.snd)
-	}
+	ts.snd.Stream = ts.stream
 	return nil
 }

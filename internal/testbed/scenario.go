@@ -161,10 +161,10 @@ func WithSelfHeal(policy *dialer.Policy) ScenarioOption {
 	}
 }
 
-// WithAnalysis selects the QoS pipeline: the batch reference decode
-// (zero value), batch plus a live stream decoder for differential
-// comparison, or stream-only constant-memory analysis with per-packet
-// logs dropped. Applies to single- and multi-cell scenarios alike.
+// WithAnalysis selects the QoS reports of the live per-flow decode: the
+// exact reference (zero value), exact plus sketched percentiles, or
+// sketch-only constant-memory analysis. Applies to single- and
+// multi-cell scenarios alike.
 func WithAnalysis(cfg AnalysisConfig) ScenarioOption {
 	return func(sc *Scenario) { sc.analysis = cfg }
 }

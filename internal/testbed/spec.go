@@ -59,8 +59,8 @@ type Spec struct {
 	// HealPolicy tunes the self-heal dialer; requires SelfHeal.
 	HealPolicy *HealPolicySpec `json:"heal_policy,omitempty"`
 
-	// Analysis selects the QoS pipeline (batch reference decode when
-	// omitted).
+	// Analysis selects the QoS reports (the exact reference decode
+	// when omitted).
 	Analysis *AnalysisSpec `json:"analysis,omitempty"`
 
 	// Cells switches the run to the multi-cell shard engine with this
@@ -170,7 +170,7 @@ type AnalysisSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// SketchRelErr is the quantile sketch's relative error bound.
 	SketchRelErr float64 `json:"sketch_rel_err,omitempty"`
-	// Exact retains raw samples so stream percentiles match batch.
+	// Exact makes the streaming modes report exact percentiles.
 	Exact bool `json:"exact,omitempty"`
 }
 

@@ -349,25 +349,29 @@ func BenchmarkITGDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamDecode feeds the same 120 s, 122 pps flow through the
-// constant-memory streaming decoder (sketch-mode percentiles); compare
-// ns/op against BenchmarkITGDecode for the cost of analyzing one record
-// at a time instead of post-hoc. Its presence in the bench-smoke gate
-// keeps the streaming path exercised on every verify.
+// BenchmarkStreamDecode feeds the same 120 s, 122 pps flow record by
+// record into the constant-memory streaming decoder (sketch-mode
+// percentiles), interleaved as a live run's endpoints deliver them:
+// with a 500 ms one-way delay, the arrival of the packet sent 61
+// periods earlier follows each departure. Compare ns/op against
+// BenchmarkITGDecode for the cost of analyzing one record at a time
+// instead of post hoc. Its presence in the bench-smoke gate keeps the
+// streaming path exercised on every verify.
 func BenchmarkStreamDecode(b *testing.B) {
-	sent := &itg.Log{}
-	recv := &itg.Log{}
-	for i := 0; i < 14640; i++ {
-		tx := time.Duration(i) * 8196721 * time.Nanosecond
-		sent.Add(itg.Record{Seq: uint32(i), Size: 1024, TxTime: tx})
-		if i%3 != 0 {
-			recv.Add(itg.Record{Seq: uint32(i), Size: 1024, TxTime: tx, RxTime: tx + 500*time.Millisecond})
-		}
-	}
-	b.ResetTimer()
+	const n, lag, period = 14640, 61, 8196721 * time.Nanosecond
 	var res *itg.Result
 	for i := 0; i < b.N; i++ {
-		res = itg.DecodeStream(sent, recv, nil, 200*time.Millisecond)
+		d := itg.NewStreamDecoder(200 * time.Millisecond)
+		for k := 0; k < n+lag; k++ {
+			if k < n {
+				d.AddSent(itg.Record{Seq: uint32(k), Size: 1024, TxTime: time.Duration(k) * period})
+			}
+			if j := k - lag; j >= 0 && j%3 != 0 {
+				tx := time.Duration(j) * period
+				d.AddRecv(itg.Record{Seq: uint32(j), Size: 1024, TxTime: tx, RxTime: tx + 500*time.Millisecond})
+			}
+		}
+		res = d.Finalize()
 	}
 	b.ReportMetric(float64(res.Lost), "lost")
 }
@@ -544,8 +548,8 @@ func BenchmarkFaultRecovery(b *testing.B) {
 // background populations on the shard engine. Its presence in the
 // bench-smoke gate keeps the whole fleet path (lazy materialization,
 // cohort registration, population attach/tick/detach, fleet counters)
-// exercised on every verify; `make bench-fleet` measures the full
-// 100k-terminal figure.
+// exercised on every verify; bench/'s fleet_idle workload measures the
+// full 100k-terminal run.
 func BenchmarkFleetScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rp, err := testbed.NewScenario(
@@ -567,8 +571,8 @@ func BenchmarkFleetScale(b *testing.B) {
 }
 
 // BenchmarkFleetFootprint measures the resident bytes of one compact
-// powered-on terminal (the `bytes_per_idle_terminal` figure of
-// BENCH_fleet.json) and reports it as a benchmark metric.
+// powered-on terminal (TestFleetFootprintCompaction bounds it at 2 KiB)
+// and reports it as a benchmark metric.
 func BenchmarkFleetFootprint(b *testing.B) {
 	var per float64
 	var err error
@@ -583,8 +587,8 @@ func BenchmarkFleetFootprint(b *testing.B) {
 
 // BenchmarkPopulationProbe times one leg of the population model's
 // differential validation: the fluid ensemble under the standard
-// 64 kbps probe spec (the real-terminal reference leg is measured by
-// `make bench-fleet`).
+// 64 kbps probe spec (TestPopulationMatchesEnsemble compares it with
+// the real-terminal reference leg).
 func BenchmarkPopulationProbe(b *testing.B) {
 	cfg := umts.FleetCell(0)
 	cfg.Fades = umts.FadeConfig{}

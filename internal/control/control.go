@@ -15,6 +15,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -37,7 +40,16 @@ type Config struct {
 	// simulation starts — a test hook to hold jobs in the running
 	// state deterministically.
 	startGate chan struct{}
+	// maxFinished overrides maxFinishedJobs — a test hook to reach the
+	// history cap with a few jobs.
+	maxFinished int
 }
+
+// maxFinishedJobs bounds the finished-job history: past it, the oldest
+// finished job (with its encoded result and metrics snapshot) is
+// evicted, and its ID answers 410 Gone. Queued and running jobs never
+// count against it.
+const maxFinishedJobs = 1024
 
 // State is a job's lifecycle phase.
 type State string
@@ -68,14 +80,17 @@ type job struct {
 type Server struct {
 	cfg Config
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string
-	queue  chan *job
-	closed bool
-	nextID int
-	reg    *metrics.Registry
-	snaps  map[string]metrics.Snapshot
+	mu    sync.Mutex
+	jobs  map[string]*job
+	order []string // live job IDs in submission order
+	// finished holds the IDs of finished jobs still in jobs, oldest
+	// first.
+	finished []string
+	queue    chan *job
+	closed   bool
+	nextID   int
+	reg      *metrics.Registry
+	snaps    map[string]metrics.Snapshot
 
 	wg      sync.WaitGroup
 	baseCtx context.Context
@@ -89,6 +104,9 @@ func NewServer(cfg Config) *Server {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = min(runtime.GOMAXPROCS(0), 4)
+	}
+	if cfg.maxFinished <= 0 {
+		cfg.maxFinished = maxFinishedJobs
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -159,6 +177,7 @@ func (s *Server) Cancel(id string) error {
 		j.cancel()
 		s.reg.Counter("control/jobs_canceled").Inc()
 		j.hub.finish(finalEvent{ID: j.id, State: StateCanceled})
+		s.retire(j)
 		return nil
 	case StateRunning:
 		j.cancel()
@@ -248,6 +267,29 @@ func (s *Server) runJob(j *job) {
 		s.reg.Counter("control/jobs_failed").Inc()
 	}
 	j.hub.finish(finalEvent{ID: j.id, State: j.state, Error: j.errMsg})
+	s.retire(j)
+}
+
+// retire enters a job that just reached its final state into the
+// finished history and evicts the oldest finished jobs beyond the cap.
+// The caller holds s.mu.
+func (s *Server) retire(j *job) {
+	s.finished = append(s.finished, j.id)
+	for len(s.finished) > s.cfg.maxFinished {
+		id := s.finished[0]
+		s.finished = s.finished[1:]
+		delete(s.jobs, id)
+		delete(s.snaps, id)
+		s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
+		s.reg.Counter("control/jobs_evicted").Inc()
+	}
+}
+
+// issued reports whether id is one this server handed out (evicted or
+// not). The caller holds s.mu.
+func (s *Server) issued(id string) bool {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	return err == nil && n >= 1 && n <= s.nextID && id == fmt.Sprintf("job-%d", n)
 }
 
 // execute turns the job's declarative spec into a Scenario, attaches

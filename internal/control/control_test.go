@@ -548,3 +548,129 @@ func TestSubmitRejectsPanickingSpecs(t *testing.T) {
 		t.Fatal("valid job after rejected specs returned an empty result")
 	}
 }
+
+// TestJobHistoryEvictsOldestFinished reaches the finished-job cap (2
+// here, 1024 by default): the oldest finished job is evicted and its ID
+// answers 410, an ID never issued still answers 404, and queued and
+// running jobs are never evicted however many there are.
+func TestJobHistoryEvictsOldestFinished(t *testing.T) {
+	gate := make(chan struct{})
+	s, ts := newTestService(t, Config{Workers: 1, startGate: gate, maxFinished: 2})
+	code := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	spec := `{"seed":1,"duration":"` + testDur + `"}`
+	var ids []string
+	for i := 0; i < 2; i++ {
+		ids = append(ids, submit(t, ts, spec))
+		gate <- struct{}{}
+		waitState(t, ts, ids[i])
+	}
+	// A running job (held at the gate) and a queued one: four jobs
+	// against a cap of two, and nothing is evicted.
+	running, queued := submit(t, ts, spec), submit(t, ts, spec)
+	for getStatus(t, ts, running).State != StateRunning {
+		time.Sleep(2 * time.Millisecond)
+	}
+	for _, id := range []string{ids[0], ids[1], running, queued} {
+		if c := code("/v1/jobs/" + id); c != http.StatusOK {
+			t.Fatalf("%s: status %d before the cap was exceeded", id, c)
+		}
+	}
+	// Canceling the queued job finishes it: the oldest finished job goes.
+	if err := s.Cancel(queued); err != nil {
+		t.Fatal(err)
+	}
+	if c := code("/v1/jobs/" + ids[0]); c != http.StatusGone {
+		t.Errorf("evicted %s: status %d, want 410", ids[0], c)
+	}
+	if st := getStatus(t, ts, running); st.State != StateRunning {
+		t.Errorf("running job is %s after an eviction", st.State)
+	}
+	gate <- struct{}{}
+	if st := waitState(t, ts, running); st.State != StateDone {
+		t.Fatalf("running job ended %s (%s)", st.State, st.Error)
+	}
+	for _, path := range []string{"/v1/jobs/" + ids[1], "/v1/jobs/" + ids[1] + "/result", "/v1/jobs/" + ids[1] + "/stream"} {
+		if c := code(path); c != http.StatusGone {
+			t.Errorf("%s: status %d, want 410", path, c)
+		}
+	}
+	for _, id := range []string{"job-99", "job-01", "job-0", "nope"} {
+		if c := code("/v1/jobs/" + id); c != http.StatusNotFound {
+			t.Errorf("never-issued %s: status %d, want 404", id, c)
+		}
+	}
+	getResult(t, ts, running)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if got, want := s.order, []string{running, queued}; !reflect.DeepEqual(got, want) {
+		t.Errorf("job list %v, want %v", got, want)
+	}
+	if len(s.jobs) != 2 || len(s.snaps) != 1 {
+		t.Errorf("holding %d jobs and %d snapshots, want 2 and 1", len(s.jobs), len(s.snaps))
+	}
+	if got := s.reg.Counter("control/jobs_evicted").Value(); got != 2 {
+		t.Errorf("control/jobs_evicted = %d, want 2", got)
+	}
+}
+
+// TestJobHistoryEvictionUnderLoad churns the capped history from
+// several clients at once — submits, status polls, list and metrics
+// scrapes racing with evictions — the -race guard for the eviction
+// path.
+func TestJobHistoryEvictionUnderLoad(t *testing.T) {
+	const clients, perClient, keep = 4, 3, 3
+	s, ts := newTestService(t, Config{Queue: clients * perClient, Workers: 2, maxFinished: keep})
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for k := 0; k < perClient; k++ {
+				id := submit(t, ts, fmt.Sprintf(`{"seed":%d,"duration":"%s"}`, c*perClient+k+1, testDur))
+				for _, path := range []string{"/v1/jobs/" + id, "/v1/jobs", "/v1/metrics"} {
+					resp, err := http.Get(ts.URL + path)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusGone {
+						t.Errorf("%s: status %d", path, resp.StatusCode)
+					}
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s.mu.Lock()
+		done := s.reg.Counter("control/jobs_done").Value()
+		s.mu.Unlock()
+		if done == clients*perClient {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs done", done, clients*perClient)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != keep || len(s.order) != keep || len(s.snaps) != keep {
+		t.Errorf("holding %d jobs, %d listed, %d snapshots; want %d each", len(s.jobs), len(s.order), len(s.snaps), keep)
+	}
+	if got := s.reg.Counter("control/jobs_evicted").Value(); got != clients*perClient-keep {
+		t.Errorf("control/jobs_evicted = %d, want %d", got, clients*perClient-keep)
+	}
+}

@@ -31,6 +31,9 @@ type JobStatus struct {
 //	GET    /v1/jobs/{id}/stream  SSE: live QoS windows, then the final state
 //	DELETE /v1/jobs/{id}         cancel (queued or running)
 //	GET    /v1/metrics       service counters + per-job metric snapshots
+//
+// The server keeps the last maxFinishedJobs finished jobs; an evicted
+// job's ID answers 410 Gone on every per-job route.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -82,13 +85,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup fetches a job's pointer by path value (nil + response written
-// when absent).
+// when absent: 410 for a job evicted from the finished history, 404 for
+// an ID never issued).
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *job {
 	id := r.PathValue("id")
 	s.mu.Lock()
-	j := s.jobs[id]
+	j, gone := s.jobs[id], s.issued(id)
 	s.mu.Unlock()
-	if j == nil {
+	switch {
+	case j != nil:
+	case gone:
+		writeError(w, http.StatusGone, "job %q was evicted from the finished-job history", id)
+	default:
 		writeError(w, http.StatusNotFound, "unknown job %q", id)
 	}
 	return j
@@ -203,8 +211,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleMetrics scrapes the service registry and every finished job's
-// merged simulation snapshot in one JSON document.
+// handleMetrics scrapes the service registry and the merged simulation
+// snapshot of every finished job still in the history, in one JSON
+// document.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	service := s.reg.Snapshot()

@@ -331,8 +331,8 @@ func (r *Result) Summary() string {
 }
 
 // sortedByRxTime reports whether the records are already in
-// non-decreasing RxTime order (one O(n) pass; shared by Decode's
-// fast path and StreamDecoder.FeedLogs).
+// non-decreasing RxTime order (one O(n) pass; Decode skips its stable
+// sort when they are, as every live capture is).
 func sortedByRxTime(records []Record) bool {
 	for i := 1; i < len(records); i++ {
 		if records[i].RxTime < records[i-1].RxTime {

@@ -1,7 +1,6 @@
 package itg
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -646,42 +645,4 @@ func (d *StreamDecoder) RetainedBytes() int {
 	b += cap(d.recv.samples) * 8
 	b += cap(d.echo.samples) * 8
 	return b
-}
-
-// FeedLogs replays whole logs through the decoder: sent and echo in
-// log order (order-insensitive), recv in RxTime order — already-sorted
-// receiver logs (every live capture) are fed in place, others via one
-// stable-sorted copy, exactly reproducing the batch decoder's
-// ordering.
-func (d *StreamDecoder) FeedLogs(sent, recv, echo *Log) {
-	if sent != nil {
-		for _, r := range sent.Records {
-			d.AddSent(r)
-		}
-	}
-	if recv != nil {
-		arrivals := recv.Records
-		if !sortedByRxTime(arrivals) {
-			arrivals = append([]Record(nil), arrivals...)
-			sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].RxTime < arrivals[j].RxTime })
-		}
-		for _, r := range arrivals {
-			d.AddRecv(r)
-		}
-	}
-	if echo != nil {
-		for _, r := range echo.Records {
-			d.AddEcho(r)
-		}
-	}
-}
-
-// DecodeStream is the drop-in streaming counterpart of Decode: one
-// pass over the logs through a StreamDecoder. With no options it uses
-// the quantile sketch for P95/P99; pass WithExactPercentiles for a
-// result byte-identical to Decode.
-func DecodeStream(sent, recv, echo *Log, window time.Duration, opts ...StreamOption) *Result {
-	d := NewStreamDecoder(window, opts...)
-	d.FeedLogs(sent, recv, echo)
-	return d.Finalize()
 }

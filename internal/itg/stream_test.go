@@ -15,8 +15,9 @@ import (
 // genLogs builds a synthetic multi-flow run: jittered delays, ~10%
 // loss, occasional duplicate deliveries, and echoes for received
 // packets. The recv log is appended flow-by-flow, so it is NOT
-// RxTime-sorted across flows — exercising both the batch sort and
-// DecodeStream's sort-if-unsorted fallback.
+// RxTime-sorted across flows — exercising the batch decoder's sort,
+// while decodeLive feeds the arrivals in RxTime order as a live
+// capture delivers them.
 func genLogs(seed int64, flows, perFlow int) (sent, recv, echo *Log) {
 	rng := rand.New(rand.NewSource(seed))
 	sent, recv, echo = &Log{}, &Log{}, &Log{}
@@ -52,11 +53,37 @@ func genLogs(seed int64, flows, perFlow int) (sent, recv, echo *Log) {
 	return sent, recv, echo
 }
 
+// decodeLive feeds logged records to a fresh StreamDecoder through
+// AddSent, AddRecv and AddEcho, as the live endpoints do: arrivals in
+// RxTime order (ties in log order), then finalizes it.
+func decodeLive(sent, recv, echo *Log, window time.Duration, opts ...StreamOption) *Result {
+	d := NewStreamDecoder(window, opts...)
+	for _, r := range records(sent) {
+		d.AddSent(r)
+	}
+	arrivals := append([]Record(nil), records(recv)...)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].RxTime < arrivals[j].RxTime })
+	for _, r := range arrivals {
+		d.AddRecv(r)
+	}
+	for _, r := range records(echo) {
+		d.AddEcho(r)
+	}
+	return d.Finalize()
+}
+
+func records(l *Log) []Record {
+	if l == nil {
+		return nil
+	}
+	return l.Records
+}
+
 func TestStreamExactMatchesBatchRandomLogs(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 99} {
 		sent, recv, echo := genLogs(seed, 3, 400)
 		batch := Decode(sent, recv, echo, 200*time.Millisecond)
-		stream := DecodeStream(sent, recv, echo, 200*time.Millisecond, WithExactPercentiles())
+		stream := decodeLive(sent, recv, echo, 200*time.Millisecond, WithExactPercentiles())
 		if !reflect.DeepEqual(batch, stream) {
 			t.Fatalf("seed %d: exact-mode stream result differs from batch\nbatch:  %+v\nstream: %+v", seed, batch, stream)
 		}
@@ -75,7 +102,7 @@ func TestStreamSketchMatchesBatchExceptPercentiles(t *testing.T) {
 	sent, recv, echo := genLogs(5, 2, 600)
 	batch := Decode(sent, recv, echo, 200*time.Millisecond)
 	const relErr = 0.01
-	stream := DecodeStream(sent, recv, echo, 200*time.Millisecond, WithSketchRelErr(relErr))
+	stream := decodeLive(sent, recv, echo, 200*time.Millisecond, WithSketchRelErr(relErr))
 	if got, want := stripPercentiles(stream), stripPercentiles(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sketch-mode stream differs from batch beyond percentiles\nbatch:  %+v\nstream: %+v", want, got)
 	}
@@ -110,7 +137,7 @@ func TestStreamDuplicatePolicyMatchesBatch(t *testing.T) {
 	recv.Add(Record{FlowID: 1, Seq: 1, Size: 100, TxTime: 10 * time.Millisecond, RxTime: 40 * time.Millisecond})
 	recv.Add(Record{FlowID: 1, Seq: 1, Size: 100, TxTime: 10 * time.Millisecond, RxTime: 45 * time.Millisecond})
 	batch := Decode(sent, recv, nil, 200*time.Millisecond)
-	stream := DecodeStream(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
+	stream := decodeLive(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("duplicate handling diverged\nbatch:  %+v\nstream: %+v", batch, stream)
 	}
@@ -137,7 +164,7 @@ func TestStreamSeqReorderWithinSpanMatchesBatch(t *testing.T) {
 			RxTime: 500*time.Millisecond + time.Duration(k)*5*time.Millisecond})
 	}
 	batch := Decode(sent, recv, nil, 200*time.Millisecond)
-	stream := DecodeStream(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
+	stream := decodeLive(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("reordered arrivals diverged\nbatch:  %+v\nstream: %+v", batch, stream)
 	}
@@ -253,7 +280,7 @@ func TestStreamWithStartMirrorsRebase(t *testing.T) {
 	sSent, sRecv, sEcho := shift(sent), shift(recv), shift(echo)
 	// Rebase works in place, so the stream decodes the shifted logs
 	// first.
-	stream := DecodeStream(sSent, sRecv, sEcho, 200*time.Millisecond, WithStart(start), WithExactPercentiles())
+	stream := decodeLive(sSent, sRecv, sEcho, 200*time.Millisecond, WithStart(start), WithExactPercentiles())
 	batch := Decode(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("WithStart(...) differs from Rebase + decode\nbatch:  %+v\nstream: %+v", batch, stream)
@@ -288,6 +315,15 @@ func TestStreamRetainedBytesConstantInPackets(t *testing.T) {
 		t.Errorf("control: batch log footprint should grow ~linearly (%d vs %d)",
 			smallLog.RetainedBytes(), bigLog.RetainedBytes())
 	}
+	// The O(windows + flows) envelope, with generous per-window and
+	// per-flow constants, and a small fraction of the receiver log alone.
+	const windows, flows = 50, 4
+	if env := windows*200 + flows*20000 + 131072; big.RetainedBytes() >= env {
+		t.Errorf("stream footprint %d B exceeds the O(windows + flows) envelope %d B", big.RetainedBytes(), env)
+	}
+	if big.RetainedBytes()*4 >= bigLog.RetainedBytes() {
+		t.Errorf("stream footprint %d B is not under a quarter of the %d B log", big.RetainedBytes(), bigLog.RetainedBytes())
+	}
 }
 
 // --- decode edge cases (shared by both decoders) ---
@@ -295,7 +331,7 @@ func TestStreamRetainedBytesConstantInPackets(t *testing.T) {
 func assertBothDecodersEqual(t *testing.T, sent, recv, echo *Log, window time.Duration) (*Result, *Result) {
 	t.Helper()
 	batch := Decode(sent, recv, echo, window)
-	stream := DecodeStream(sent, recv, echo, window, WithExactPercentiles())
+	stream := decodeLive(sent, recv, echo, window, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("decoders diverge\nbatch:  %+v\nstream: %+v", batch, stream)
 	}

@@ -1,6 +1,7 @@
 package modem
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -399,4 +400,126 @@ func TestPropertyATParserRobust(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzModemAT drives the AT interpreter with arbitrary host bytes over
+// the serial line. Whole, at once, they must never panic it. Sent one
+// CR-terminated line at a time, as V.250 asks of a host (wait for the
+// final result code before the next command), every non-empty command
+// line in command mode must get exactly one final result code, and
+// nothing else may. flags picks the environment: bit 0 fails the
+// network dial, bit 1 locks the SIM, bit 2 leaves the card unregistered.
+func FuzzModemAT(f *testing.F) {
+	for _, s := range []string{
+		"AT\rATE0\rATI\rAT+CGMI\rAT+CGMM\r",
+		"AT+CPIN?\rAT+CPIN=\"1234\"\rAT+CPIN=\"0000\"\r",
+		"AT+CREG?\rAT+COPS?\rAT+CSQ\r",
+		"AT+CGDCONT=1,\"IP\",\"internet.example\"\rAT+CGDCONT?\rATD*99***1#\r",
+		"ATD*99#\r+++",
+		"ATD*99#\rpayload\r",
+		"ATZ\rATH\rATO\rATD#99\rATDX\r",
+		"at\x7f\x7fAT\n\r  \r\rhello\r",
+		"AT+CGDCONT=99,\"IP\",\"x\"\rAT+CGDCONT=1\r",
+	} {
+		f.Add([]byte(s), byte(0))
+		f.Add([]byte(s), byte(7))
+	}
+	f.Fuzz(func(t *testing.T, in []byte, flags byte) {
+		newModem := func() (*sim.Loop, *serial.Line, *Modem, *strings.Builder) {
+			loop := sim.NewLoop(1)
+			line := serial.NewLine(loop, "tty", Globetrotter.LineRate)
+			radio := &fakeRadio{reg: RegHome, op: "SimTel IT", csq: 17, loop: loop, attach: 100 * time.Millisecond}
+			if flags&1 != 0 {
+				radio.dialErr = errors.New("no PDP context")
+			}
+			if flags&4 != 0 {
+				radio.reg = RegSearching
+			}
+			pin := ""
+			if flags&2 != 0 {
+				pin = "1234"
+			}
+			m := New(loop, Globetrotter, line, radio, pin)
+			out := &strings.Builder{}
+			line.HostEnd().SetReceiver(func(p []byte) { out.Write(p) })
+			return loop, line, m, out
+		}
+
+		loop, line, _, _ := newModem()
+		line.HostEnd().Write(in)
+		loop.Run()
+
+		loop, line, m, out := newModem()
+		for len(in) > 0 {
+			n := bytes.IndexByte(in, '\r') + 1
+			if n == 0 {
+				n = len(in)
+			}
+			chunk := in[:n]
+			in = in[n:]
+			command, echo := !m.InDataMode(), m.echo
+			out.Reset()
+			line.HostEnd().Write(chunk)
+			loop.RunUntil(loop.Now() + 5*time.Second)
+			if !command {
+				continue
+			}
+			got := out.String()
+			if echo {
+				if !strings.HasPrefix(got, string(chunk)) {
+					t.Fatalf("line %q: output %q does not start with its echo", chunk, got)
+				}
+				got = got[len(chunk):]
+			}
+			finals := 0
+			for got != "" {
+				end := strings.Index(got[min(2, len(got)):], "\r\n")
+				if !strings.HasPrefix(got, "\r\n") || end < 0 {
+					t.Fatalf("line %q: malformed response %q", chunk, got)
+				}
+				if isFinalResult(got[2 : 2+end]) {
+					finals++
+				}
+				got = got[4+end:]
+			}
+			if want := commandLines(chunk); finals != want {
+				t.Fatalf("line %q: %d final result codes, want %d (output %q)", chunk, finals, want, out.String())
+			}
+		}
+	})
+}
+
+// commandLines is how many command lines the modem executes for a
+// chunk of host bytes: each CR ends one, non-empty once LF is dropped,
+// backspace applied and blanks trimmed.
+func commandLines(chunk []byte) int {
+	var buf []byte
+	n := 0
+	for _, b := range chunk {
+		switch b {
+		case '\r':
+			if strings.TrimSpace(string(buf)) != "" {
+				n++
+			}
+			buf = buf[:0]
+		case '\n':
+		case 0x7f, 8:
+			if len(buf) > 0 {
+				buf = buf[:len(buf)-1]
+			}
+		default:
+			buf = append(buf, b)
+		}
+	}
+	return n
+}
+
+// isFinalResult reports whether a response line is a V.250 final result
+// code rather than an information response.
+func isFinalResult(s string) bool {
+	switch s {
+	case "OK", "ERROR", "NO CARRIER", "BUSY", "NO DIALTONE", "NO ANSWER", "CONNECT":
+		return true
+	}
+	return strings.HasPrefix(s, "CONNECT ") || strings.HasPrefix(s, "+CME ERROR:")
 }

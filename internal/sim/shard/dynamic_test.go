@@ -169,8 +169,7 @@ func TestWindowInstrumentation(t *testing.T) {
 // TestDynamicNeverTrailsGlobal: the dynamic horizon is at least the
 // distance bound, which is never shorter than the global lookahead
 // window, so the dynamic policy can never grant MORE windows than
-// global on the same scenario — the invariant the bench-compare gate
-// enforces at scale.
+// global on the same scenario.
 func TestDynamicNeverTrailsGlobal(t *testing.T) {
 	for _, period := range []time.Duration{2 * time.Millisecond, 10 * time.Millisecond, 80 * time.Millisecond} {
 		windows := func(p shard.Policy) int64 {

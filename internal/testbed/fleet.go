@@ -16,8 +16,8 @@ import (
 // PlanetLab stack is materialized immediately (the pre-fleet baseline
 // behavior); with eager=false the terminals are a compact
 // umts.Terminal fleet whose stacks would materialize only on first
-// dial. The ratio of the two is the fleet compaction factor reported
-// by `-bench-fleet`.
+// dial. The ratio of the two is the fleet compaction factor that
+// TestFleetFootprintCompaction gates.
 //
 // The measurement brackets the allocation with GC cycles and reads
 // HeapAlloc, so it reports live bytes, not allocation churn. Run it

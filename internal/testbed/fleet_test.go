@@ -2,19 +2,22 @@ package testbed
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
+	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
 
-// TestFleetFootprintCompaction is the tentpole's memory claim in
+// TestFleetFootprintCompaction is the fleet's memory claim in
 // miniature: a compact powered-on terminal must cost at least 50×
-// less resident heap than the eager full-stack build. The bench run
-// measures the same ratio at 100k scale.
+// less resident heap than the eager full-stack build, and at most
+// 2 KiB (about 90 B measured). bench/'s fleet_idle workload measures
+// the peak RSS of the 100k-terminal run.
 func TestFleetFootprintCompaction(t *testing.T) {
 	lazy, err := FleetFootprint(4096, false)
 	if err != nil {
@@ -27,8 +30,44 @@ func TestFleetFootprintCompaction(t *testing.T) {
 	if lazy <= 0 || eager <= 0 {
 		t.Fatalf("degenerate footprints: lazy %.1f eager %.1f", lazy, eager)
 	}
+	if lazy > 2048 {
+		t.Fatalf("idle terminal costs %.0f B, want <= 2048 B", lazy)
+	}
 	if ratio := eager / lazy; ratio < 50 {
 		t.Fatalf("compaction ratio %.1fx (eager %.0f B vs lazy %.0f B), want >= 50x", ratio, eager, lazy)
+	}
+}
+
+// TestDynamicFewerWindowsOnIdleFleet is the dynamic policy's reason to
+// exist, at testbed level: cells with only idle terminals and
+// background populations exchange no cross-shard traffic, so dynamic
+// horizons stride from population tick to population tick while global
+// grinds lookahead-sized windows. Summed over shards, dynamic must run
+// at least 5x fewer windows, with the same result.
+func TestDynamicFewerWindowsOnIdleFleet(t *testing.T) {
+	run := func(p shard.Policy) (*MultiCellResult, int64) {
+		rep, err := NewScenario(
+			WithSeed(3), WithCells(2, 0), WithShardPolicy(p),
+			WithIdleTerminals(100), WithPopulation(10, nil),
+			WithDuration(10*time.Second),
+		).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var windows int64
+		for _, snap := range rep.MultiCell.Snapshots {
+			windows += snap.Counter("shard/windows")
+		}
+		return rep.MultiCell, windows
+	}
+	g, gw := run(shard.PolicyGlobal)
+	d, dw := run(shard.PolicyDynamic)
+	t.Logf("windows: global %d, dynamic %d (%.1fx)", gw, dw, float64(gw)/float64(dw))
+	if dw <= 0 || gw < 5*dw {
+		t.Errorf("windows: global %d vs dynamic %d (%.1fx), want >= 5x fewer under dynamic", gw, dw, float64(gw)/float64(dw))
+	}
+	if !reflect.DeepEqual(g.Counters, d.Counters) || !reflect.DeepEqual(g.Populations, d.Populations) {
+		t.Error("global and dynamic idle-fleet runs differ")
 	}
 }
 

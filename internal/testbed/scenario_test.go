@@ -140,6 +140,31 @@ func supCounter(counters map[string]int64, suffix string) int64 {
 	return total
 }
 
+// TestEmptyFaultScheduleIsTransparent: the fault layer is free when
+// unused. A scenario armed with an explicitly empty schedule, or with
+// the "none" preset, decodes and counts exactly like a plain run.
+func TestEmptyFaultScheduleIsTransparent(t *testing.T) {
+	run := func(opts ...ScenarioOption) *ExperimentResult {
+		rep, err := NewScenario(append([]ScenarioOption{WithSeed(5), WithDuration(20 * time.Second)}, opts...)...).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results[0]
+	}
+	plain := run()
+	for name, armed := range map[string]*ExperimentResult{
+		"empty schedule": run(WithFaults(fault.Schedule{})),
+		"none preset":    run(WithFaultProfile("none")),
+	} {
+		if !reflect.DeepEqual(plain.Decoded, armed.Decoded) {
+			t.Errorf("%s: decoded result differs from a plain run", name)
+		}
+		if !reflect.DeepEqual(plain.Metrics.Counters, armed.Metrics.Counters) {
+			t.Errorf("%s: counters differ from a plain run", name)
+		}
+	}
+}
+
 // TestScenarioRecoversFromScriptedDrops is the recovery acceptance
 // test: two scripted carrier drops during the flow, self-healing on —
 // the supervisor must re-establish PPP both times within its backoff

@@ -16,8 +16,8 @@ import (
 // sees exactly RateBps per subscriber with no framing ambiguity), and
 // MeasurePopulation runs the fluid model under the same spec. Both
 // build a private loop/network/operator, so they are cheap, hermetic,
-// and deterministic; the population tests and `-bench-fleet` compare
-// their results within the spec's declared tolerance.
+// and deterministic; the population tests compare their results
+// within the spec's declared tolerance.
 
 // EnsembleResult is one probe leg's measurement.
 type EnsembleResult struct {

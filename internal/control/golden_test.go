@@ -41,6 +41,7 @@ var goldenShort = []goldenCase{
 	{name: "voip_stream_only", spec: `{"seed":1,"workload":"voip","duration":"30s","analysis":{"mode":"stream-only"}}`},
 	{name: "multicell_2x2", spec: `{"seed":1,"cells":2,"terminals":2,"duration":"10s"}`},
 	{name: "fleet_idle_small", spec: `{"seed":1,"cells":2,"terminals":1,"idle_terminals":100,"population":10,"duration":"10s"}`},
+	{name: "multicell_2x2_flaky_heal", spec: `{"seed":1,"cells":2,"terminals":2,"duration":"30s","fault_profile":"flaky","self_heal":true}`},
 }
 
 // goldenFullSet is `make golden`: the paper cells at the paper's 20

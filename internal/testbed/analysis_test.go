@@ -172,13 +172,13 @@ func TestPaperCellDecodesLiveWithoutLogs(t *testing.T) {
 // placement-independent (sender and receiver feed the same decoder from
 // different shards) and, with exact percentiles, equal to Decoded.
 func TestMultiCellStreamShardedIdentical(t *testing.T) {
-	opts := MultiCellOptions{
-		Seed: 3, Cells: 2, Terminals: 2,
-		Analysis: AnalysisConfig{Mode: AnalysisStream, Exact: true},
+	opts := Scenario{
+		seed: 3, cells: 2, terminals: 2,
+		analysis: AnalysisConfig{Mode: AnalysisStream, Exact: true},
 	}
 	diffMultiCell(t, opts, 3)
 
-	res, err := runMultiCell(opts)
+	res, err := runCells(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +200,8 @@ func TestMultiCellStreamShardedIdentical(t *testing.T) {
 // shard counts: with the logs gone, the streamed report IS the decoded
 // report, and it must still be shard-count independent.
 func TestMultiCellStreamOnlySharded(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{
-		Seed: 5, Cells: 2, Terminals: 1,
-		Analysis: AnalysisConfig{Mode: AnalysisStreamOnly, Exact: true},
+	diffMultiCell(t, Scenario{
+		seed: 5, cells: 2, terminals: 1,
+		analysis: AnalysisConfig{Mode: AnalysisStreamOnly, Exact: true},
 	}, 3)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"github.com/onelab/umtslab/internal/modem"
 	"github.com/onelab/umtslab/internal/netsim"
 	"github.com/onelab/umtslab/internal/sim"
 	"github.com/onelab/umtslab/internal/umts"
@@ -27,18 +26,16 @@ func FleetFootprint(n int, eager bool) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("testbed: fleet footprint needs n > 0, got %d", n)
 	}
-	opts := MultiCellOptions{Cells: 1, Terminals: n}
-	opts.setDefaults()
-
+	sc, err := (&Scenario{cells: 1, terminals: n}).resolve()
+	if err != nil {
+		return 0, err
+	}
 	loop := sim.NewLoop(1)
 	nw := netsim.NewNetwork(loop)
 	server := nw.AddNode("fleet-server")
 	cfg := umts.FleetCell(0)
 	op := umts.NewOperator(loop, nw, cfg)
-	env := &cellEnv{
-		loop: loop, nw: nw, server: server,
-		op: op, cfg: cfg, card: modem.Globetrotter, opts: &opts,
-	}
+	env := &cellEnv{loop: loop, nw: nw, server: server, op: op, cfg: cfg, sc: sc}
 
 	var before, after runtime.MemStats
 	runtime.GC()

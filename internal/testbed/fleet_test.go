@@ -99,11 +99,11 @@ func TestTerminalIdentityGuards(t *testing.T) {
 
 // fleetOpts is a small-but-representative fleet scenario: real flows,
 // an idle fleet, and background populations per cell.
-func fleetOpts() MultiCellOptions {
-	return MultiCellOptions{
-		Seed: 11, Cells: 2, Terminals: 1,
-		IdleTerminals: 40, Population: 25,
-		FlowStart: 15 * time.Second, Duration: 8 * time.Second, Drain: 6 * time.Second,
+func fleetOpts() Scenario {
+	return Scenario{
+		seed: 11, cells: 2, terminals: 1,
+		idleTerminals: 40, population: 25,
+		flowStart: 15 * time.Second, duration: 8 * time.Second, drain: 6 * time.Second,
 	}
 }
 
@@ -121,11 +121,11 @@ func TestFleetShardedIdentical(t *testing.T) {
 // on pure promises — and faults perturbing the radio mid-run must not
 // break the 1-vs-N-shard/policy byte identity.
 func TestFleetZeroActiveFaultedDifferential(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{
-		Seed: 13, Cells: 2, Terminals: 0,
-		IdleTerminals: 30, Population: 10,
-		FlowStart: 15 * time.Second, Duration: 8 * time.Second, Drain: 6 * time.Second,
-		Faults: fault.Schedule{Events: []fault.Event{
+	diffMultiCell(t, Scenario{
+		seed: 13, cells: 2, terminals: 0,
+		idleTerminals: 30, population: 10,
+		flowStart: 15 * time.Second, duration: 8 * time.Second, drain: 6 * time.Second,
+		faults: fault.Schedule{Events: []fault.Event{
 			{Kind: fault.KindRateFade, At: 17 * time.Second, Duration: 3 * time.Second, Scale: 0.5},
 			{Kind: fault.KindFade, At: 19 * time.Second, Duration: time.Second},
 			{Kind: fault.KindLinkFlap, At: 21 * time.Second, Duration: 2 * time.Second, Loss: 0.3},
@@ -137,13 +137,13 @@ func TestFleetZeroActiveFaultedDifferential(t *testing.T) {
 // stats themselves (not just merged counters) across shard counts.
 func TestFleetPopulationsPlacementIndependent(t *testing.T) {
 	opts := fleetOpts()
-	opts.Shards = 1
-	single, err := runMultiCell(opts)
+	opts.shards = 1
+	single, err := runCells(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Shards = 3
-	sharded, err := runMultiCell(opts)
+	opts.shards = 3
+	sharded, err := runCells(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,20 +211,20 @@ func TestFleetOptionsRequireCells(t *testing.T) {
 // gauges must collapse into per-cell sum+max aggregates whose GaugeSum
 // matches the uncapped run, with the aggregation recorded.
 func TestFlowGaugeAggregation(t *testing.T) {
-	base := MultiCellOptions{
-		Seed: 3, Cells: 2, Terminals: 2,
-		Duration: 6 * time.Second, Drain: 5 * time.Second,
-		Analysis: AnalysisConfig{Mode: AnalysisStreamOnly},
+	base := Scenario{
+		seed: 3, cells: 2, terminals: 2,
+		duration: 6 * time.Second, drain: 5 * time.Second,
+		analysis: AnalysisConfig{Mode: AnalysisStreamOnly},
 	}
 	capped := base
-	capped.FlowGaugeLimit = 2 // 4 flows > 2: aggregate
-	cres, err := runMultiCell(capped)
+	capped.flowGaugeLimit = 2 // 4 flows > 2: aggregate
+	cres, err := runCells(capped)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uncapped := base
-	uncapped.FlowGaugeLimit = -1
-	ures, err := runMultiCell(uncapped)
+	uncapped.flowGaugeLimit = -1
+	ures, err := runCells(uncapped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,8 +260,8 @@ func TestFlowGaugeAggregation(t *testing.T) {
 func TestFleetFullStackTolerance(t *testing.T) {
 	const flows = 3
 	dur := 8 * time.Second
-	real, err := runMultiCell(MultiCellOptions{
-		Seed: 21, Cells: 1, Terminals: flows, Duration: dur, Drain: 6 * time.Second,
+	real, err := runCells(Scenario{
+		seed: 21, cells: 1, terminals: flows, duration: dur, drain: 6 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -272,10 +272,10 @@ func TestFleetFullStackTolerance(t *testing.T) {
 	}
 	rate := float64(realTx) * 8 / (float64(flows) * dur.Seconds())
 
-	popRes, err := runMultiCell(MultiCellOptions{
-		Seed: 21, Cells: 1, Terminals: 0, Population: flows,
-		Duration: dur, Drain: 6 * time.Second,
-		PopulationSpec: &umts.PopulationSpec{
+	popRes, err := runCells(Scenario{
+		seed: 21, cells: 1, terminals: 0, population: flows,
+		duration: dur, drain: 6 * time.Second,
+		populationSpec: &umts.PopulationSpec{
 			RateBps: rate, Start: 15 * time.Second, Duration: dur, Tolerance: 0.1,
 		},
 	})

@@ -15,3 +15,13 @@ func runPaper(seed int64, path Path, wl Workload, dur time.Duration) (*Experimen
 	}
 	return rep.Results[0], nil
 }
+
+// runCells runs a multi-cell scenario through the Scenario front door
+// and returns its multi-cell result.
+func runCells(sc Scenario) (*MultiCellResult, error) {
+	rep, err := sc.Run()
+	if err != nil {
+		return nil, err
+	}
+	return rep.MultiCell, nil
+}

@@ -14,7 +14,7 @@ import (
 // terminal dials its cell, registers the server, and the VoIP flows
 // arrive with plausible QoS.
 func TestMultiCellFlowsDeliver(t *testing.T) {
-	res, err := runMultiCell(MultiCellOptions{Seed: 11, Cells: 2, Terminals: 2})
+	res, err := runCells(Scenario{seed: 11, cells: 2, terminals: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 		if f.Decoded.AvgBitrateKbps < 50 {
 			t.Errorf("cell %d terminal %d: bitrate %.1f kbps, want ~72", f.Cell, f.Terminal, f.Decoded.AvgBitrateKbps)
 		}
-		if f.SetupTime <= 0 || f.SetupTime > res.Opts.FlowStart {
+		if f.SetupTime <= 0 || f.SetupTime > defaultFlowStart {
 			t.Errorf("cell %d terminal %d: setup time %v", f.Cell, f.Terminal, f.SetupTime)
 		}
 		if len(f.BearerEvents) == 0 {
@@ -46,24 +46,24 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 	}
 }
 
-// diffMultiCell runs the same options with shard count 1 (the
+// diffMultiCell runs the same scenario with shard count 1 (the
 // reference) and then shard count n under both window policies (global
 // lockstep and dynamic per-shard horizons), and
 // asserts byte-identical QoS reports, bearer logs, and placement-
 // independent kernel counters across all runs — the determinism
 // contract covers placement AND window policy.
-func diffMultiCell(t *testing.T, opts MultiCellOptions, n int) {
+func diffMultiCell(t *testing.T, sc Scenario, n int) {
 	t.Helper()
-	opts.Shards = 1
-	opts.ShardPolicy = shard.PolicyGlobal
-	single, err := runMultiCell(opts)
+	sc.shards = 1
+	sc.shardPolicy = shard.PolicyGlobal
+	single, err := runCells(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range shard.Policies() {
-		opts.Shards = n
-		opts.ShardPolicy = policy
-		sharded, err := runMultiCell(opts)
+		sc.shards = n
+		sc.shardPolicy = policy
+		sharded, err := runCells(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +105,19 @@ func diffMultiCell(t *testing.T, opts MultiCellOptions, n int) {
 // TestMultiCellShardedIdentical is the acceptance differential: the
 // K-cell scenario on one loop vs one shard per cell plus the core.
 func TestMultiCellShardedIdentical(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{Seed: 3, Cells: 3, Terminals: 1}, 4)
+	diffMultiCell(t, Scenario{seed: 3, cells: 3, terminals: 1}, 4)
 }
 
 // TestMultiCellPartialSharding maps several cells onto each shard —
 // partitions must compose on shared loops exactly as they do alone.
 func TestMultiCellPartialSharding(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{Seed: 5, Cells: 3, Terminals: 1}, 2)
+	diffMultiCell(t, Scenario{seed: 5, cells: 3, terminals: 1}, 2)
 }
 
 // TestMultiCellShardedIdenticalHeap repeats the differential on a
 // second topology: two cells, one shard each plus the core.
 func TestMultiCellShardedIdenticalHeap(t *testing.T) {
-	diffMultiCell(t, MultiCellOptions{Seed: 3, Cells: 2, Terminals: 1}, 3)
+	diffMultiCell(t, Scenario{seed: 3, cells: 2, terminals: 1}, 3)
 }
 
 // TestMultiCellRandomizedTopologies fuzzes the scenario shape — cell
@@ -131,17 +131,17 @@ func TestMultiCellRandomizedTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	workloads := []Workload{WorkloadVoIP, WorkloadVoIPG729, WorkloadTelnet}
 	for round := 0; round < 3; round++ {
-		opts := MultiCellOptions{
-			Seed:          rng.Int63n(1 << 30),
-			Cells:         2 + rng.Intn(3),
-			Terminals:     1 + rng.Intn(2),
-			Workload:      workloads[rng.Intn(len(workloads))],
-			Duration:      time.Duration(10+rng.Intn(10)) * time.Second,
-			BackhaulDelay: time.Duration(3+rng.Intn(10)) * time.Millisecond,
+		opts := Scenario{
+			seed:          rng.Int63n(1 << 30),
+			cells:         2 + rng.Intn(3),
+			terminals:     1 + rng.Intn(2),
+			workload:      workloads[rng.Intn(len(workloads))],
+			duration:      time.Duration(10+rng.Intn(10)) * time.Second,
+			backhaulDelay: time.Duration(3+rng.Intn(10)) * time.Millisecond,
 		}
-		shards := 2 + rng.Intn(opts.Cells)
+		shards := 2 + rng.Intn(opts.cells)
 		t.Logf("round %d: %d cells x %d terminals, %v, backhaul %v, %d shards, seed %d",
-			round, opts.Cells, opts.Terminals, opts.Workload, opts.BackhaulDelay, shards, opts.Seed)
+			round, opts.cells, opts.terminals, opts.workload, opts.backhaulDelay, shards, opts.seed)
 		diffMultiCell(t, opts, shards)
 	}
 }

@@ -117,10 +117,10 @@ func TestMultiCellPacketsRecycleAcrossShards(t *testing.T) {
 	// so the receiving loop's lists only fill.
 	for _, wl := range []Workload{WorkloadVoIP, WorkloadTelnet} {
 		t.Run(wl.String(), func(t *testing.T) {
-			opts := MultiCellOptions{Seed: 11, Cells: 2, Terminals: 2, Workload: wl, Duration: 5 * time.Second}
+			opts := Scenario{seed: 11, cells: 2, terminals: 2, workload: wl, duration: 5 * time.Second}
 			diffMultiCell(t, opts, 3)
-			opts.Shards = 3
-			res, err := runMultiCell(opts)
+			opts.shards = 3
+			res, err := runCells(opts)
 			if err != nil {
 				t.Fatal(err)
 			}

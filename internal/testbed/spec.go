@@ -324,19 +324,24 @@ func (s *Spec) Scenario() (*Scenario, error) {
 	}
 	path, _ := ParsePath(s.Path)
 	wl, _ := ParseWorkload(s.Workload)
+	policy, _ := shard.ParsePolicy(s.ShardPolicy)
+	var pop *umts.PopulationSpec
+	if s.PopulationSpec != nil {
+		pop = s.PopulationSpec.spec()
+	}
+	// Validate has rejected every multi-cell field of a single-cell
+	// spec, and a zero field selects the same default as an omitted
+	// option.
 	opts := []ScenarioOption{
 		WithSeed(s.Seed), WithPath(path), WithWorkload(wl),
 		WithDuration(time.Duration(s.Duration)),
 		WithWindow(time.Duration(s.Window)),
-	}
-	if s.Reps > 0 {
-		opts = append(opts, WithReps(s.Reps))
-	}
-	if s.Workers > 0 {
-		opts = append(opts, WithWorkers(s.Workers))
-	}
-	if s.FaultProfile != "" {
-		opts = append(opts, WithFaultProfile(s.FaultProfile))
+		WithReps(s.Reps), WithWorkers(s.Workers),
+		WithFaultProfile(s.FaultProfile),
+		WithCells(s.Cells, s.Terminals), WithShards(s.Shards), WithShardPolicy(policy),
+		WithFlowStart(time.Duration(s.FlowStart)),
+		WithIdleTerminals(s.IdleTerminals), WithPopulation(s.Population, pop),
+		WithFlowGaugeLimit(s.FlowGaugeLimit),
 	}
 	if s.SelfHeal {
 		var pol *dialer.Policy
@@ -351,32 +356,6 @@ func (s *Spec) Scenario() (*Scenario, error) {
 			Mode: mode, SketchRelErr: s.Analysis.SketchRelErr,
 			Exact: s.Analysis.Exact,
 		}))
-	}
-	if s.Cells > 0 {
-		opts = append(opts, WithCells(s.Cells, s.Terminals))
-		if s.Shards > 0 {
-			opts = append(opts, WithShards(s.Shards))
-		}
-		if s.ShardPolicy != "" {
-			pol, _ := shard.ParsePolicy(s.ShardPolicy)
-			opts = append(opts, WithShardPolicy(pol))
-		}
-		if s.FlowStart > 0 {
-			opts = append(opts, WithFlowStart(time.Duration(s.FlowStart)))
-		}
-		if s.IdleTerminals > 0 {
-			opts = append(opts, WithIdleTerminals(s.IdleTerminals))
-		}
-		if s.Population > 0 {
-			var ps *umts.PopulationSpec
-			if s.PopulationSpec != nil {
-				ps = s.PopulationSpec.spec()
-			}
-			opts = append(opts, WithPopulation(s.Population, ps))
-		}
-		if s.FlowGaugeLimit != 0 {
-			opts = append(opts, WithFlowGaugeLimit(s.FlowGaugeLimit))
-		}
 	}
 	return NewScenario(opts...), nil
 }
@@ -407,18 +386,20 @@ func (sc *Scenario) Spec() (*Spec, error) {
 		return nil, fmt.Errorf("testbed: live-window subscription has no wire form")
 	}
 	s := &Spec{
-		Seed:          sc.seed,
-		Duration:      Duration(sc.duration),
-		Window:        Duration(sc.window),
-		Reps:          sc.reps,
-		SelfHeal:      sc.selfHeal,
-		HealPolicy:    healSpec(sc.healPolicy),
-		Cells:         sc.cells,
-		Terminals:     sc.terminals,
-		Shards:        sc.shards,
-		FlowStart:     Duration(sc.flowStart),
-		IdleTerminals: sc.idleTerminals,
-		Population:    sc.population,
+		Seed:           sc.seed,
+		Duration:       Duration(sc.duration),
+		Window:         Duration(sc.window),
+		Reps:           sc.reps,
+		SelfHeal:       sc.selfHeal,
+		HealPolicy:     healSpec(sc.healPolicy),
+		Cells:          sc.cells,
+		Terminals:      sc.terminals,
+		Shards:         sc.shards,
+		FlowStart:      Duration(sc.flowStart),
+		IdleTerminals:  sc.idleTerminals,
+		Population:     sc.population,
+		PopulationSpec: populationSpecJSON(sc.populationSpec),
+		FlowGaugeLimit: sc.flowGaugeLimit,
 	}
 	if sc.reps > 1 {
 		// Workers is a resource knob with no effect on results; it only
@@ -444,12 +425,8 @@ func (sc *Scenario) Spec() (*Spec, error) {
 			s.Analysis.Mode = sc.analysis.Mode.String()
 		}
 	}
-	if sc.cells > 0 {
-		if sc.shardPolicy != shard.PolicyGlobal {
-			s.ShardPolicy = sc.shardPolicy.String()
-		}
-		s.PopulationSpec = populationSpecJSON(sc.populationSpec)
-		s.FlowGaugeLimit = sc.flowGaugeLimit
+	if sc.shardPolicy != shard.PolicyGlobal {
+		s.ShardPolicy = sc.shardPolicy.String()
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

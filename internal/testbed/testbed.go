@@ -10,7 +10,6 @@ package testbed
 import (
 	"fmt"
 	"net/netip"
-	"time"
 
 	"github.com/onelab/umtslab/internal/core"
 	"github.com/onelab/umtslab/internal/dialer"
@@ -50,11 +49,6 @@ type Options struct {
 	Card *modem.CardProfile
 	// PIN locks the SIM (default unlocked).
 	PIN string
-	// EthDelay is the one-way per-hop wired delay (two hops between the
-	// nodes; default 7.5 ms for a ~30 ms RTT across the GRN).
-	EthDelay time.Duration
-	// EthJitter is the per-hop wired jitter bound (default 300 µs).
-	EthJitter time.Duration
 	// Faults is the deterministic fault schedule armed against the
 	// scenario: carrier drops, fades, rate fades, registration losses,
 	// network-side LCP terminates, and Gi-link flaps, all at virtual
@@ -107,9 +101,8 @@ type Testbed struct {
 	// empty); Windows() reports the scheduled outage intervals.
 	Faults *fault.Injector
 
+	napoli     plNode
 	coreRouter *iproute.Router
-	giLink     *netsim.P2PLink
-	opts       Options
 }
 
 // New assembles the scenario.
@@ -122,19 +115,13 @@ func New(opts Options) (*Testbed, error) {
 		card := modem.Globetrotter
 		opts.Card = &card
 	}
-	if opts.EthDelay == 0 {
-		opts.EthDelay = 7500 * time.Microsecond
-	}
-	if opts.EthJitter == 0 {
-		opts.EthJitter = 300 * time.Microsecond
-	}
 
 	loop := sim.NewLoop(opts.Seed)
 	if opts.Interrupt != nil {
 		loop.SetInterrupt(opts.Interrupt)
 	}
 	nw := netsim.NewNetwork(loop)
-	tb := &Testbed{Loop: loop, Net: nw, opts: opts}
+	tb := &Testbed{Loop: loop, Net: nw}
 
 	// Nodes.
 	tb.Napoli = nw.AddNode("planetlab.unina.it")
@@ -142,16 +129,13 @@ func New(opts Options) (*Testbed, error) {
 	tb.Internet = nw.AddNode("grn-core")
 	tb.Internet.Forwarding = true
 
-	// Wired research-network links: 100 Mbit/s with small jitter.
-	eth := netsim.LinkConfig{
-		RateBps: 100e6, Delay: opts.EthDelay, Jitter: opts.EthJitter, QueuePackets: 1000,
-	}
+	eth := wiredLink(ethDelay)
 	nw.WireP2P("napoli-grn", tb.Napoli, "eth0", NapoliEthAddr, tb.Internet, "to-napoli", NapoliGWAddr, eth, eth)
 	nw.WireP2P("inria-grn", tb.Inria, "eth0", InriaEthAddr, tb.Internet, "to-inria", InriaGWAddr, eth, eth)
 
 	// Operator network and its Gi uplink.
 	tb.Operator = umts.NewOperator(loop, nw, *opts.Operator)
-	tb.giLink = nw.WireP2P("ggsn-grn", tb.Operator.GGSN(), "gi0", GGSNGiAddr, tb.Internet, "to-ggsn", GGSNGWAddr, eth, eth)
+	giLink := nw.WireP2P("ggsn-grn", tb.Operator.GGSN(), "gi0", GGSNGiAddr, tb.Internet, "to-ggsn", GGSNGWAddr, eth, eth)
 	tb.Operator.SetGi("gi0")
 
 	// Internet core routing.
@@ -162,39 +146,18 @@ func New(opts Options) (*Testbed, error) {
 	coreRouter.AddRoute(iproute.TableMain, iproute.Route{Dst: opts.Operator.Pool, Iface: "to-ggsn", Gateway: GGSNGiAddr})
 	coreRouter.AddRoute(iproute.TableMain, iproute.Route{Dst: netip.PrefixFrom(GGSNGiAddr, 32), Iface: "to-ggsn"})
 
-	// Napoli node software stack.
-	tb.NapoliHost = vserver.NewHost(tb.Napoli)
-	tb.NapoliRouter = iproute.New(tb.Napoli)
-	tb.NapoliRouter.InstallConnected()
-	tb.NapoliRouter.DefaultVia("eth0", NapoliGWAddr)
-	tb.NapoliFilter = netfilter.New(tb.Napoli)
-	tb.Kmods = kmod.NewRegistry()
-	kmod.RegisterPPPFamily(tb.Kmods)
-	tb.Kmods.Register(&kmod.Module{Name: "nozomi"})
-	tb.Kmods.Register(&kmod.Module{Name: "usbserial"})
-	tb.Kmods.Register(&kmod.Module{Name: "pl2303", Deps: []string{"usbserial"}})
-	tb.Vsys = vsys.NewManager(loop, tb.NapoliHost)
-
-	// Hardware: terminal, serial line, datacard.
+	// Napoli node: the terminal, then the PlanetLab stack around it.
 	tb.Terminal = tb.Operator.NewTerminal("222015550001")
-	tb.Line = serial.NewLine(loop, opts.Card.TTYName, opts.Card.LineRate)
-	tb.Modem = modem.New(loop, *opts.Card, tb.Line, tb.Terminal, opts.PIN)
-	tb.Terminal.OnCarrierLost = tb.Modem.CarrierLost
-
-	// The umts backend.
-	mgr, err := core.NewManager(core.Config{
-		Loop: loop, Host: tb.NapoliHost, Router: tb.NapoliRouter,
-		Filter: tb.NapoliFilter, Kmods: tb.Kmods, Vsys: tb.Vsys,
-		Card: *opts.Card, Line: tb.Line, Radio: tb.Terminal,
-		APN: opts.Operator.APN, PIN: opts.PIN,
-		Creds:   operatorCreds(*opts.Operator),
-		Recover: recoverPolicy(opts.SelfHeal, opts.HealPolicy),
-		Trace:   opts.Trace,
-	})
+	napoli, err := newPLNode(loop, tb.Napoli, tb.Terminal, *opts.Card, *opts.Operator,
+		opts.PIN, recoverPolicy(opts.SelfHeal, opts.HealPolicy), opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	tb.Manager = mgr
+	napoli.router.DefaultVia("eth0", NapoliGWAddr)
+	tb.napoli = napoli
+	tb.NapoliHost, tb.NapoliRouter, tb.NapoliFilter = napoli.host, napoli.router, napoli.filter
+	tb.Kmods, tb.Vsys, tb.Manager = napoli.kmods, napoli.vsys, napoli.mgr
+	tb.Line, tb.Modem = napoli.line, napoli.modem
 
 	// INRIA node software stack (no UMTS hardware).
 	tb.InriaHost = vserver.NewHost(tb.Inria)
@@ -214,7 +177,15 @@ func New(opts Options) (*Testbed, error) {
 	// Fault injection, armed last so hooks see the finished topology.
 	// An empty schedule registers no instruments, draws no randomness,
 	// and schedules no events, so faultless runs stay byte-identical.
-	inj, err := fault.Arm(loop, opts.Faults, tb.faultHooks())
+	// A Gi flap sets the loss of both directions of the P2P link.
+	giLoss := func(loss float64) {
+		for end := 0; end < 2; end++ {
+			cfg := giLink.Config(end)
+			cfg.LossProb = loss
+			giLink.SetConfig(end, cfg)
+		}
+	}
+	inj, err := fault.Arm(loop, opts.Faults, faultHooks(tb.Operator, []*umts.Terminal{tb.Terminal}, giLoss))
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -236,39 +207,92 @@ func recoverPolicy(selfHeal bool, p *dialer.Policy) *dialer.Policy {
 	return &dialer.Policy{}
 }
 
-// faultHooks binds the injector's event kinds to the scenario: the
-// operator's radio and session controls, the terminal's registration
-// state, and the Gi uplink's loss knob.
-func (tb *Testbed) faultHooks() fault.Hooks {
-	op := tb.Operator
-	// LinkDown/LinkUp mutate only LossProb and restore the exact prior
-	// config; the link draws its loss RNG only while LossProb > 0, so
-	// flap windows cannot perturb randomness outside themselves.
-	var saved [2]netsim.LinkConfig
+// faultHooks binds one cell's injector to the cell: its operator's
+// radio and session controls, its terminals' registration state, and
+// giLoss, which sets the loss probability of its Gi uplink (a link flap
+// sets it, and sets it back to zero when the flap ends). The link draws
+// its loss RNG only while the probability is positive, so flap windows
+// cannot perturb randomness outside themselves.
+func faultHooks(op *umts.Operator, terms []*umts.Terminal, giLoss func(loss float64)) fault.Hooks {
 	return fault.Hooks{
 		CarrierDrop: func() { op.DropAllSessions("fault: carrier drop") },
 		FadeStart:   op.PauseRadio,
 		FadeEnd:     op.ResumeRadio,
 		RateScale:   op.ScaleRates,
 		RegistrationDown: func() {
-			tb.Terminal.LoseRegistration("fault: registration lost")
-		},
-		RegistrationUp: tb.Terminal.Reregister,
-		PPPTerminate:   func() { op.TerminatePPP("fault: network maintenance") },
-		LinkDown: func(loss float64) {
-			for end := 0; end < 2; end++ {
-				saved[end] = tb.giLink.Config(end)
-				cfg := saved[end]
-				cfg.LossProb = loss
-				tb.giLink.SetConfig(end, cfg)
+			for _, t := range terms {
+				t.LoseRegistration("fault: registration lost")
 			}
 		},
-		LinkUp: func() {
-			for end := 0; end < 2; end++ {
-				tb.giLink.SetConfig(end, saved[end])
+		RegistrationUp: func() {
+			for _, t := range terms {
+				t.Reregister()
 			}
 		},
+		PPPTerminate: func() { op.TerminatePPP("fault: network maintenance") },
+		LinkDown:     giLoss,
+		LinkUp:       func() { giLoss(0) },
 	}
+}
+
+// plNode is the software and hardware of one UMTS-equipped PlanetLab
+// node: the Napoli node of the paper, and every terminal of a
+// multi-cell run.
+type plNode struct {
+	host   *vserver.Host
+	router *iproute.Router
+	filter *netfilter.Stack
+	kmods  *kmod.Registry
+	vsys   *vsys.Manager
+	line   *serial.Line
+	modem  *modem.Modem
+	mgr    *core.Manager
+}
+
+// newPLNode assembles the PlanetLab stack on node around the radio
+// terminal: the vserver host, iproute with the connected routes,
+// netfilter, the kernel modules the §2.3 setup loads, vsys, the serial
+// line and the datacard, and the umts backend (core.Manager) dialing
+// op's APN. heal, when non-nil, runs the backend in recover mode.
+func newPLNode(loop *sim.Loop, node *netsim.Node, radio *umts.Terminal, card modem.CardProfile,
+	op umts.Config, pin string, heal *dialer.Policy, trace func(string, ...any)) (plNode, error) {
+	n := plNode{host: vserver.NewHost(node), router: iproute.New(node)}
+	n.router.InstallConnected()
+	n.filter = netfilter.New(node)
+	n.kmods = kmod.NewRegistry()
+	kmod.RegisterPPPFamily(n.kmods)
+	n.kmods.Register(&kmod.Module{Name: "nozomi"})
+	n.kmods.Register(&kmod.Module{Name: "usbserial"})
+	n.kmods.Register(&kmod.Module{Name: "pl2303", Deps: []string{"usbserial"}})
+	n.vsys = vsys.NewManager(loop, n.host)
+
+	n.line = serial.NewLine(loop, card.TTYName, card.LineRate)
+	n.modem = modem.New(loop, card, n.line, radio, pin)
+	radio.OnCarrierLost = n.modem.CarrierLost
+
+	mgr, err := core.NewManager(core.Config{
+		Loop: loop, Host: n.host, Router: n.router, Filter: n.filter,
+		Kmods: n.kmods, Vsys: n.vsys, Card: card, Line: n.line, Radio: radio,
+		APN: op.APN, PIN: pin, Creds: operatorCreds(op),
+		Recover: heal, Trace: trace,
+	})
+	n.mgr = mgr
+	return n, err
+}
+
+// openSlice creates a slice on the node, grants it the umts script and
+// opens its frontend.
+func (n *plNode) openSlice(name string) (*vserver.Slice, *core.Frontend, error) {
+	slice, err := n.host.CreateSlice(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	n.mgr.Allow(name)
+	fe, err := core.OpenFrontend(n.vsys, slice)
+	if err != nil {
+		return nil, nil, err
+	}
+	return slice, fe, nil
 }
 
 // operatorCreds picks the operator's well-known dial credentials from
@@ -283,16 +307,7 @@ func operatorCreds(cfg umts.Config) ppp.Credentials {
 // NewUMTSSlice creates a slice on the Napoli node and grants it the umts
 // script.
 func (tb *Testbed) NewUMTSSlice(name string) (*vserver.Slice, *core.Frontend, error) {
-	slice, err := tb.NapoliHost.CreateSlice(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	tb.Manager.Allow(name)
-	fe, err := core.OpenFrontend(tb.Vsys, slice)
-	if err != nil {
-		return nil, nil, err
-	}
-	return slice, fe, nil
+	return tb.napoli.openSlice(name)
 }
 
 // StartUMTS drives `umts start` synchronously (running the loop until

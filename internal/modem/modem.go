@@ -355,7 +355,11 @@ func (m *Modem) dial(number string) {
 	})
 }
 
+// hangupInternal drops the call. A host command (ATH, ATZ) that
+// arrives while ATD is still dialing aborts the dial, which then gets
+// its own final result code, NO CARRIER (V.250), before the command's.
 func (m *Modem) hangupInternal(fromNetwork bool) {
+	aborted := m.dialing && !fromNetwork
 	m.dialing = false
 	m.radio.HangUp()
 	if m.bearer != nil {
@@ -365,7 +369,7 @@ func (m *Modem) hangupInternal(fromNetwork bool) {
 	wasData := m.dataMode
 	m.dataMode = false
 	m.line.SetDCD(false)
-	if fromNetwork && wasData {
+	if aborted || fromNetwork && wasData {
 		m.respond("NO CARRIER")
 	}
 }

@@ -340,27 +340,27 @@ func TestProfiles(t *testing.T) {
 }
 
 func TestHangupDuringDialAbortsIt(t *testing.T) {
-	c, radio, m := newConsole(t, Globetrotter, "")
-	// Start the dial but do not run to completion: ATD responds after
-	// DialLatency + attach time (~2.9 s total).
-	c.out.Reset()
-	c.line.HostEnd().Write([]byte("ATD*99#\r"))
-	c.loop.RunUntil(c.loop.Now() + 500*time.Millisecond)
-	// Abort with ATH before CONNECT.
-	c.line.HostEnd().Write([]byte("ATH\r"))
-	c.loop.Run()
-	out := c.out.String()
-	if !strings.Contains(out, "OK") {
-		t.Fatalf("ATH during dial: %q", out)
-	}
-	if strings.Contains(out, "CONNECT") {
-		t.Fatal("aborted dial still connected")
-	}
-	if m.InDataMode() {
-		t.Fatal("data mode after aborted dial")
-	}
-	if radio.hangups == 0 {
-		t.Fatal("radio not told to hang up")
+	for _, abort := range []string{"ATH", "ATZ"} {
+		c, radio, m := newConsole(t, Globetrotter, "")
+		c.cmd("ATE0")
+		// Start the dial but do not run to completion: ATD responds after
+		// DialLatency + attach time (~2.9 s total).
+		c.out.Reset()
+		c.line.HostEnd().Write([]byte("ATD*99#\r"))
+		c.loop.RunUntil(c.loop.Now() + 500*time.Millisecond)
+		// Abort before CONNECT.
+		c.line.HostEnd().Write([]byte(abort + "\r"))
+		c.loop.Run()
+		// The aborted dial answers NO CARRIER, then the command its own OK.
+		if out := c.out.String(); out != "\r\nNO CARRIER\r\n\r\nOK\r\n" {
+			t.Fatalf("%s during dial: %q", abort, out)
+		}
+		if m.InDataMode() {
+			t.Fatalf("data mode after a dial aborted by %s", abort)
+		}
+		if radio.hangups == 0 {
+			t.Fatalf("%s did not tell the radio to hang up", abort)
+		}
 	}
 }
 

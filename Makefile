@@ -44,6 +44,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzAppendFrame$$' -fuzztime 10s ./internal/ppp
 	$(GO) test -run '^$$' -fuzz '^FuzzParseControlOptions$$' -fuzztime 10s ./internal/ppp
 	$(GO) test -run '^$$' -fuzz '^FuzzModemAT$$' -fuzztime 10s ./internal/modem
+	$(GO) test -run '^$$' -fuzz '^FuzzChat$$' -fuzztime 10s ./internal/dialer
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPooled$$' -fuzztime 10s ./internal/netsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/testbed

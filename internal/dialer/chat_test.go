@@ -154,3 +154,80 @@ func TestChatTimeoutTailTruncation(t *testing.T) {
 		t.Errorf("timeout error not truncated: %d bytes", len(gotErr.Error()))
 	}
 }
+
+// FuzzChat feeds arbitrary modem output, cut into arbitrary chunks,
+// into one ATD exchange (the dialer's tokens). The callback must fire
+// exactly once, with the outcome of the first chunk after which the
+// output holds a token: an abort token wins over an expect token, in
+// the order check tries them, and output holding no token times out.
+func FuzzChat(f *testing.F) {
+	f.Add([]byte("\r\nCONNECT 3600000\r\n"), []byte{3})
+	f.Add([]byte("\r\nNO CARRIER\r\n"), []byte{1})
+	f.Add([]byte("CONNECT ERROR"), []byte{0})
+	f.Add([]byte("CONNECT\r\nERROR\r\n"), []byte{15})
+	f.Add([]byte("BUSY\r\nNO CARRIER"), []byte{4, 9})
+	f.Add([]byte("BUSY\r\nNO CARRIER\r\n"), []byte{15})
+	f.Add([]byte("\r\nOK\r\n"), []byte{})
+	expect := []string{"CONNECT"}
+	abort := []string{"NO CARRIER", "ERROR", "BUSY"}
+	f.Fuzz(func(t *testing.T, out, cuts []byte) {
+		loop, port, c := newChatRig()
+		calls := 0
+		var matched string
+		var gotErr error
+		c.sendExpect("ATD*99***1#", expect, abort, time.Minute, func(m string, err error) {
+			calls++
+			matched, gotErr = m, err
+		})
+
+		// The reference outcome: scan the output prefix at each chunk
+		// end, as the engine sees it.
+		var wantMatch, wantAbort string
+		decided := false
+		decide := func(seen string) {
+			for _, a := range abort {
+				if strings.Contains(seen, a) {
+					wantAbort, decided = a, true
+					return
+				}
+			}
+			for _, e := range expect {
+				if strings.Contains(seen, e) {
+					wantMatch, decided = e, true
+					return
+				}
+			}
+		}
+		for i, end := 0, 0; end < len(out); i++ {
+			n := 1
+			if len(cuts) > 0 {
+				n += int(cuts[i%len(cuts)]) % 16
+			}
+			start := end
+			end = min(end+n, len(out))
+			port.push(string(out[start:end]))
+			if !decided {
+				decide(string(out[:end]))
+			}
+		}
+		loop.Run()
+
+		if calls != 1 {
+			t.Fatalf("callback fired %d times, want once", calls)
+		}
+		switch {
+		case wantAbort != "":
+			if matched != "" || !errors.Is(gotErr, ErrChatAbort) || gotErr.Error() != abortError(wantAbort).Error() {
+				t.Fatalf("got (%q, %v), want the %q abort", matched, gotErr, wantAbort)
+			}
+		case wantMatch != "":
+			if matched != wantMatch || gotErr != nil {
+				t.Fatalf("got (%q, %v), want a %q match", matched, gotErr, wantMatch)
+			}
+		default:
+			if !errors.Is(gotErr, ErrChatTimeout) {
+				t.Fatalf("got (%q, %v), want a timeout", matched, gotErr)
+			}
+		}
+	})
+}

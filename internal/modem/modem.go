@@ -355,11 +355,11 @@ func (m *Modem) dial(number string) {
 	})
 }
 
-// hangupInternal drops the call. A host command (ATH, ATZ) that
-// arrives while ATD is still dialing aborts the dial, which then gets
-// its own final result code, NO CARRIER (V.250), before the command's.
+// hangupInternal drops the call. A dial that is still pending, aborted
+// by a host command (ATH, ATZ) or by the network, gets its own final
+// result code, NO CARRIER (V.250); a host command's OK follows it.
 func (m *Modem) hangupInternal(fromNetwork bool) {
-	aborted := m.dialing && !fromNetwork
+	aborted := m.dialing
 	m.dialing = false
 	m.radio.HangUp()
 	if m.bearer != nil {

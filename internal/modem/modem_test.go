@@ -364,6 +364,24 @@ func TestHangupDuringDialAbortsIt(t *testing.T) {
 	}
 }
 
+func TestCarrierLostDuringDial(t *testing.T) {
+	c, _, m := newConsole(t, Globetrotter, "")
+	c.cmd("ATE0")
+	c.out.Reset()
+	c.line.HostEnd().Write([]byte("ATD*99#\r"))
+	c.loop.RunUntil(c.loop.Now() + 500*time.Millisecond)
+	// The network drops the attempt before CONNECT: the pending dial
+	// answers NO CARRIER instead of leaving the host to time out.
+	m.CarrierLost()
+	c.loop.Run()
+	if out := c.out.String(); out != "\r\nNO CARRIER\r\n" {
+		t.Fatalf("carrier loss during dial: %q", out)
+	}
+	if m.InDataMode() || c.line.DCD() {
+		t.Fatal("data mode or DCD after a dial the network aborted")
+	}
+}
+
 func TestDCDFollowsCarrier(t *testing.T) {
 	c, _, m := newConsole(t, Globetrotter, "")
 	if c.line.DCD() {

@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzChat$$' -fuzztime 10s ./internal/dialer
 	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPooled$$' -fuzztime 10s ./internal/netsim
+	$(GO) test -run '^$$' -fuzz '^FuzzResolveDifferential$$' -fuzztime 10s ./internal/iproute
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/testbed
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLog$$' -fuzztime 10s ./internal/itg
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/itg

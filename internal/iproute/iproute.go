@@ -15,9 +15,11 @@
 package iproute
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -101,7 +103,7 @@ func (r Rule) String() string {
 }
 
 // Matches reports whether the rule's selectors all match the packet.
-func (r Rule) Matches(pkt *netsim.Packet) bool {
+func (r *Rule) Matches(pkt *netsim.Packet) bool {
 	if r.Fwmark != 0 && pkt.Mark != r.Fwmark {
 		return false
 	}
@@ -131,6 +133,34 @@ type Router struct {
 	node   *netsim.Node
 	tables map[string][]Route
 	rules  []Rule
+
+	// gen counts changes to tables and rules: every mutator bumps it.
+	// Resolve walks fib, which is recompiled when gen or the node's
+	// interface generation has moved since it was built.
+	gen uint64
+	fib fib
+}
+
+// fib is the rule set compiled for Resolve: the rules whose table
+// exists, in evaluation order, each with its table's routes in Lookup's
+// preference order and their egress interfaces resolved.
+type fib struct {
+	gen, ifaceGen uint64
+	rules         []fibRule
+	routes        []fibRoute // every rule's routes; a rule owns [lo, hi)
+}
+
+type fibRule struct {
+	rule   *Rule // into Router.rules, which every change recompiles
+	lo, hi int
+}
+
+type fibRoute struct {
+	dst    netip.Prefix
+	all    bool // a zero Dst: the default route, which matches any address
+	bits   int
+	metric int
+	iface  *netsim.Iface // nil when the node has no such interface
 }
 
 // New creates a Router with an empty main table and the default rule
@@ -141,6 +171,7 @@ func New(node *netsim.Node) *Router {
 		node:   node,
 		tables: map[string][]Route{TableMain: nil},
 		rules:  []Rule{{Priority: 32766, Table: TableMain}},
+		gen:    1, // the empty fib is generation 0: stale
 	}
 	node.Route = r.Resolve
 	return r
@@ -153,6 +184,7 @@ func (r *Router) Node() *netsim.Node { return r.node }
 func (r *Router) AddTable(name string) {
 	if _, ok := r.tables[name]; !ok {
 		r.tables[name] = nil
+		r.gen++
 	}
 }
 
@@ -166,6 +198,7 @@ func (r *Router) DelTable(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTable, name)
 	}
 	delete(r.tables, name)
+	r.gen++
 	return nil
 }
 
@@ -173,6 +206,7 @@ func (r *Router) DelTable(name string) error {
 // needed ("ip route add ... table T").
 func (r *Router) AddRoute(table string, rt Route) {
 	r.tables[table] = append(r.tables[table], rt)
+	r.gen++
 }
 
 // DelRoute removes the first route in table equal to rt.
@@ -184,6 +218,7 @@ func (r *Router) DelRoute(table string, rt Route) error {
 	for i := range routes {
 		if routes[i] == rt {
 			r.tables[table] = append(routes[:i], routes[i+1:]...)
+			r.gen++
 			return nil
 		}
 	}
@@ -212,6 +247,7 @@ func (r *Router) AddRule(rule Rule) {
 	r.rules = append(r.rules, Rule{})
 	copy(r.rules[idx+1:], r.rules[idx:])
 	r.rules[idx] = rule
+	r.gen++
 }
 
 // DelRule removes the first rule equal to rule.
@@ -219,6 +255,7 @@ func (r *Router) DelRule(rule Rule) error {
 	for i := range r.rules {
 		if r.rules[i] == rule {
 			r.rules = append(r.rules[:i], r.rules[i+1:]...)
+			r.gen++
 			return nil
 		}
 	}
@@ -238,6 +275,9 @@ func (r *Router) DelRulesByTable(table string) int {
 		kept = append(kept, rule)
 	}
 	r.rules = kept
+	if removed > 0 {
+		r.gen++
+	}
 	return removed
 }
 
@@ -281,24 +321,72 @@ func (r *Router) Lookup(table string, dst netip.Addr) (Route, error) {
 
 // Resolve implements netsim.RouteFunc: walk the rules in priority order;
 // for each matching rule, look the destination up in the rule's table;
-// the first table that yields a route wins (kernel semantics: an empty
-// table falls through to the next matching rule).
+// the first table that yields a route wins (kernel semantics: a missing
+// or empty table, or a best route whose interface is absent, falls
+// through to the next matching rule).
+//
+// It walks the compiled fib, so a packet costs no table or interface
+// lookup by name; the fib is rebuilt on the first Resolve after the
+// rules, the tables or the node's interfaces change.
 func (r *Router) Resolve(pkt *netsim.Packet) (netsim.RouteResult, error) {
-	for _, rule := range r.rules {
-		if !rule.Matches(pkt) {
+	f := &r.fib
+	if f.gen != r.gen || f.ifaceGen != r.node.IfaceGen() {
+		r.compile()
+	}
+	for i := range f.rules {
+		fr := &f.rules[i]
+		if !fr.rule.Matches(pkt) {
 			continue
 		}
-		rt, err := r.Lookup(rule.Table, pkt.Dst)
-		if err != nil {
-			continue // fall through to next rule
+		for j := fr.lo; j < fr.hi; j++ {
+			rt := &f.routes[j]
+			if !rt.all && !rt.dst.Contains(pkt.Dst) {
+				continue
+			}
+			if rt.iface == nil {
+				break
+			}
+			return netsim.RouteResult{Iface: rt.iface, Table: fr.rule.Table}, nil
 		}
-		ifc := r.node.Iface(rt.Iface)
-		if ifc == nil {
-			continue
-		}
-		return netsim.RouteResult{Iface: ifc, NextHop: rt.Gateway, Table: rule.Table}, nil
 	}
 	return netsim.RouteResult{}, netsim.ErrNoRoute
+}
+
+// compile rebuilds the fib from the rules, the tables and the node's
+// interfaces, reusing its slices. Each rule's routes are sorted stably
+// by prefix length (longest first), then metric (lowest first), so the
+// first one containing a destination is the one Lookup returns.
+func (r *Router) compile() {
+	f := &r.fib
+	n := 0
+	for i := range r.rules {
+		n += len(r.tables[r.rules[i].Table])
+	}
+	f.rules = slices.Grow(f.rules[:0], len(r.rules))
+	f.routes = slices.Grow(f.routes[:0], n)
+	for i := range r.rules {
+		rule := &r.rules[i]
+		routes, ok := r.tables[rule.Table]
+		if !ok {
+			continue
+		}
+		lo := len(f.routes)
+		for _, rt := range routes {
+			fr := fibRoute{dst: rt.Dst, all: !rt.Dst.IsValid(), metric: rt.Metric, iface: r.node.Iface(rt.Iface)}
+			if !fr.all {
+				fr.bits = rt.Dst.Bits()
+			}
+			f.routes = append(f.routes, fr)
+		}
+		slices.SortStableFunc(f.routes[lo:], func(a, b fibRoute) int {
+			if a.bits != b.bits {
+				return b.bits - a.bits
+			}
+			return cmp.Compare(a.metric, b.metric)
+		})
+		f.rules = append(f.rules, fibRule{rule: rule, lo: lo, hi: len(f.routes)})
+	}
+	f.gen, f.ifaceGen = r.gen, r.node.IfaceGen()
 }
 
 // InstallConnected populates the main table with routes for every

@@ -18,12 +18,10 @@ const (
 )
 
 // RouteResult is the outcome of a routing decision: the egress interface
-// and, for multi-hop topologies, the next-hop address (unused by the
-// point-to-point links but recorded for observability).
+// and the routing table that supplied it.
 type RouteResult struct {
-	Iface   *Iface
-	NextHop netip.Addr // zero value means directly connected / on-link
-	Table   string     // routing table that supplied the route
+	Iface *Iface
+	Table string
 }
 
 // RouteFunc resolves the egress for a locally generated or forwarded
@@ -81,10 +79,11 @@ type Node struct {
 	// Forwarding enables routing of non-local packets (router behavior).
 	Forwarding bool
 
-	ifaces []*Iface
-	ports  map[portKey]PortHandler
-	ipSeq  uint16
-	stats  NodeStats
+	ifaces   []*Iface
+	ifaceGen uint64 // bumped by AddIface and RemoveIface
+	ports    map[portKey]PortHandler
+	ipSeq    uint16
+	stats    NodeStats
 
 	// Trace, if set, receives a line per notable packet event. Used by
 	// tests and the -v experiment mode.
@@ -126,6 +125,7 @@ type Iface struct {
 func (n *Node) AddIface(name string, addr netip.Addr, prefix netip.Prefix) *Iface {
 	ifc := &Iface{Name: name, Node: n, Addr: addr, Prefix: prefix, MTU: 1500, up: true}
 	n.ifaces = append(n.ifaces, ifc)
+	n.ifaceGen++
 	return ifc
 }
 
@@ -137,11 +137,17 @@ func (n *Node) RemoveIface(name string) bool {
 			ifc.up = false
 			ifc.link = nil
 			n.ifaces = append(n.ifaces[:i], n.ifaces[i+1:]...)
+			n.ifaceGen++
 			return true
 		}
 	}
 	return false
 }
+
+// IfaceGen returns the interface generation: it changes whenever an
+// interface is added or removed, so a routing function that caches
+// name-to-interface resolutions knows when to redo them.
+func (n *Node) IfaceGen() uint64 { return n.ifaceGen }
 
 // Iface returns the named interface, or nil.
 func (n *Node) Iface(name string) *Iface {
@@ -304,7 +310,7 @@ func (n *Node) connectedRoute(pkt *Packet) (RouteResult, error) {
 	}
 	for _, ifc := range n.ifaces {
 		if ifc.up && ifc.Peer.IsValid() {
-			return RouteResult{Iface: ifc, NextHop: ifc.Peer, Table: "connected-default"}, nil
+			return RouteResult{Iface: ifc, Table: "connected-default"}, nil
 		}
 	}
 	return RouteResult{}, ErrNoRoute

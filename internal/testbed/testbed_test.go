@@ -243,6 +243,52 @@ func TestDestAddDel(t *testing.T) {
 	}
 }
 
+// TestRestartRoutesViaNewPPP stops and restarts the UMTS connection on
+// one testbed: the restart brings up a new ppp0 *Iface under the same
+// name, and the next marked packet must leave through it, not through
+// the detached one. The manager reinstalls its rules after every new
+// ppp0, so the rule generation moves here too; iproute's
+// TestResolveFollowsReaddedIface pins the interface generation alone.
+func TestRestartRoutesViaNewPPP(t *testing.T) {
+	tb := newTB(t, 1)
+	sender, fe, err := tb.NewUMTSSlice("unina_umts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.StartUMTS(fe); err != nil {
+		t.Fatal(err)
+	}
+	if r, _ := tb.Invoke(func(cb func(vsys.Result)) error { return fe.AddDest(InriaEthAddr.String(), cb) }); !r.Ok() {
+		t.Fatalf("add dest: %v", r.Errs)
+	}
+	send := func() {
+		sender.Send(&netsim.Packet{Dst: InriaEthAddr, Proto: netsim.ProtoUDP, SrcPort: 1, DstPort: 9, Payload: []byte("x")})
+		tb.Loop.RunUntil(tb.Loop.Now() + 2*time.Second)
+	}
+	old := tb.Napoli.Iface("ppp0")
+	send()
+	if old.TxPackets != 1 {
+		t.Fatalf("first ppp0 sent %d packets, want 1", old.TxPackets)
+	}
+	if r, err := tb.Invoke(fe.Stop); err != nil || !r.Ok() {
+		t.Fatalf("stop: %v %v", err, r)
+	}
+	if _, err := tb.StartUMTS(fe); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	fresh := tb.Napoli.Iface("ppp0")
+	if fresh == nil || fresh == old {
+		t.Fatalf("restart did not bring up a new ppp0 (old %p, new %p)", old, fresh)
+	}
+	send()
+	if fresh.TxPackets != 1 {
+		t.Fatalf("new ppp0 sent %d packets, want 1", fresh.TxPackets)
+	}
+	if old.TxPackets != 1 {
+		t.Fatalf("detached ppp0 sent %d packets after the restart, want still 1", old.TxPackets)
+	}
+}
+
 func TestOperatorFirewallBlocksSSH(t *testing.T) {
 	// §2.2: "the UMTS connectivity provided by the operators often
 	// employs firewalls ... that do not allow to reach the UMTS-equipped

@@ -310,7 +310,7 @@ func (op *Operator) route(pkt *netsim.Packet) (netsim.RouteResult, error) {
 		return netsim.RouteResult{Iface: sess.iface, Table: "gtp"}, nil
 	}
 	if op.gi != nil {
-		return netsim.RouteResult{Iface: op.gi, NextHop: op.gi.Peer, Table: "gi"}, nil
+		return netsim.RouteResult{Iface: op.gi, Table: "gi"}, nil
 	}
 	return netsim.RouteResult{}, netsim.ErrNoRoute
 }

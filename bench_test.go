@@ -29,20 +29,30 @@ import (
 
 const paperDuration = 120 * time.Second
 
+// runSpec builds spec's scenario and runs it.
+func runSpec(b *testing.B, spec testbed.Spec) *testbed.Report {
+	b.Helper()
+	sc, err := spec.Scenario()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rep, err := sc.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // runCell executes one (path, workload) experiment per benchmark
 // iteration and returns the last result for metric reporting.
 func runCell(b *testing.B, path testbed.Path, wl testbed.Workload) *testbed.ExperimentResult {
 	b.Helper()
 	var res *testbed.ExperimentResult
 	for i := 0; i < b.N; i++ {
-		rp, err := testbed.NewScenario(
-			testbed.WithSeed(int64(i+1)), testbed.WithPath(path),
-			testbed.WithWorkload(wl), testbed.WithDuration(paperDuration),
-		).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res = rp.Results[0]
+		res = runSpec(b, testbed.Spec{
+			Seed: int64(i + 1), Path: path.Name(), Workload: wl.Name(),
+			Duration: testbed.Duration(paperDuration),
+		}).Results[0]
 	}
 	return res
 }
@@ -456,25 +466,17 @@ func tcpUploadRun(b *testing.B, seed int64) (goodputKbps, srttMs float64) {
 
 // --- PR: parallel runner & metrics overhead ---
 
-// benchRepScenario builds an 8-rep VoIP/UMTS scenario with short
-// flows, so the benchmark measures scheduling overhead rather than one
-// long run.
-func benchRepScenario(workers int) *testbed.Scenario {
-	return testbed.NewScenario(
-		testbed.WithSeed(1), testbed.WithPath(testbed.PathUMTS),
-		testbed.WithWorkload(testbed.WorkloadVoIP),
-		testbed.WithDuration(15*time.Second),
-		testbed.WithReps(8), testbed.WithWorkers(workers),
-	)
+// benchRepSpec is an 8-rep VoIP/UMTS scenario with short flows, so
+// the benchmark measures scheduling overhead rather than one long run.
+func benchRepSpec(workers int) testbed.Spec {
+	return testbed.Spec{Seed: 1, Duration: testbed.Duration(15 * time.Second), Reps: 8, Workers: workers}
 }
 
 // BenchmarkRepsSequential is the baseline: the same schedule the pool
 // runs, through a single worker.
 func BenchmarkRepsSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := benchRepScenario(1).Run(); err != nil {
-			b.Fatal(err)
-		}
+		runSpec(b, benchRepSpec(1))
 	}
 }
 
@@ -484,9 +486,7 @@ func BenchmarkRepsSequential(b *testing.B) {
 func BenchmarkRepsParallel(b *testing.B) {
 	b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	for i := 0; i < b.N; i++ {
-		if _, err := benchRepScenario(0).Run(); err != nil {
-			b.Fatal(err)
-		}
+		runSpec(b, benchRepSpec(0))
 	}
 }
 
@@ -496,15 +496,7 @@ func BenchmarkRepsParallel(b *testing.B) {
 func BenchmarkPaperExperiment(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rp, err := testbed.NewScenario(
-			testbed.WithSeed(1),
-			testbed.WithPath(testbed.PathUMTS),
-			testbed.WithWorkload(testbed.WorkloadVoIP),
-			testbed.WithDuration(30*time.Second),
-		).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
+		rp := runSpec(b, testbed.Spec{Seed: 1, Duration: testbed.Duration(30 * time.Second)})
 		if rp.Results[0].Decoded.Received == 0 {
 			b.Fatal("no traffic")
 		}
@@ -524,16 +516,16 @@ func BenchmarkFaultRecovery(b *testing.B) {
 		{Kind: fault.KindCarrierDrop, At: 35 * time.Second},
 	}}
 	for i := 0; i < b.N; i++ {
-		rep, err := testbed.NewScenario(
-			testbed.WithSeed(int64(i+1)),
-			testbed.WithDuration(40*time.Second),
-			testbed.WithFaults(sched),
-			testbed.WithSelfHeal(nil),
-		).Run()
+		tb, err := testbed.New(testbed.Options{Seed: int64(i + 1), Faults: sched, SelfHeal: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := rep.Results[0]
+		res, err := tb.RunExperiment(testbed.ExperimentSpec{
+			Path: testbed.PathUMTS, Workload: testbed.WorkloadVoIP, Duration: 40 * time.Second,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if res.Status.State != "up" {
 			b.Fatalf("final state %q, want up", res.Status.State)
 		}
@@ -552,15 +544,10 @@ func BenchmarkFaultRecovery(b *testing.B) {
 // full 100k-terminal run.
 func BenchmarkFleetScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rp, err := testbed.NewScenario(
-			testbed.WithSeed(int64(i+1)), testbed.WithCells(2, 1),
-			testbed.WithIdleTerminals(5000), testbed.WithPopulation(200, nil),
-			testbed.WithDuration(8*time.Second),
-		).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := rp.MultiCell
+		res := runSpec(b, testbed.Spec{
+			Seed: int64(i + 1), Cells: 2, Terminals: 1,
+			IdleTerminals: 5000, Population: 200, Duration: testbed.Duration(8 * time.Second),
+		}).MultiCell
 		if res.IdleTerminals != 10000 || len(res.Populations) != 2 {
 			b.Fatalf("fleet wiring: idle %d, populations %d", res.IdleTerminals, len(res.Populations))
 		}

@@ -18,6 +18,15 @@
 //	            [-serve :port] [-spec file.json] [-serve-smoke]
 //	            [-cpuprofile file] [-memprofile file]
 //
+// The flags describe one experiment as a testbed.Spec, the same
+// document -spec reads and -serve accepts, checked by Spec.Validate
+// (exit status 2 on error): a flag left at its default leaves its
+// spec field at the zero value, except -dur (the paper's 120 s in both
+// modes) and -terminals (one per cell), and a flag that only -cells
+// uses is rejected without -cells. The figure mode runs that spec once
+// per (workload, path) cell with -reps repetitions; the -cells mode
+// runs it on the shard engine.
+//
 // -serve turns the binary into a long-lived measurement service: an
 // HTTP/JSON control plane (internal/control) that accepts declarative
 // testbed specs at POST /v1/jobs, runs them on a bounded worker pool,
@@ -89,7 +98,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/stats"
@@ -114,106 +122,68 @@ var figures = []figure{
 	{7, "RTT of the 1-Mbps flow", testbed.WorkloadCBR1M, "rtt", "s"},
 }
 
-// cell caches one (workload, path, rep) run.
-type cellKey struct {
+// paperCell is one (workload, path) cell of the paper's evaluation.
+type paperCell struct {
 	wl   testbed.Workload
 	path testbed.Path
-	rep  int
 }
 
-var (
-	cache      = map[cellKey]*testbed.ExperimentResult{}
-	dur        time.Duration
-	faultSched fault.Schedule
-	// faultProfile names faultSched's preset; a -cells run resolves it
-	// over its own flow window.
-	faultProfile string
-	selfHeal     bool
-	analysisCfg  testbed.AnalysisConfig
-	shardPolicy  shard.Policy
-)
+var paths = []testbed.Path{testbed.PathUMTS, testbed.PathEthernet}
 
-// cellScenario builds the Scenario for one (workload, path) cell at the
-// given pre-derived seed, honoring the global fault/self-heal flags.
-func cellScenario(seed int64, wl testbed.Workload, path testbed.Path) *testbed.Scenario {
-	opts := []testbed.ScenarioOption{
-		testbed.WithSeed(seed), testbed.WithPath(path),
-		testbed.WithWorkload(wl), testbed.WithDuration(dur),
-		testbed.WithFaults(faultSched),
-		testbed.WithAnalysis(analysisCfg),
-	}
-	if selfHeal {
-		opts = append(opts, testbed.WithSelfHeal(nil))
-	}
-	return testbed.NewScenario(opts...)
-}
-
-func run(seed int64, wl testbed.Workload, path testbed.Path, rep int) (*testbed.ExperimentResult, error) {
-	k := cellKey{wl, path, rep}
-	if r, ok := cache[k]; ok {
-		return r, nil
-	}
-	rp, err := cellScenario(testbed.RepSeed(seed, rep), wl, path).Run()
-	if err != nil {
-		return nil, err
-	}
-	cache[k] = rp.Results[0]
-	return rp.Results[0], nil
-}
-
-// cellList enumerates every (workload, path, rep) cell the report will
-// consult, deduplicated in a stable order: the selected figures' cells
-// plus rep 0 of all four paper cells used by the §3.2 shape checks.
-func cellList(sel []figure, reps int) []cellKey {
-	seen := map[cellKey]bool{}
-	var keys []cellKey
-	add := func(k cellKey) {
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
+// runFigures runs every cell the report consults (the selected
+// figures' cells at reps repetitions, plus rep 0 of the four paper
+// cells that the §3.2 shape checks read) and returns each cell's
+// results in repetition order. Each cell runs base with its path,
+// workload and repetition count set, so repetition r runs with
+// RepSeed(seed, r) under the one fault schedule drawn from the base
+// seed. The cells run side by side on the worker pool, each spreading
+// its repetitions over its share of the workers; every repetition owns
+// a private loop, so the report is byte-identical for any -workers.
+func runFigures(base testbed.Spec, sel []figure, reps, workers int) (map[paperCell][]*testbed.ExperimentResult, error) {
+	var cells []paperCell
+	n := map[paperCell]int{}
+	add := func(c paperCell, reps int) {
+		if _, ok := n[c]; !ok {
+			cells = append(cells, c)
 		}
+		n[c] = max(n[c], reps)
 	}
 	for _, fig := range sel {
-		for _, path := range []testbed.Path{testbed.PathUMTS, testbed.PathEthernet} {
-			for rep := 0; rep < reps; rep++ {
-				add(cellKey{fig.workload, path, rep})
-			}
+		for _, path := range paths {
+			add(paperCell{fig.workload, path}, reps)
 		}
 	}
 	for _, wl := range []testbed.Workload{testbed.WorkloadVoIP, testbed.WorkloadCBR1M} {
-		for _, path := range []testbed.Path{testbed.PathUMTS, testbed.PathEthernet} {
-			add(cellKey{wl, path, 0})
+		for _, path := range paths {
+			add(paperCell{wl, path}, 1)
 		}
 	}
-	return keys
-}
-
-// toScenarios builds the exact Scenario each cell key runs — the same
-// construction run() uses, so the pooled prefetch and the sequential
-// cache-miss path cannot drift (faults, self-healing, and the analysis
-// pipeline all ride along).
-func toScenarios(keys []cellKey, seed int64) []*testbed.Scenario {
-	scs := make([]*testbed.Scenario, len(keys))
-	for i, k := range keys {
-		scs[i] = cellScenario(testbed.RepSeed(seed, k.rep), k.wl, k.path)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	return scs
-}
-
-// prefetch executes every needed cell across the worker pool and fills
-// the cache, so the (sequential, deterministic) printing code below hits
-// the cache on every lookup. Each rep runs with RepSeed(seed, rep) on a
-// private loop, so the report is byte-identical to a sequential run.
-func prefetch(seed int64, sel []figure, reps, workers int) error {
-	keys := cellList(sel, reps)
-	reports, err := testbed.RunScenarios(toScenarios(keys, seed), workers)
+	side := min(workers, len(cells))
+	scs := make([]*testbed.Scenario, len(cells))
+	for i, c := range cells {
+		spec := base
+		spec.Path, spec.Workload, spec.Reps = c.path.Name(), c.wl.Name(), n[c]
+		if spec.Reps > 1 {
+			spec.Workers = workers / side
+		}
+		sc, err := spec.Scenario()
+		if err != nil {
+			return nil, err
+		}
+		scs[i] = sc
+	}
+	reports, err := testbed.RunScenarios(scs, side)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, k := range keys {
-		cache[k] = reports[i].Results[0]
+	results := make(map[paperCell][]*testbed.ExperimentResult, len(cells))
+	for i, c := range cells {
+		results[c] = reports[i].Results
 	}
-	return nil
+	return results, nil
 }
 
 func seriesOf(r *testbed.ExperimentResult, name string) stats.Series {
@@ -233,7 +203,7 @@ func seriesOf(r *testbed.ExperimentResult, name string) stats.Series {
 
 func main() {
 	figSel := flag.String("figure", "all", "figure to regenerate: all or 1..7")
-	durFlag := flag.Duration("dur", 120*time.Second, "flow duration (paper: 120 s)")
+	dur := flag.Duration("dur", 120*time.Second, "flow duration (paper: 120 s)")
 	reps := flag.Int("reps", 1, "repetitions per experiment (paper: 20)")
 	seed := flag.Int64("seed", 1, "base simulation seed")
 	every := flag.Int("every", 5, "print every Nth window of each series")
@@ -246,32 +216,35 @@ func main() {
 	fleetIdle := flag.Int("fleet", 0, "additional idle (never-dialing) compact terminals per cell for -cells")
 	populationN := flag.Int("population", 0, "aggregate background subscribers per cell for -cells (fluid ensemble, O(1) cost)")
 	shards := flag.Int("shards", 0, "shard count for -cells (0: one per cell plus the wired core)")
-	shardPolicyFlag := flag.String("shard-policy", "global", "shard engine window policy for -cells: global (lockstep windows) or dynamic (per-shard horizons with EOT promises)")
-	analysisFlag := flag.String("analysis", "batch", "QoS reports: batch (exact reference), stream (batch + sketched percentiles), stream-only (sketch only, constant memory)")
-	faultProfileFlag := flag.String("fault-profile", "none", "deterministic fault preset injected into every run: none, drops, fades, degrade, regloss, flaps, flaky")
-	selfHealFlag := flag.Bool("self-heal", false, "run the umts backend in recover mode (supervised redial instead of failing the slice)")
+	shardPolicy := flag.String("shard-policy", "", "shard engine window policy for -cells: global (lockstep windows, the default) or dynamic (per-shard horizons with EOT promises)")
+	analysis := flag.String("analysis", "", "QoS reports: batch (exact reference, the default), stream (batch + sketched percentiles), stream-only (sketch only, constant memory)")
+	faultProfile := flag.String("fault-profile", "", "deterministic fault preset injected into every run: none (the default), drops, fades, degrade, regloss, flaps, flaky")
+	selfHeal := flag.Bool("self-heal", false, "run the umts backend in recover mode (supervised redial instead of failing the slice)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	serveAddr := flag.String("serve", "", `run as a long-lived measurement service on this address (e.g. ":8080"): HTTP/JSON control plane accepting declarative specs at POST /v1/jobs`)
 	specFile := flag.String("spec", "", `run one declarative JSON spec file ("-" for stdin) and print the canonical result document (byte-identical to the service's /v1/jobs/{id}/result)`)
 	smokeFlag := flag.Bool("serve-smoke", false, "run the in-process service-mode smoke test (submit, stream, scrape, drain) and exit")
 	flag.Parse()
-	dur = *durFlag
-	selfHeal = *selfHealFlag
-	var err error
-	faultProfile = *faultProfileFlag
-	faultSched, err = fault.Preset(faultProfile, *seed, dur)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+
+	spec := testbed.Spec{
+		Seed: *seed, Duration: testbed.Duration(*dur),
+		FaultProfile: *faultProfile, SelfHeal: *selfHeal,
+		Analysis: &testbed.AnalysisSpec{Mode: *analysis},
+		Cells:    *cells, Shards: *shards, ShardPolicy: *shardPolicy,
+		IdleTerminals: *fleetIdle, Population: *populationN,
 	}
-	analysisCfg.Mode, err = testbed.ParseAnalysisMode(*analysisFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+	// -terminals defaults to one terminal per cell; without -cells it
+	// enters the spec, to be rejected, only when given.
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "terminals" {
+			spec.Terminals = *terminals
+		}
+	})
+	if spec.Cells > 0 {
+		spec.Terminals = *terminals
 	}
-	shardPolicy, err = shard.ParsePolicy(*shardPolicyFlag)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
@@ -339,34 +312,30 @@ func main() {
 		selected = figures[n-1 : n]
 	}
 
-	if *cells > 0 {
-		if err := runMultiCell(*seed, *cells, *terminals, *shards, *fleetIdle, *populationN, *metricsOut); err != nil {
+	if spec.Cells > 0 {
+		if err := runMultiCell(spec, *metricsOut); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: multicell: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	if err := prefetch(*seed, selected, *reps, *workers); err != nil {
+	results, err := runFigures(spec, selected, *reps, *workers)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
 
 	fmt.Printf("Reproduction of 'Providing UMTS connectivity to PlanetLab nodes' (ROADS'08)\n")
-	fmt.Printf("flows: %v, window 200 ms, %d repetition(s), base seed %d\n", dur, *reps, *seed)
+	fmt.Printf("flows: %v, window 200 ms, %d repetition(s), base seed %d\n", *dur, *reps, *seed)
 
 	for _, fig := range selected {
 		fmt.Printf("\n================ Figure %d: %s ================\n", fig.id, fig.title)
-		for _, path := range []testbed.Path{testbed.PathUMTS, testbed.PathEthernet} {
+		for _, path := range paths {
 			var sums stats.Summary
 			var first stats.Series
 			for rep := 0; rep < *reps; rep++ {
-				r, err := run(*seed, fig.workload, path, rep)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-					os.Exit(1)
-				}
-				s := seriesOf(r, fig.series)
+				s := seriesOf(results[paperCell{fig.workload, path}][rep], fig.series)
 				if rep == 0 {
 					first = s
 				}
@@ -399,31 +368,28 @@ func main() {
 			}
 		}
 		if fig.id == 4 {
-			printBearerEvents()
+			printBearerEvents(results)
 		}
 	}
 
-	printChecks(*seed)
+	printChecks(results)
 
 	if *metricsOut != "" {
-		if err := dumpMetrics(*metricsOut); err != nil {
+		// Rep 0 of every cell the run touched, keyed "workload|path".
+		out := map[string]metrics.Snapshot{}
+		for c, rs := range results {
+			out[fmt.Sprintf("%v|%v", c.wl, c.path)] = rs[0].Metrics
+		}
+		if err := writeJSON(*metricsOut, out); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: metrics: %v\n", err)
 			os.Exit(1)
 		}
 	}
 }
 
-// dumpMetrics writes the rep-0 metrics snapshot of every cell the run
-// touched, keyed "workload|path", as indented JSON.
-func dumpMetrics(path string) error {
-	out := map[string]metrics.Snapshot{}
-	for k, r := range cache {
-		if k.rep != 0 {
-			continue
-		}
-		out[fmt.Sprintf("%v|%v", k.wl, k.path)] = r.Metrics
-	}
-	b, err := json.MarshalIndent(out, "", "  ")
+// writeJSON writes v as indented JSON to path ("-" for stdout).
+func writeJSON(path string, v any) error {
+	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
@@ -442,39 +408,31 @@ func dumpMetrics(path string) error {
 // snapshot is dumped keyed by shard index; the shard/* instruments
 // there (windows, windows_released, the horizon_stride_ns histogram)
 // are where a policy's windowing behavior is visible.
-func runMultiCell(seed int64, cells, terminals, shards, fleetIdle, population int, metricsOut string) error {
-	opts := []testbed.ScenarioOption{
-		testbed.WithSeed(seed), testbed.WithCells(cells, terminals),
-		testbed.WithShards(shards), testbed.WithShardPolicy(shardPolicy),
-		testbed.WithDuration(dur), testbed.WithFaultProfile(faultProfile),
-		testbed.WithAnalysis(analysisCfg),
+func runMultiCell(spec testbed.Spec, metricsOut string) error {
+	sc, err := spec.Scenario()
+	if err != nil {
+		return err
 	}
-	if selfHeal {
-		opts = append(opts, testbed.WithSelfHeal(nil))
-	}
-	if fleetIdle > 0 {
-		opts = append(opts, testbed.WithIdleTerminals(fleetIdle))
-	}
-	if population > 0 {
-		opts = append(opts, testbed.WithPopulation(population, nil))
-	}
-	rep, err := testbed.NewScenario(opts...).Run()
+	rep, err := sc.Run()
 	if err != nil {
 		return err
 	}
 	res := rep.MultiCell
+	// Validate has accepted both names.
+	policy, _ := shard.ParsePolicy(spec.ShardPolicy)
+	mode, _ := testbed.ParseAnalysisMode(spec.Analysis.Mode)
 	fmt.Printf("Multi-cell scale-out: %d cells x %d terminals on %d shard(s), %v windows\n",
-		cells, len(res.Flows)/cells, res.Shards, shardPolicy)
+		spec.Cells, len(res.Flows)/spec.Cells, res.Shards, policy)
 	if res.IdleTerminals > 0 {
 		fmt.Printf("idle fleet: %d compact terminals (%d per cell), powered on and registered, never dialing\n",
-			res.IdleTerminals, fleetIdle)
+			res.IdleTerminals, spec.IdleTerminals)
 	}
 	for i, st := range res.Populations {
 		fmt.Printf("cell %d population: %d modeled subscribers, carried %.0f B (util %.3f), dropped %.0f B\n",
 			i, st.Subscribers, st.CarriedBytes, st.Utilization, st.DroppedBytes)
 	}
 	fmt.Printf("flows: %v each, lookahead %v, %d synchronization windows\n",
-		dur, res.Lookahead, res.Windows)
+		time.Duration(spec.Duration), res.Lookahead, res.Windows)
 	for _, w := range rep.Outages {
 		fmt.Printf("fault: %v from %v to %v (per cell)\n", w.Kind, w.Start, w.End)
 	}
@@ -488,24 +446,15 @@ func runMultiCell(seed int64, cells, terminals, shards, fleetIdle, population in
 	}
 	merged := metrics.MergeSnapshots(res.Snapshots...)
 	fmt.Printf("\nlive analysis (%v): %d records decoded, %.0f B retained across %d decoders\n",
-		analysisCfg.Mode, merged.Counters["itg/records_streamed"], merged.GaugeSum("itg/stream/", "/retained_bytes"), len(res.Flows))
-	if metricsOut != "" {
-		out := map[string]metrics.Snapshot{}
-		for i, snap := range res.Snapshots {
-			out[fmt.Sprintf("shard%d", i)] = snap
-		}
-		b, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		b = append(b, '\n')
-		if metricsOut == "-" {
-			_, err = os.Stdout.Write(b)
-			return err
-		}
-		return os.WriteFile(metricsOut, b, 0o644)
+		mode, merged.Counters["itg/records_streamed"], merged.GaugeSum("itg/stream/", "/retained_bytes"), len(res.Flows))
+	if metricsOut == "" {
+		return nil
 	}
-	return nil
+	out := map[string]metrics.Snapshot{}
+	for i, snap := range res.Snapshots {
+		out[fmt.Sprintf("shard%d", i)] = snap
+	}
+	return writeJSON(metricsOut, out)
 }
 
 // writeCSV emits one figure curve as "t_seconds,value" rows.
@@ -531,34 +480,24 @@ func writeCSV(dir string, fig figure, path testbed.Path, s stats.Series) error {
 	return nil
 }
 
-func printBearerEvents() {
-	if r, ok := cache[cellKey{testbed.WorkloadCBR1M, testbed.PathUMTS, 0}]; ok {
-		fmt.Println("\nbearer events (UMTS path, rep 0):")
-		for _, e := range r.BearerEvents {
-			fmt.Println("  " + e)
-		}
+func printBearerEvents(results map[paperCell][]*testbed.ExperimentResult) {
+	fmt.Println("\nbearer events (UMTS path, rep 0):")
+	for _, e := range results[paperCell{testbed.WorkloadCBR1M, testbed.PathUMTS}][0].BearerEvents {
+		fmt.Println("  " + e)
 	}
 }
 
-// printChecks evaluates the §3.2 narrative claims ("shape criteria").
-func printChecks(seed int64) {
+// printChecks evaluates the §3.2 narrative claims ("shape criteria")
+// on rep 0 of the four paper cells.
+func printChecks(results map[paperCell][]*testbed.ExperimentResult) {
 	fmt.Printf("\n================ Shape checks vs the paper ================\n")
-	voipU, err := run(seed, testbed.WorkloadVoIP, testbed.PathUMTS, 0)
-	if err != nil {
-		return
+	rep0 := func(wl testbed.Workload, path testbed.Path) *testbed.ExperimentResult {
+		return results[paperCell{wl, path}][0]
 	}
-	voipE, err := run(seed, testbed.WorkloadVoIP, testbed.PathEthernet, 0)
-	if err != nil {
-		return
-	}
-	cbrU, err := run(seed, testbed.WorkloadCBR1M, testbed.PathUMTS, 0)
-	if err != nil {
-		return
-	}
-	cbrE, err := run(seed, testbed.WorkloadCBR1M, testbed.PathEthernet, 0)
-	if err != nil {
-		return
-	}
+	voipU := rep0(testbed.WorkloadVoIP, testbed.PathUMTS)
+	voipE := rep0(testbed.WorkloadVoIP, testbed.PathEthernet)
+	cbrU := rep0(testbed.WorkloadCBR1M, testbed.PathUMTS)
+	cbrE := rep0(testbed.WorkloadCBR1M, testbed.PathEthernet)
 
 	check := func(name string, ok bool, detail string) {
 		mark := "PASS"

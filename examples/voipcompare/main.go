@@ -27,10 +27,12 @@ func main() {
 	}
 	var rows []row
 	for _, path := range []testbed.Path{testbed.PathUMTS, testbed.PathEthernet} {
-		rp, err := testbed.NewScenario(
-			testbed.WithSeed(*seed), testbed.WithPath(path),
-			testbed.WithWorkload(testbed.WorkloadVoIP), testbed.WithDuration(*dur),
-		).Run()
+		spec := &testbed.Spec{Seed: *seed, Path: path.Name(), Duration: testbed.Duration(*dur)}
+		sc, err := spec.Scenario()
+		if err != nil {
+			log.Fatal(err)
+		}
+		rp, err := sc.Run()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -294,8 +294,8 @@ func (s *Server) issued(id string) bool {
 
 // execute turns the job's declarative spec into a Scenario, attaches
 // the server-side runtime hooks (cancellation interrupt, metrics
-// capture, and — for streaming analysis modes — the live-window feed
-// into the job's hub), and runs it.
+// capture, and the live-window feed into the job's hub, which only the
+// streaming analysis modes fill), and runs it.
 func (s *Server) execute(j *job) (*testbed.Report, metrics.Snapshot, error) {
 	sc, err := j.spec.Scenario()
 	if err != nil {
@@ -306,20 +306,9 @@ func (s *Server) execute(j *job) (*testbed.Report, metrics.Snapshot, error) {
 	testbed.WithMetricsDump(func(sn metrics.Snapshot) {
 		snaps = append(snaps, sn)
 	})(sc)
-	if a := j.spec.Analysis; a != nil {
-		mode, err := testbed.ParseAnalysisMode(a.Mode)
-		if err != nil {
-			return nil, metrics.Snapshot{}, err
-		}
-		if mode != testbed.AnalysisBatch {
-			// The hub is internally locked: the sink may fire from
-			// engine worker goroutines.
-			testbed.WithAnalysis(testbed.AnalysisConfig{
-				Mode: mode, SketchRelErr: a.SketchRelErr, Exact: a.Exact,
-				Live: j.hub.publish,
-			})(sc)
-		}
-	}
+	// The hub is internally locked: the sink may fire from engine
+	// worker goroutines.
+	testbed.WithLiveWindows(j.hub.publish)(sc)
 	rep, err := sc.Run()
 	if err != nil {
 		return nil, metrics.Snapshot{}, err

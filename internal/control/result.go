@@ -32,7 +32,11 @@ type RepResult struct {
 	// Streamed is the sketched report (nil in batch mode; in
 	// stream-only mode Decoded aliases it and it is elided here to
 	// keep the encoding canonical).
-	Streamed     *itg.Result   `json:"streamed,omitempty"`
+	Streamed *itg.Result `json:"streamed,omitempty"`
+	// SetupTime is how long the paper cell's dial-up (`umts start`)
+	// took; zero, and omitted, on the Ethernet path. Not comparable with
+	// FlowResult.SetupTime, which also counts the destination
+	// registration.
 	SetupTime    time.Duration `json:"setup_time_ns,omitempty"`
 	BearerEvents []string      `json:"bearer_events,omitempty"`
 	SenderErrors uint64        `json:"sender_errors,omitempty"`
@@ -50,9 +54,13 @@ type MultiCellResult struct {
 
 // FlowResult is one terminal's flow outcome.
 type FlowResult struct {
-	Cell         int           `json:"cell"`
-	Terminal     int           `json:"terminal"`
-	FlowID       uint32        `json:"flow_id"`
+	Cell     int    `json:"cell"`
+	Terminal int    `json:"terminal"`
+	FlowID   uint32 `json:"flow_id"`
+	// SetupTime runs from virtual time 0, when every terminal starts
+	// dialing, to the end of the terminal's destination registration
+	// (`umts add`). Not comparable with RepResult.SetupTime, which counts
+	// the dial-up alone.
 	SetupTime    time.Duration `json:"setup_time_ns"`
 	Decoded      *itg.Result   `json:"decoded"`
 	Streamed     *itg.Result   `json:"streamed,omitempty"`

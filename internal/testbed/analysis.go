@@ -68,15 +68,12 @@ type AnalysisConfig struct {
 	Exact bool
 	// Live, when non-nil, subscribes to every flow's QoS windows while
 	// the run executes (itg.WithLiveWindows): window i is delivered as
-	// soon as the flow's feeds have progressed LiveLag past its end
-	// (<= 0: the decoder's 10 s default), and any remainder at
-	// Finalize. Requires a streaming Mode; the sink may be called from
-	// engine worker goroutines and must be safe for concurrent use. A
-	// wire-through hook for the control plane, not part of the
-	// declarative Spec.
+	// soon as the flow's feeds have progressed the decoder's 10 s seal
+	// lag past its end, and any remainder at Finalize. Requires a
+	// streaming Mode; the sink may be called from engine worker
+	// goroutines and must be safe for concurrent use. A Scenario sets it
+	// with WithLiveWindows; it is not part of the declarative Spec.
 	Live func(LiveWindow)
-	// LiveLag is the seal lag of the Live subscription.
-	LiveLag time.Duration
 }
 
 // LiveWindow is one live QoS window of one flow: the flow identity
@@ -109,7 +106,7 @@ func (c AnalysisConfig) newDecoder(window, start time.Duration, flow itg.FlowSpe
 	}
 	if c.Live != nil && c.Mode != AnalysisBatch {
 		sink := c.Live
-		opts = append(opts, itg.WithLiveWindows(c.LiveLag, func(i int, w itg.WindowStats) {
+		opts = append(opts, itg.WithLiveWindows(0, func(i int, w itg.WindowStats) {
 			ev := id
 			ev.Index = i
 			ev.Stats = w

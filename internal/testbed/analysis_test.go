@@ -44,15 +44,10 @@ func pctWithin(t *testing.T, name string, got, exact time.Duration, relErr float
 // decodes to the same report. (The live decode's equivalence with
 // itg.Decode of full logs is TestLiveDecodeMatchesDecodeOverLink's.)
 func TestScenarioStreamExactMatchesBatch(t *testing.T) {
-	rep, err := NewScenario(
-		WithSeed(7),
-		WithDuration(20*time.Second),
-		WithAnalysis(AnalysisConfig{Mode: AnalysisStream, Exact: true}),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.Results[0]
+	res := runSpec(t, Spec{
+		Seed: 7, Duration: Duration(20 * time.Second),
+		Analysis: &AnalysisSpec{Mode: "stream", Exact: true},
+	}).Results[0]
 	if res.Streamed == nil {
 		t.Fatal("no streamed result in stream mode")
 	}
@@ -63,10 +58,7 @@ func TestScenarioStreamExactMatchesBatch(t *testing.T) {
 		t.Errorf("streamed result is not an equal copy of the exact decode:\nstream: %+v\nbatch:  %+v",
 			res.Streamed, res.Decoded)
 	}
-	batch, err := NewScenario(WithSeed(7), WithDuration(20*time.Second)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second)})
 	if !reflect.DeepEqual(batch.Results[0].Decoded, res.Decoded) {
 		t.Error("stream mode decoded a different report than the batch run of the same seed")
 	}
@@ -82,14 +74,10 @@ func TestScenarioStreamExactMatchesBatch(t *testing.T) {
 // bytes, per-window series, and loss still match batch exactly; only
 // P95/P99 are estimates, which must land within the declared bound.
 func TestScenarioStreamSketchBound(t *testing.T) {
-	rep, err := NewScenario(
-		WithSeed(9), WithDuration(20*time.Second),
-		WithAnalysis(AnalysisConfig{Mode: AnalysisStream}),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := rep.Results[0]
+	res := runSpec(t, Spec{
+		Seed: 9, Duration: Duration(20 * time.Second),
+		Analysis: &AnalysisSpec{Mode: "stream"},
+	}).Results[0]
 	if !reflect.DeepEqual(stripPct(res.Streamed), stripPct(res.Decoded)) {
 		t.Error("sketch mode: non-percentile fields differ from batch")
 	}
@@ -105,17 +93,11 @@ func TestScenarioStreamSketchBound(t *testing.T) {
 // batch run of the same seed produces — the determinism contract makes
 // the two runs' traffic identical, so this is a true equivalence check.
 func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
-	batch, err := NewScenario(WithSeed(5), WithDuration(15*time.Second)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamOnly, err := NewScenario(
-		WithSeed(5), WithDuration(15*time.Second),
-		WithAnalysis(AnalysisConfig{Mode: AnalysisStreamOnly, Exact: true}),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := runSpec(t, Spec{Seed: 5, Duration: Duration(15 * time.Second)})
+	streamOnly := runSpec(t, Spec{
+		Seed: 5, Duration: Duration(15 * time.Second),
+		Analysis: &AnalysisSpec{Mode: "stream-only", Exact: true},
+	})
 	so := streamOnly.Results[0]
 	if so.Decoded != so.Streamed {
 		t.Error("stream-only: Decoded should alias Streamed")
@@ -139,11 +121,8 @@ func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
 func TestPaperCellDecodesLiveWithoutLogs(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep, err := NewScenario(WithSeed(1)).Run()
+	rep := runSpec(t, Spec{Seed: 1})
 	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
 	res := rep.Results[0]
 	m := res.Metrics
 	observed := m.Counter("itg/packets_sent") + m.Counter("itg/packets_received") + m.Counter("itg/echoes_received")
@@ -172,13 +151,10 @@ func TestPaperCellDecodesLiveWithoutLogs(t *testing.T) {
 // placement-independent (sender and receiver feed the same decoder from
 // different shards) and, with exact percentiles, equal to Decoded.
 func TestMultiCellStreamShardedIdentical(t *testing.T) {
-	opts := Scenario{
-		seed: 3, cells: 2, terminals: 2,
-		analysis: AnalysisConfig{Mode: AnalysisStream, Exact: true},
-	}
-	diffMultiCell(t, opts, 3)
+	spec := Spec{Seed: 3, Cells: 2, Terminals: 2, Analysis: &AnalysisSpec{Mode: "stream", Exact: true}}
+	diffMultiCell(t, spec, 3)
 
-	res, err := runCells(opts)
+	res, err := runCells(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +176,8 @@ func TestMultiCellStreamShardedIdentical(t *testing.T) {
 // shard counts: with the logs gone, the streamed report IS the decoded
 // report, and it must still be shard-count independent.
 func TestMultiCellStreamOnlySharded(t *testing.T) {
-	diffMultiCell(t, Scenario{
-		seed: 5, cells: 2, terminals: 1,
-		analysis: AnalysisConfig{Mode: AnalysisStreamOnly, Exact: true},
+	diffMultiCell(t, Spec{
+		Seed: 5, Cells: 2, Terminals: 1,
+		Analysis: &AnalysisSpec{Mode: "stream-only", Exact: true},
 	}, 3)
 }

@@ -189,7 +189,13 @@ type flowOutcome struct {
 	// Streamed is the sketched report (nil in batch mode). In
 	// stream-only mode Decoded aliases it.
 	Streamed *itg.Result
-	// SetupTime is how long the dial-up took.
+	// SetupTime means two things. In a paper cell (RunExperiment) it
+	// is how long the dial-up took: the `umts start` call alone, from
+	// its invocation to the connection being up. In a multi-cell
+	// terminal (FlowResult) it runs from virtual time 0, when every
+	// terminal starts dialing, to the end of its destination
+	// registration, so it also counts `umts add`. The two are not
+	// comparable. Zero on the Ethernet path.
 	SetupTime time.Duration
 	// BearerEvents is the terminal's radio session log — the bearer
 	// upgrade shows the Fig. 4 knee.

@@ -26,7 +26,7 @@ func FleetFootprint(n int, eager bool) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("testbed: fleet footprint needs n > 0, got %d", n)
 	}
-	sc, err := (&Scenario{cells: 1, terminals: n}).resolve()
+	sc, err := (&Spec{Cells: 1, Terminals: n}).Scenario()
 	if err != nil {
 		return 0, err
 	}

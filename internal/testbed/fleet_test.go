@@ -46,14 +46,10 @@ func TestFleetFootprintCompaction(t *testing.T) {
 // at least 5x fewer windows, with the same result.
 func TestDynamicFewerWindowsOnIdleFleet(t *testing.T) {
 	run := func(p shard.Policy) (*MultiCellResult, int64) {
-		rep, err := NewScenario(
-			WithSeed(3), WithCells(2, 0), WithShardPolicy(p),
-			WithIdleTerminals(100), WithPopulation(10, nil),
-			WithDuration(10*time.Second),
-		).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := runSpec(t, Spec{
+			Seed: 3, Cells: 2, ShardPolicy: p.String(),
+			IdleTerminals: 100, Population: 10, Duration: Duration(10 * time.Second),
+		})
 		var windows int64
 		for _, snap := range rep.MultiCell.Snapshots {
 			windows += snap.Counter("shard/windows")
@@ -97,21 +93,24 @@ func TestTerminalIdentityGuards(t *testing.T) {
 	}
 }
 
-// fleetOpts is a small-but-representative fleet scenario: real flows,
-// an idle fleet, and background populations per cell.
-func fleetOpts() Scenario {
-	return Scenario{
-		seed: 11, cells: 2, terminals: 1,
-		idleTerminals: 40, population: 25,
-		flowStart: 15 * time.Second, duration: 8 * time.Second, drain: 6 * time.Second,
+// fleetSpec is a small-but-representative fleet scenario: real flows,
+// an idle fleet, and background populations per cell. Its runs drain
+// for fleetDrain.
+func fleetSpec() Spec {
+	return Spec{
+		Seed: 11, Cells: 2, Terminals: 1,
+		IdleTerminals: 40, Population: 25,
+		FlowStart: Duration(15 * time.Second), Duration: Duration(8 * time.Second),
 	}
 }
+
+var fleetDrain = withDrain(6 * time.Second)
 
 // TestFleetShardedIdentical extends the engine's determinism contract
 // to fleet runs: idle cohorts and populations must not perturb the
 // byte-identical 1-vs-N-shard equality.
 func TestFleetShardedIdentical(t *testing.T) {
-	diffMultiCell(t, fleetOpts(), 3)
+	diffMultiCell(t, fleetSpec(), 3, fleetDrain)
 }
 
 // TestFleetZeroActiveFaultedDifferential: cells with ZERO active
@@ -121,29 +120,27 @@ func TestFleetShardedIdentical(t *testing.T) {
 // on pure promises — and faults perturbing the radio mid-run must not
 // break the 1-vs-N-shard/policy byte identity.
 func TestFleetZeroActiveFaultedDifferential(t *testing.T) {
-	diffMultiCell(t, Scenario{
-		seed: 13, cells: 2, terminals: 0,
-		idleTerminals: 30, population: 10,
-		flowStart: 15 * time.Second, duration: 8 * time.Second, drain: 6 * time.Second,
-		faults: fault.Schedule{Events: []fault.Event{
-			{Kind: fault.KindRateFade, At: 17 * time.Second, Duration: 3 * time.Second, Scale: 0.5},
-			{Kind: fault.KindFade, At: 19 * time.Second, Duration: time.Second},
-			{Kind: fault.KindLinkFlap, At: 21 * time.Second, Duration: 2 * time.Second, Loss: 0.3},
-		}},
-	}, 3)
+	diffMultiCell(t, Spec{
+		Seed: 13, Cells: 2, IdleTerminals: 30, Population: 10,
+		FlowStart: Duration(15 * time.Second), Duration: Duration(8 * time.Second),
+	}, 3, fleetDrain, withFaults(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.KindRateFade, At: 17 * time.Second, Duration: 3 * time.Second, Scale: 0.5},
+		{Kind: fault.KindFade, At: 19 * time.Second, Duration: time.Second},
+		{Kind: fault.KindLinkFlap, At: 21 * time.Second, Duration: 2 * time.Second, Loss: 0.3},
+	}}))
 }
 
 // TestFleetPopulationsPlacementIndependent compares the population
 // stats themselves (not just merged counters) across shard counts.
 func TestFleetPopulationsPlacementIndependent(t *testing.T) {
-	opts := fleetOpts()
-	opts.shards = 1
-	single, err := runCells(opts)
+	spec := fleetSpec()
+	spec.Shards = 1
+	single, err := runCells(spec, fleetDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.shards = 3
-	sharded, err := runCells(opts)
+	spec.Shards = 3
+	sharded, err := runCells(spec, fleetDrain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,17 +167,10 @@ func TestFleetPopulationsPlacementIndependent(t *testing.T) {
 // TestFleetPopulationOnlyCells runs cells with no active flows at all —
 // pure background load — which must execute cleanly end to end.
 func TestFleetPopulationOnlyCells(t *testing.T) {
-	rep, err := NewScenario(
-		WithSeed(5),
-		WithCells(2, 0),
-		WithPopulation(30, nil),
-		WithIdleTerminals(10),
-		WithDuration(6*time.Second),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc := rep.MultiCell
+	mc := runSpec(t, Spec{
+		Seed: 5, Cells: 2, Population: 30, IdleTerminals: 10,
+		Duration: Duration(6 * time.Second),
+	}).MultiCell
 	if len(mc.Flows) != 0 {
 		t.Fatalf("population-only run produced %d flows", len(mc.Flows))
 	}
@@ -195,14 +185,14 @@ func TestFleetPopulationOnlyCells(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsRequireCells: the Scenario API must reject fleet
-// options on single-cell runs instead of silently ignoring them.
+// TestFleetOptionsRequireCells: a Spec with fleet fields but no cells
+// must not build a Scenario that would silently ignore them.
 func TestFleetOptionsRequireCells(t *testing.T) {
-	if _, err := NewScenario(WithPopulation(10, nil)).Run(); err == nil {
-		t.Fatal("WithPopulation without WithCells must fail")
+	if _, err := (&Spec{Population: 10}).Scenario(); err == nil {
+		t.Fatal("Population without Cells must fail")
 	}
-	if _, err := NewScenario(WithIdleTerminals(10)).Run(); err == nil {
-		t.Fatal("WithIdleTerminals without WithCells must fail")
+	if _, err := (&Spec{IdleTerminals: 10}).Scenario(); err == nil {
+		t.Fatal("IdleTerminals without Cells must fail")
 	}
 }
 
@@ -211,20 +201,20 @@ func TestFleetOptionsRequireCells(t *testing.T) {
 // gauges must collapse into per-cell sum+max aggregates whose GaugeSum
 // matches the uncapped run, with the aggregation recorded.
 func TestFlowGaugeAggregation(t *testing.T) {
-	base := Scenario{
-		seed: 3, cells: 2, terminals: 2,
-		duration: 6 * time.Second, drain: 5 * time.Second,
-		analysis: AnalysisConfig{Mode: AnalysisStreamOnly},
+	base := Spec{
+		Seed: 3, Cells: 2, Terminals: 2, Duration: Duration(6 * time.Second),
+		Analysis: &AnalysisSpec{Mode: "stream-only"},
 	}
+	drain := withDrain(5 * time.Second)
 	capped := base
-	capped.flowGaugeLimit = 2 // 4 flows > 2: aggregate
-	cres, err := runCells(capped)
+	capped.FlowGaugeLimit = 2 // 4 flows > 2: aggregate
+	cres, err := runCells(capped, drain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	uncapped := base
-	uncapped.flowGaugeLimit = -1
-	ures, err := runCells(uncapped)
+	uncapped.FlowGaugeLimit = -1
+	ures, err := runCells(uncapped, drain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +250,8 @@ func TestFlowGaugeAggregation(t *testing.T) {
 func TestFleetFullStackTolerance(t *testing.T) {
 	const flows = 3
 	dur := 8 * time.Second
-	real, err := runCells(Scenario{
-		seed: 21, cells: 1, terminals: flows, duration: dur, drain: 6 * time.Second,
-	})
+	drain := withDrain(6 * time.Second)
+	real, err := runCells(Spec{Seed: 21, Cells: 1, Terminals: flows, Duration: Duration(dur)}, drain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,13 +261,12 @@ func TestFleetFullStackTolerance(t *testing.T) {
 	}
 	rate := float64(realTx) * 8 / (float64(flows) * dur.Seconds())
 
-	popRes, err := runCells(Scenario{
-		seed: 21, cells: 1, terminals: 0, population: flows,
-		duration: dur, drain: 6 * time.Second,
-		populationSpec: &umts.PopulationSpec{
-			RateBps: rate, Start: 15 * time.Second, Duration: dur, Tolerance: 0.1,
+	popRes, err := runCells(Spec{
+		Seed: 21, Cells: 1, Population: flows, Duration: Duration(dur),
+		PopulationSpec: &PopulationSpecJSON{
+			RateBps: rate, Start: Duration(15 * time.Second), Duration: Duration(dur), Tolerance: 0.1,
 		},
-	})
+	}, drain)
 	if err != nil {
 		t.Fatal(err)
 	}

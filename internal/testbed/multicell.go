@@ -234,7 +234,7 @@ func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 		// Aggregate background ensemble, round-robined over shards with
 		// its cell (it lives on the cell's loop).
 		if sc.population > 0 {
-			pop, err := umts.NewPopulation(op, sc.population, populationSpec(sc))
+			pop, err := umts.NewPopulation(op, sc.population, sc.populationSpec)
 			if err != nil {
 				return nil, fmt.Errorf("testbed: cell %d: %w", c, err)
 			}
@@ -266,7 +266,7 @@ func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 			return nil, fmt.Errorf("testbed: cell %d terminal %d: setup did not finish", ts.cell, ts.idx)
 		}
 		if ts.setupAt > sc.flowStart {
-			return nil, fmt.Errorf("testbed: cell %d terminal %d: setup finished at %v, after flow start %v — raise WithFlowStart",
+			return nil, fmt.Errorf("testbed: cell %d terminal %d: setup finished at %v, after flow start %v — raise spec.flow_start",
 				ts.cell, ts.idx, ts.setupAt, sc.flowStart)
 		}
 		res.Flows = append(res.Flows, FlowResult{
@@ -315,15 +315,6 @@ func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 	res.Counters = DeterministicCounters(res.Snapshots)
 	res.Windows = res.Snapshots[0].Counter("shard/windows")
 	return res, nil
-}
-
-// populationSpec resolves the background workload: the caller's
-// override, or 64 kbps CBR per modeled subscriber over the flow window.
-func populationSpec(sc *Scenario) umts.PopulationSpec {
-	if sc.populationSpec != nil {
-		return *sc.populationSpec
-	}
-	return umts.PopulationSpec{RateBps: 64e3, Start: sc.flowStart, Duration: sc.duration}
 }
 
 // buildTerminal sets up one active terminal's compact state: identity,

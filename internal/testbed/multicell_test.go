@@ -14,7 +14,7 @@ import (
 // terminal dials its cell, registers the server, and the VoIP flows
 // arrive with plausible QoS.
 func TestMultiCellFlowsDeliver(t *testing.T) {
-	res, err := runCells(Scenario{seed: 11, cells: 2, terminals: 2})
+	res, err := runCells(Spec{Seed: 11, Cells: 2, Terminals: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,19 +51,20 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 // lockstep and dynamic per-shard horizons), and
 // asserts byte-identical QoS reports, bearer logs, and placement-
 // independent kernel counters across all runs — the determinism
-// contract covers placement AND window policy.
-func diffMultiCell(t *testing.T, sc Scenario, n int) {
+// contract covers placement AND window policy. set changes each built
+// scenario as in runCells.
+func diffMultiCell(t *testing.T, spec Spec, n int, set ...func(*Scenario)) {
 	t.Helper()
-	sc.shards = 1
-	sc.shardPolicy = shard.PolicyGlobal
-	single, err := runCells(sc)
+	spec.Shards = 1
+	spec.ShardPolicy = ""
+	single, err := runCells(spec, set...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, policy := range shard.Policies() {
-		sc.shards = n
-		sc.shardPolicy = policy
-		sharded, err := runCells(sc)
+		spec.Shards = n
+		spec.ShardPolicy = policy.String()
+		sharded, err := runCells(spec, set...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,19 +106,19 @@ func diffMultiCell(t *testing.T, sc Scenario, n int) {
 // TestMultiCellShardedIdentical is the acceptance differential: the
 // K-cell scenario on one loop vs one shard per cell plus the core.
 func TestMultiCellShardedIdentical(t *testing.T) {
-	diffMultiCell(t, Scenario{seed: 3, cells: 3, terminals: 1}, 4)
+	diffMultiCell(t, Spec{Seed: 3, Cells: 3, Terminals: 1}, 4)
 }
 
 // TestMultiCellPartialSharding maps several cells onto each shard —
 // partitions must compose on shared loops exactly as they do alone.
 func TestMultiCellPartialSharding(t *testing.T) {
-	diffMultiCell(t, Scenario{seed: 5, cells: 3, terminals: 1}, 2)
+	diffMultiCell(t, Spec{Seed: 5, Cells: 3, Terminals: 1}, 2)
 }
 
 // TestMultiCellShardedIdenticalHeap repeats the differential on a
 // second topology: two cells, one shard each plus the core.
 func TestMultiCellShardedIdenticalHeap(t *testing.T) {
-	diffMultiCell(t, Scenario{seed: 3, cells: 2, terminals: 1}, 3)
+	diffMultiCell(t, Spec{Seed: 3, Cells: 2, Terminals: 1}, 3)
 }
 
 // TestMultiCellRandomizedTopologies fuzzes the scenario shape — cell
@@ -131,17 +132,17 @@ func TestMultiCellRandomizedTopologies(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	workloads := []Workload{WorkloadVoIP, WorkloadVoIPG729, WorkloadTelnet}
 	for round := 0; round < 3; round++ {
-		opts := Scenario{
-			seed:          rng.Int63n(1 << 30),
-			cells:         2 + rng.Intn(3),
-			terminals:     1 + rng.Intn(2),
-			workload:      workloads[rng.Intn(len(workloads))],
-			duration:      time.Duration(10+rng.Intn(10)) * time.Second,
-			backhaulDelay: time.Duration(3+rng.Intn(10)) * time.Millisecond,
+		spec := Spec{
+			Seed:      rng.Int63n(1 << 30),
+			Cells:     2 + rng.Intn(3),
+			Terminals: 1 + rng.Intn(2),
+			Workload:  workloads[rng.Intn(len(workloads))].Name(),
+			Duration:  Duration(time.Duration(10+rng.Intn(10)) * time.Second),
 		}
-		shards := 2 + rng.Intn(opts.cells)
-		t.Logf("round %d: %d cells x %d terminals, %v, backhaul %v, %d shards, seed %d",
-			round, opts.cells, opts.terminals, opts.workload, opts.backhaulDelay, shards, opts.seed)
-		diffMultiCell(t, opts, shards)
+		backhaul := time.Duration(3+rng.Intn(10)) * time.Millisecond
+		shards := 2 + rng.Intn(spec.Cells)
+		t.Logf("round %d: %d cells x %d terminals, %s, backhaul %v, %d shards, seed %d",
+			round, spec.Cells, spec.Terminals, spec.Workload, backhaul, shards, spec.Seed)
+		diffMultiCell(t, spec, shards, func(sc *Scenario) { sc.backhaulDelay = backhaul })
 	}
 }

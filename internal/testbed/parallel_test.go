@@ -52,13 +52,7 @@ func TestConcurrentReproductionsNoSharedState(t *testing.T) {
 // merge is by rep index, and each rep owns a private loop and registry.
 func TestRepPoolDeterminism(t *testing.T) {
 	const base, reps = 7, 3
-	rep, err := NewScenario(
-		WithSeed(base), WithPath(PathUMTS), WithWorkload(WorkloadVoIP),
-		WithDuration(parTestDur), WithReps(reps), WithWorkers(2),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, Spec{Seed: base, Duration: Duration(parTestDur), Reps: reps, Workers: 2})
 	for r := 0; r < reps; r++ {
 		seq, err := runPaper(RepSeed(base, r), PathUMTS, WorkloadVoIP, parTestDur)
 		if err != nil {
@@ -77,10 +71,17 @@ func TestRepPoolDeterminism(t *testing.T) {
 // even with more scenarios than workers, and workers <= 0 picks a sane
 // default.
 func TestRunScenariosOrderAndBounds(t *testing.T) {
-	scs := []*Scenario{
-		NewScenario(WithSeed(1), WithPath(PathEthernet), WithWorkload(WorkloadVoIP), WithDuration(parTestDur)),
-		NewScenario(WithSeed(RepSeed(1, 1)), WithPath(PathEthernet), WithWorkload(WorkloadVoIP), WithDuration(parTestDur)),
-		NewScenario(WithSeed(1), WithPath(PathEthernet), WithWorkload(WorkloadCBR1M), WithDuration(parTestDur)),
+	var scs []*Scenario
+	for _, spec := range []Spec{
+		{Seed: 1, Path: "ethernet", Workload: "voip", Duration: Duration(parTestDur)},
+		{Seed: RepSeed(1, 1), Path: "ethernet", Workload: "voip", Duration: Duration(parTestDur)},
+		{Seed: 1, Path: "ethernet", Workload: "cbr1m", Duration: Duration(parTestDur)},
+	} {
+		sc, err := spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, sc)
 	}
 	res, err := RunScenarios(scs, 0)
 	if err != nil {
@@ -131,19 +132,21 @@ func TestExperimentMetricsSnapshot(t *testing.T) {
 	}
 }
 
-// badScenarios builds a RunScenarios input with an invalid workload at
-// the given indices and valid VoIP cells elsewhere.
-func badScenarios(n int, bad map[int]Workload) []*Scenario {
+// badScenarios builds a RunScenarios input of Ethernet VoIP cells with
+// the workload at the given indices replaced by an invalid one, which
+// no Spec builds and the run rejects.
+func badScenarios(t *testing.T, n int, bad map[int]Workload) []*Scenario {
 	scs := make([]*Scenario, n)
 	for i := range scs {
-		wl := WorkloadVoIP
-		if w, ok := bad[i]; ok {
-			wl = w
+		spec := &Spec{Seed: RepSeed(1, i), Path: "ethernet", Duration: Duration(parTestDur)}
+		sc, err := spec.Scenario()
+		if err != nil {
+			t.Fatal(err)
 		}
-		scs[i] = NewScenario(
-			WithSeed(RepSeed(1, i)), WithPath(PathEthernet),
-			WithWorkload(wl), WithDuration(parTestDur),
-		)
+		if w, ok := bad[i]; ok {
+			sc.workload = w
+		}
+		scs[i] = sc
 	}
 	return scs
 }
@@ -156,7 +159,7 @@ func badScenarios(n int, bad map[int]Workload) []*Scenario {
 // but the channel handshake guarantees index 2 onward observes the
 // store.)
 func TestRunScenariosFailFast(t *testing.T) {
-	results, err := RunScenarios(badScenarios(8, map[int]Workload{0: Workload(99)}), 1)
+	results, err := RunScenarios(badScenarios(t, 8, map[int]Workload{0: Workload(99)}), 1)
 	if err == nil {
 		t.Fatal("expected the invalid workload at index 0 to be reported")
 	}
@@ -177,7 +180,7 @@ func TestRunScenariosFailFast(t *testing.T) {
 // the input and checks the reported error is always the smallest-index
 // one, regardless of which worker hits its failure first.
 func TestRunScenariosFirstErrorDeterministic(t *testing.T) {
-	scs := badScenarios(4, map[int]Workload{1: Workload(98), 3: Workload(99)})
+	scs := badScenarios(t, 4, map[int]Workload{1: Workload(98), 3: Workload(99)})
 	for trial := 0; trial < 4; trial++ {
 		_, err := RunScenarios(scs, 2)
 		if err == nil {

@@ -22,9 +22,7 @@ func TestPoolingCutsAllocations(t *testing.T) {
 		bufpool.SetDisabled(disabled)
 		defer bufpool.SetDisabled(false)
 		return testing.AllocsPerRun(1, func() {
-			if _, err := NewScenario(WithSeed(1), WithDuration(10*time.Second)).Run(); err != nil {
-				t.Fatal(err)
-			}
+			runSpec(t, Spec{Seed: 1, Duration: Duration(10 * time.Second)})
 		})
 	}
 	pooled, unpooled := allocs(false), allocs(true)
@@ -117,10 +115,10 @@ func TestMultiCellPacketsRecycleAcrossShards(t *testing.T) {
 	// so the receiving loop's lists only fill.
 	for _, wl := range []Workload{WorkloadVoIP, WorkloadTelnet} {
 		t.Run(wl.String(), func(t *testing.T) {
-			opts := Scenario{seed: 11, cells: 2, terminals: 2, workload: wl, duration: 5 * time.Second}
-			diffMultiCell(t, opts, 3)
-			opts.shards = 3
-			res, err := runCells(opts)
+			spec := Spec{Seed: 11, Cells: 2, Terminals: 2, Workload: wl.Name(), Duration: Duration(5 * time.Second)}
+			diffMultiCell(t, spec, 3)
+			spec.Shards = 3
+			res, err := runCells(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,16 +8,11 @@ import (
 
 	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
-	"github.com/onelab/umtslab/internal/modem"
-	"github.com/onelab/umtslab/internal/sim/shard"
-	"github.com/onelab/umtslab/internal/umts"
 )
 
-// TestScenarioMatchesDirectRun: the Scenario front door must be pure
-// plumbing — the same seed through NewScenario(...).Run() and through
-// hand-built New+RunExperiment produces byte-identical results. This is
-// the refactor's safety net: collapsing the entry points must not move
-// a single event.
+// TestScenarioMatchesDirectRun: a Spec-built Scenario must be pure
+// plumbing — the same seed through Spec.Scenario().Run() and through
+// hand-built New+RunExperiment produces byte-identical results.
 func TestScenarioMatchesDirectRun(t *testing.T) {
 	tb, err := New(Options{Seed: 7})
 	if err != nil {
@@ -30,14 +25,7 @@ func TestScenarioMatchesDirectRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := NewScenario(
-		WithSeed(7),
-		WithPath(PathUMTS), WithWorkload(WorkloadVoIP),
-		WithDuration(20*time.Second),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, Spec{Seed: 7, Path: "umts", Workload: "voip", Duration: Duration(20 * time.Second)})
 	if len(rep.Results) != 1 {
 		t.Fatalf("scenario returned %d results, want 1", len(rep.Results))
 	}
@@ -81,16 +69,8 @@ func stripSupervisor(counters map[string]int64) map[string]int64 {
 // flow is byte-identical to the fail-fast run. Only the supervisor's
 // own instruments may appear.
 func TestSelfHealTransparentWhenHealthy(t *testing.T) {
-	base, err := NewScenario(WithSeed(3), WithDuration(15*time.Second)).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	healed, err := NewScenario(
-		WithSeed(3), WithDuration(15*time.Second), WithSelfHeal(nil),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := runSpec(t, Spec{Seed: 3, Duration: Duration(15 * time.Second)})
+	healed := runSpec(t, Spec{Seed: 3, Duration: Duration(15 * time.Second), SelfHeal: true})
 	b, h := base.Results[0], healed.Results[0]
 	if !reflect.DeepEqual(b.Decoded, h.Decoded) {
 		t.Error("decoded QoS differs under a healthy supervisor")
@@ -144,20 +124,23 @@ func supCounter(counters map[string]int64, suffix string) int64 {
 }
 
 // TestEmptyFaultScheduleIsTransparent: the fault layer is free when
-// unused. A scenario armed with an explicitly empty schedule, or with
-// the "none" preset, decodes and counts exactly like a plain run.
+// unused. A testbed armed with an explicitly empty schedule, or a
+// scenario with the "none" preset, decodes and counts exactly like a
+// plain run.
 func TestEmptyFaultScheduleIsTransparent(t *testing.T) {
-	run := func(opts ...ScenarioOption) *ExperimentResult {
-		rep, err := NewScenario(append([]ScenarioOption{WithSeed(5), WithDuration(20 * time.Second)}, opts...)...).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Results[0]
+	const seed, dur = 5, 20 * time.Second
+	plain := runSpec(t, Spec{Seed: seed, Duration: Duration(dur)}).Results[0]
+	tb, err := New(Options{Seed: seed, Faults: fault.Schedule{}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	plain := run()
+	empty, err := tb.RunExperiment(ExperimentSpec{Path: PathUMTS, Workload: WorkloadVoIP, Duration: dur})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, armed := range map[string]*ExperimentResult{
-		"empty schedule": run(WithFaults(fault.Schedule{})),
-		"none preset":    run(WithFaultProfile("none")),
+		"empty schedule": empty,
+		"none preset":    runSpec(t, Spec{Seed: seed, Duration: Duration(dur), FaultProfile: "none"}).Results[0],
 	} {
 		if !reflect.DeepEqual(plain.Decoded, armed.Decoded) {
 			t.Errorf("%s: decoded result differs from a plain run", name)
@@ -178,16 +161,17 @@ func TestScenarioRecoversFromScriptedDrops(t *testing.T) {
 		{Kind: fault.KindCarrierDrop, At: 30 * time.Second},
 		{Kind: fault.KindCarrierDrop, At: 55 * time.Second},
 	}}
-	rep, err := NewScenario(
-		WithSeed(11),
-		WithDuration(60*time.Second),
-		WithFaults(sched),
-		WithSelfHeal(&dialer.Policy{InitialBackoff: 2 * time.Second}),
-	).Run()
+	tb, err := New(Options{
+		Seed: 11, Faults: sched,
+		SelfHeal: true, HealPolicy: &dialer.Policy{InitialBackoff: 2 * time.Second},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rep.Results[0]
+	res, err := tb.RunExperiment(ExperimentSpec{Path: PathUMTS, Workload: WorkloadVoIP, Duration: 60 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if got := len(res.Outages); got != 2 {
 		t.Fatalf("outage windows %d, want 2: %v", got, res.Outages)
@@ -236,56 +220,23 @@ func TestScenarioRecoversFromScriptedDrops(t *testing.T) {
 // (rate fade, radio fade, uplink flap) produces byte-identical flows
 // and counters regardless of placement.
 func TestMultiCellFaultedShardDifferential(t *testing.T) {
-	diffMultiCell(t, Scenario{
-		seed: 3, cells: 2, terminals: 1,
-		faults: fault.Schedule{Events: []fault.Event{
-			{Kind: fault.KindRateFade, At: 18 * time.Second, Duration: 5 * time.Second, Scale: 0.5},
-			{Kind: fault.KindFade, At: 25 * time.Second, Duration: time.Second},
-			{Kind: fault.KindLinkFlap, At: 30 * time.Second, Duration: 2 * time.Second, Loss: 0.3},
-		}},
-	}, 3)
+	diffMultiCell(t, Spec{Seed: 3, Cells: 2, Terminals: 1}, 3, withFaults(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.KindRateFade, At: 18 * time.Second, Duration: 5 * time.Second, Scale: 0.5},
+		{Kind: fault.KindFade, At: 25 * time.Second, Duration: time.Second},
+		{Kind: fault.KindLinkFlap, At: 30 * time.Second, Duration: 2 * time.Second, Loss: 0.3},
+	}}))
 }
 
 // TestMultiCellSelfHealShardDifferential drops every cell's carrier
 // mid-flow with self-healing on: the supervisors' redials (including
 // their jittered backoff draws) must stay placement-independent.
 func TestMultiCellSelfHealShardDifferential(t *testing.T) {
-	diffMultiCell(t, Scenario{
-		seed: 5, cells: 2, terminals: 1,
-		selfHeal:   true,
-		healPolicy: &dialer.Policy{InitialBackoff: time.Second},
-		faults: fault.Schedule{Events: []fault.Event{
-			{Kind: fault.KindCarrierDrop, At: 20 * time.Second},
-		}},
-		duration: 40 * time.Second,
-	}, 3)
-}
-
-// TestScenarioRejectsIgnoredOptions: an option that the scenario's
-// runner would ignore fails the run, and the error names the option.
-func TestScenarioRejectsIgnoredOptions(t *testing.T) {
-	cells := WithCells(2, 1)
-	for _, c := range []struct {
-		name string
-		opts []ScenarioOption
-	}{
-		{"WithPath", []ScenarioOption{cells, WithPath(PathEthernet)}},
-		{"WithReps", []ScenarioOption{cells, WithReps(3)}},
-		{"WithOperator", []ScenarioOption{cells, WithOperator(umts.Commercial())}},
-		{"WithCard", []ScenarioOption{cells, WithCard(modem.Globetrotter)}},
-		{"WithPIN", []ScenarioOption{cells, WithPIN("1234")}},
-		{"WithTrace", []ScenarioOption{cells, WithTrace(func(string, ...any) {})}},
-		{"WithShards", []ScenarioOption{WithShards(2)}},
-		{"WithShardPolicy", []ScenarioOption{WithShardPolicy(shard.PolicyDynamic)}},
-		{"WithFlowStart", []ScenarioOption{WithFlowStart(time.Second)}},
-		{"WithIdleTerminals", []ScenarioOption{WithIdleTerminals(10)}},
-		{"WithPopulation", []ScenarioOption{WithPopulation(10, nil)}},
-		{"WithFlowGaugeLimit", []ScenarioOption{WithFlowGaugeLimit(8)}},
-	} {
-		if _, err := NewScenario(c.opts...).Run(); err == nil || !strings.Contains(err.Error(), c.name) {
-			t.Errorf("%s: Run() = %v, want an error naming %s", c.name, err, c.name)
-		}
-	}
+	diffMultiCell(t, Spec{
+		Seed: 5, Cells: 2, Terminals: 1, Duration: Duration(40 * time.Second),
+		SelfHeal: true, HealPolicy: &HealPolicySpec{InitialBackoff: Duration(time.Second)},
+	}, 3, withFaults(fault.Schedule{Events: []fault.Event{
+		{Kind: fault.KindCarrierDrop, At: 20 * time.Second},
+	}}))
 }
 
 // TestFaultProfileInsideMultiCellFlowWindow: a multi-cell run's flows
@@ -296,12 +247,7 @@ func TestFaultProfileInsideMultiCellFlowWindow(t *testing.T) {
 		profile string
 		dur     time.Duration
 	}{{"drops", 30 * time.Second}, {"flaky", 10 * time.Second}} {
-		rep, err := NewScenario(
-			WithSeed(1), WithCells(1, 1), WithDuration(c.dur), WithFaultProfile(c.profile),
-		).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := runSpec(t, Spec{Seed: 1, Cells: 1, Terminals: 1, Duration: Duration(c.dur), FaultProfile: c.profile})
 		if len(rep.Outages) == 0 {
 			t.Fatalf("%s: no outages scheduled", c.profile)
 		}

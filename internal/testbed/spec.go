@@ -14,20 +14,17 @@ import (
 	"github.com/onelab/umtslab/internal/umts"
 )
 
-// Spec is the declarative counterpart of Scenario: a JSON-serializable
-// description of one experiment that the CLI flags, config files, and
-// the HTTP control plane all share. Every knob is a wire-friendly
-// scalar (path/workload/policy names, Go duration strings), and a
-// valid Spec round-trips losslessly through Scenario: Spec.Scenario
-// followed by Scenario.Spec yields a Spec that builds an identical
-// Scenario — so a submitted Spec reproduces a one-shot CLI run byte
-// for byte.
+// Spec is the one description of an experiment: a JSON-serializable
+// document that the CLI flags, config files, the bench/ workloads and
+// the HTTP control plane all build, and the only way to a runnable
+// Scenario (see Spec.Scenario). Every knob is a wire-friendly scalar
+// (path/workload/policy names, Go duration strings), so a submitted
+// Spec reproduces a one-shot CLI run byte for byte.
 //
-// Zero fields keep the paper defaults of the underlying runner, same
-// as omitting the matching flag or functional option. Runtime hooks
-// (metrics dump, trace, live-window sinks, interrupts) are
+// Zero fields keep the paper defaults of the underlying runner.
+// Runtime hooks (metrics dump, live-window sink, interrupt) are
 // deliberately absent: they are wiring, not experiment identity, and
-// the control plane attaches them after Scenario construction.
+// attach to the built Scenario (see ScenarioOption).
 type Spec struct {
 	// Seed is the base simulation seed; repetition r derives
 	// RepSeed(seed, r).
@@ -147,21 +144,6 @@ func (h *HealPolicySpec) policy() *dialer.Policy {
 	}
 }
 
-func healSpec(p *dialer.Policy) *HealPolicySpec {
-	if p == nil {
-		return nil
-	}
-	return &HealPolicySpec{
-		InitialBackoff: Duration(p.InitialBackoff),
-		MaxBackoff:     Duration(p.MaxBackoff),
-		Multiplier:     p.Multiplier,
-		JitterFrac:     p.JitterFrac,
-		NoJitter:       p.NoJitter,
-		MaxAttempts:    p.MaxAttempts,
-		NoRetry:        p.NoRetry,
-	}
-}
-
 // AnalysisSpec is the wire form of AnalysisConfig's declarative
 // fields. The Live subscription is runtime wiring and has no wire
 // form.
@@ -185,27 +167,13 @@ type PopulationSpecJSON struct {
 	Tolerance   float64  `json:"tolerance,omitempty"`
 }
 
-func (p *PopulationSpecJSON) spec() *umts.PopulationSpec {
-	return &umts.PopulationSpec{
+func (p *PopulationSpecJSON) spec() umts.PopulationSpec {
+	return umts.PopulationSpec{
 		RateBps:     p.RateBps,
 		PacketBytes: p.PacketBytes,
 		Tick:        time.Duration(p.Tick),
 		Start:       time.Duration(p.Start),
 		Duration:    time.Duration(p.Duration),
-		Tolerance:   p.Tolerance,
-	}
-}
-
-func populationSpecJSON(p *umts.PopulationSpec) *PopulationSpecJSON {
-	if p == nil {
-		return nil
-	}
-	return &PopulationSpecJSON{
-		RateBps:     p.RateBps,
-		PacketBytes: p.PacketBytes,
-		Tick:        Duration(p.Tick),
-		Start:       Duration(p.Start),
-		Duration:    Duration(p.Duration),
 		Tolerance:   p.Tolerance,
 	}
 }
@@ -315,121 +283,86 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Scenario builds the runnable Scenario the spec describes. The
-// conversion goes through the same functional options the CLI uses, so
-// a Spec-built run is indistinguishable from a flag-built one.
+// Scenario validates the spec and resolves it, once, into the runnable
+// Scenario it describes; it is the only constructor of a Scenario.
+// Every zero field takes its default (the flow duration and window;
+// in a multi-cell run also the terminal and shard counts, the flow
+// start, the gauge limit and 64 kbps CBR for the modeled subscribers),
+// and the fault profile is drawn into its schedule with
+// fault.Preset(profile, Seed, duration), placed over the flow window:
+// [0, duration] in a paper cell, [flow start, flow start + duration]
+// in a multi-cell run. Repetition r runs with RepSeed(Seed, r) under
+// that one schedule. Run-time hooks attach to the result (see
+// ScenarioOption).
 func (s *Spec) Scenario() (*Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	path, _ := ParsePath(s.Path)
-	wl, _ := ParseWorkload(s.Workload)
-	policy, _ := shard.ParsePolicy(s.ShardPolicy)
-	var pop *umts.PopulationSpec
-	if s.PopulationSpec != nil {
-		pop = s.PopulationSpec.spec()
+	sc := &Scenario{
+		seed:           s.Seed,
+		duration:       time.Duration(s.Duration),
+		window:         time.Duration(s.Window),
+		reps:           max(s.Reps, 1),
+		workers:        s.Workers,
+		selfHeal:       s.SelfHeal,
+		cells:          s.Cells,
+		terminals:      s.Terminals,
+		shards:         s.Shards,
+		flowStart:      time.Duration(s.FlowStart),
+		idleTerminals:  s.IdleTerminals,
+		population:     s.Population,
+		flowGaugeLimit: s.FlowGaugeLimit,
 	}
-	// Validate has rejected every multi-cell field of a single-cell
-	// spec, and a zero field selects the same default as an omitted
-	// option.
-	opts := []ScenarioOption{
-		WithSeed(s.Seed), WithPath(path), WithWorkload(wl),
-		WithDuration(time.Duration(s.Duration)),
-		WithWindow(time.Duration(s.Window)),
-		WithReps(s.Reps), WithWorkers(s.Workers),
-		WithFaultProfile(s.FaultProfile),
-		WithCells(s.Cells, s.Terminals), WithShards(s.Shards), WithShardPolicy(policy),
-		WithFlowStart(time.Duration(s.FlowStart)),
-		WithIdleTerminals(s.IdleTerminals), WithPopulation(s.Population, pop),
-		WithFlowGaugeLimit(s.FlowGaugeLimit),
+	// Validate has accepted every name.
+	sc.path, _ = ParsePath(s.Path)
+	sc.workload, _ = ParseWorkload(s.Workload)
+	sc.shardPolicy, _ = shard.ParsePolicy(s.ShardPolicy)
+	if s.HealPolicy != nil {
+		sc.healPolicy = s.HealPolicy.policy()
 	}
-	if s.SelfHeal {
-		var pol *dialer.Policy
-		if s.HealPolicy != nil {
-			pol = s.HealPolicy.policy()
-		}
-		opts = append(opts, WithSelfHeal(pol))
+	if a := s.Analysis; a != nil {
+		sc.analysis.Mode, _ = ParseAnalysisMode(a.Mode)
+		sc.analysis.SketchRelErr = a.SketchRelErr
+		sc.analysis.Exact = a.Exact
 	}
-	if s.Analysis != nil {
-		mode, _ := ParseAnalysisMode(s.Analysis.Mode)
-		opts = append(opts, WithAnalysis(AnalysisConfig{
-			Mode: mode, SketchRelErr: s.Analysis.SketchRelErr,
-			Exact: s.Analysis.Exact,
-		}))
+	if sc.window <= 0 {
+		sc.window = defaultWindow
 	}
-	return NewScenario(opts...), nil
-}
-
-// Spec reconstructs the declarative description of a scenario,
-// normalizing defaults to zero fields. It fails on scenarios that are
-// not expressible on the wire: custom operator/card/PIN overrides, a
-// raw WithFaults schedule (use WithFaultProfile), or runtime hooks
-// (trace, metrics dump, interrupt, live-window sink) — those are
-// attached after Scenario construction, never serialized.
-func (sc *Scenario) Spec() (*Spec, error) {
-	switch {
-	case sc.operator != nil:
-		return nil, fmt.Errorf("testbed: scenario with WithOperator has no wire form")
-	case sc.card != nil:
-		return nil, fmt.Errorf("testbed: scenario with WithCard has no wire form")
-	case sc.pin != "":
-		return nil, fmt.Errorf("testbed: scenario with WithPIN has no wire form")
-	case !sc.faults.Empty():
-		return nil, fmt.Errorf("testbed: raw WithFaults schedule has no wire form (use WithFaultProfile)")
-	case sc.trace != nil:
-		return nil, fmt.Errorf("testbed: scenario with WithTrace has no wire form")
-	case sc.dump != nil:
-		return nil, fmt.Errorf("testbed: scenario with WithMetricsDump has no wire form")
-	case sc.interrupt != nil:
-		return nil, fmt.Errorf("testbed: scenario with WithInterrupt has no wire form")
-	case sc.analysis.Live != nil || sc.analysis.LiveLag != 0:
-		return nil, fmt.Errorf("testbed: live-window subscription has no wire form")
-	}
-	s := &Spec{
-		Seed:           sc.seed,
-		Duration:       Duration(sc.duration),
-		Window:         Duration(sc.window),
-		Reps:           sc.reps,
-		SelfHeal:       sc.selfHeal,
-		HealPolicy:     healSpec(sc.healPolicy),
-		Cells:          sc.cells,
-		Terminals:      sc.terminals,
-		Shards:         sc.shards,
-		FlowStart:      Duration(sc.flowStart),
-		IdleTerminals:  sc.idleTerminals,
-		Population:     sc.population,
-		PopulationSpec: populationSpecJSON(sc.populationSpec),
-		FlowGaugeLimit: sc.flowGaugeLimit,
-	}
-	if sc.reps > 1 {
-		// Workers is a resource knob with no effect on results; it only
-		// means anything next to a repetition sweep, and Validate
-		// rejects it elsewhere.
-		s.Workers = sc.workers
-	}
-	if sc.path != PathUMTS {
-		s.Path = sc.path.Name()
-	}
-	if sc.workload != WorkloadVoIP {
-		s.Workload = sc.workload.Name()
-	}
-	if sc.faultProfile != "" && sc.faultProfile != "none" {
-		s.FaultProfile = sc.faultProfile
-	}
-	if sc.analysis.Mode != AnalysisBatch || sc.analysis.SketchRelErr != 0 || sc.analysis.Exact {
-		s.Analysis = &AnalysisSpec{
-			SketchRelErr: sc.analysis.SketchRelErr,
-			Exact:        sc.analysis.Exact,
-		}
-		if sc.analysis.Mode != AnalysisBatch {
-			s.Analysis.Mode = sc.analysis.Mode.String()
+	if sc.duration <= 0 {
+		sc.duration = paperDuration
+		if sc.cells > 0 {
+			sc.duration = cellsDuration
 		}
 	}
-	if sc.shardPolicy != shard.PolicyGlobal {
-		s.ShardPolicy = sc.shardPolicy.String()
+	if sc.cells > 0 {
+		// A cell with only background load (idle fleet or population)
+		// is legal; otherwise keep one terminal.
+		if sc.terminals <= 0 && sc.population <= 0 && sc.idleTerminals <= 0 {
+			sc.terminals = 1
+		}
+		if sc.shards <= 0 || sc.shards > sc.cells+1 {
+			sc.shards = sc.cells + 1
+		}
+		if sc.flowStart <= 0 {
+			sc.flowStart = defaultFlowStart
+		}
+		if sc.flowGaugeLimit == 0 {
+			sc.flowGaugeLimit = defaultFlowGaugeLimit
+		}
+		sc.drain = drainTime
+		sc.backhaulDelay = ethDelay
+		sc.populationSpec = umts.PopulationSpec{RateBps: 64e3, Start: sc.flowStart, Duration: sc.duration}
+		if s.PopulationSpec != nil {
+			sc.populationSpec = s.PopulationSpec.spec()
+		}
 	}
-	if err := s.Validate(); err != nil {
+	faults, err := fault.Preset(s.FaultProfile, s.Seed, sc.duration)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
+	for i := range faults.Events {
+		faults.Events[i].At += sc.flowStart
+	}
+	sc.faults = faults
+	return sc, nil
 }

@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -9,10 +8,7 @@ import (
 	"time"
 
 	"github.com/onelab/umtslab/internal/dialer"
-	"github.com/onelab/umtslab/internal/metrics"
-	"github.com/onelab/umtslab/internal/modem"
 	"github.com/onelab/umtslab/internal/sim/shard"
-	"github.com/onelab/umtslab/internal/umts"
 )
 
 // specGolden is the wire form of TestSpecGoldenJSON's spec, which sets
@@ -129,10 +125,9 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 }
 
 // FuzzParseSpec feeds arbitrary bytes to the spec parser. Every input
-// must either be rejected or build a Scenario, and a built Scenario
-// must export a Spec whose encoding parses back to the same Spec and
-// the same Scenario: the wire form is a fixed point after one
-// normalization.
+// must either be rejected or build a Scenario, and an accepted spec's
+// encoding must parse back to the same Spec and build the same
+// Scenario: the wire form is lossless.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(specGolden))
 	f.Add([]byte(`{}`))
@@ -147,154 +142,32 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid spec %s does not build: %v", data, err)
 		}
-		spec2, err := sc.Spec()
-		if err != nil {
-			t.Fatalf("spec %s: scenario does not export: %v", data, err)
-		}
-		enc, err := json.Marshal(spec2)
+		enc, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec3, err := ParseSpec(enc)
+		spec2, err := ParseSpec(enc)
 		if err != nil {
-			t.Fatalf("exported spec %s does not re-parse: %v", enc, err)
+			t.Fatalf("encoded spec %s does not re-parse: %v", enc, err)
 		}
-		if !reflect.DeepEqual(spec2, spec3) {
-			t.Fatalf("exported spec not a fixed point:\n %+v\n %+v", spec2, spec3)
+		if !reflect.DeepEqual(spec, spec2) {
+			t.Fatalf("spec %s: encoding not lossless:\n %+v\n %+v", data, spec, spec2)
 		}
-		sc3, err := spec3.Scenario()
+		sc2, err := spec2.Scenario()
 		if err != nil {
-			t.Fatalf("exported spec %s does not build: %v", enc, err)
+			t.Fatalf("encoded spec %s does not build: %v", enc, err)
 		}
-		if !reflect.DeepEqual(sc, sc3) {
-			t.Fatalf("spec %s: round trip changed the scenario:\n %+v\n %+v", data, sc, sc3)
+		if !reflect.DeepEqual(sc, sc2) {
+			t.Fatalf("spec %s: encoding changed the scenario:\n %+v\n %+v", data, sc, sc2)
 		}
 	})
 }
 
-// TestSpecScenarioRoundTrip: Spec -> Scenario -> Spec' -> Scenario'
-// must reproduce the identical Scenario — the definition of a lossless
-// wire form. Runtime hooks are all nil on both sides, so DeepEqual is
-// exact.
-func TestSpecScenarioRoundTrip(t *testing.T) {
-	specs := []*Spec{
-		{}, // all paper defaults
-		{Seed: 7, Path: "ethernet", Workload: "telnet",
-			Duration: Duration(30 * time.Second), Reps: 3, Workers: 2},
-		{Seed: 9, FaultProfile: "flaps", SelfHeal: true,
-			HealPolicy: &HealPolicySpec{MaxAttempts: -1, NoJitter: true, Multiplier: 1.5}},
-		{Workload: "voip-g729", Analysis: &AnalysisSpec{Mode: "stream-only", SketchRelErr: 0.005}},
-		{Seed: 3, Cells: 4, Terminals: 2, Shards: 3, ShardPolicy: "dynamic",
-			FlowStart: Duration(10 * time.Second), Duration: Duration(20 * time.Second),
-			IdleTerminals: 50, Population: 200,
-			PopulationSpec: &PopulationSpecJSON{RateBps: 32000, Tolerance: 0.05},
-			FlowGaugeLimit: -1},
-		{Cells: 2, SelfHeal: true, FaultProfile: "drops",
-			Analysis: &AnalysisSpec{Mode: "stream", Exact: true}},
-	}
-	for i, spec := range specs {
-		sc, err := spec.Scenario()
-		if err != nil {
-			t.Fatalf("spec %d: Scenario: %v", i, err)
-		}
-		spec2, err := sc.Spec()
-		if err != nil {
-			t.Fatalf("spec %d: back to Spec: %v", i, err)
-		}
-		sc2, err := spec2.Scenario()
-		if err != nil {
-			t.Fatalf("spec %d: Scenario from round-tripped spec: %v", i, err)
-		}
-		if !reflect.DeepEqual(sc, sc2) {
-			t.Errorf("spec %d: round trip changed the scenario:\n spec  %+v\n spec' %+v\n sc  %+v\n sc' %+v",
-				i, spec, spec2, sc, sc2)
-		}
-	}
-}
-
-// TestScenarioSpecRejectsNonWireForms: scenarios carrying programmatic
-// overrides or runtime hooks must refuse to serialize instead of
-// silently dropping behavior.
-func TestScenarioSpecRejectsNonWireForms(t *testing.T) {
-	cases := []struct {
-		name string
-		sc   *Scenario
-	}{
-		{"operator", NewScenario(WithOperator(umts.Config{}))},
-		{"card", NewScenario(WithCard(modem.CardProfile{}))},
-		{"pin", NewScenario(WithPIN("0000"))},
-		{"faults", func() *Scenario {
-			sc := NewScenario(WithFaultProfile("drops"))
-			if err := sc.resolveFaults(); err != nil {
-				t.Fatal(err)
-			}
-			sc.faultProfile = ""
-			return sc
-		}()},
-		{"trace", NewScenario(WithTrace(func(string, ...any) {}))},
-		{"dump", NewScenario(WithMetricsDump(func(metrics.Snapshot) {}))},
-		{"interrupt", NewScenario(WithInterrupt(func() bool { return false }))},
-		{"live", NewScenario(WithAnalysis(AnalysisConfig{Mode: AnalysisStream, Live: func(LiveWindow) {}}))},
-	}
-	for _, c := range cases {
-		if _, err := c.sc.Spec(); err == nil {
-			t.Errorf("%s: Spec() serialized a scenario with no wire form", c.name)
-		}
-	}
-}
-
-// resultBytes is the byte-identity probe: the canonical JSON encoding
-// of everything a run reports about QoS.
-func resultBytes(t *testing.T, rep *Report) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if rep.MultiCell != nil {
-		if err := enc.Encode(rep.MultiCell.Flows); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(rep.MultiCell.Counters); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	for _, r := range rep.Results {
-		if err := enc.Encode(r.Decoded); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// TestSpecDifferentialSingleCell: a Spec-built run must be
-// byte-identical to the directly-built Scenario run — the control
-// plane's core correctness claim.
-func TestSpecDifferentialSingleCell(t *testing.T) {
-	spec := &Spec{Seed: 11, Workload: "voip", Duration: Duration(parTestDur)}
-	sc, err := spec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewScenario(
-		WithSeed(11), WithWorkload(WorkloadVoIP), WithDuration(parTestDur),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, viaSpec), resultBytes(t, direct)) {
-		t.Error("spec-built run differs from direct run")
-	}
-}
-
 // TestSpecShardPolicyRoundTrip: every engine policy name survives the
-// wire format — JSON decode, Validate, Scenario conversion, and the
-// Spec() export — so a saved measurement spec replays under the policy
-// it recorded. Iterating shard.Policies() makes the test self-widening:
-// a new policy that misses any leg of the path fails here.
+// wire format — JSON decode, Validate and Scenario conversion — so a
+// saved measurement spec replays under the policy it recorded.
+// Iterating shard.Policies() makes the test self-widening: a new
+// policy that misses any leg of the path fails here.
 func TestSpecShardPolicyRoundTrip(t *testing.T) {
 	for _, p := range shard.Policies() {
 		raw := []byte(`{"cells":2,"shard_policy":"` + p.String() + `"}`)
@@ -312,42 +185,6 @@ func TestSpecShardPolicyRoundTrip(t *testing.T) {
 		if sc.shardPolicy != p {
 			t.Fatalf("policy %v: scenario carries %v", p, sc.shardPolicy)
 		}
-		back, err := sc.Spec()
-		if err != nil {
-			t.Fatalf("policy %v: spec export: %v", p, err)
-		}
-		want := p.String()
-		if p == shard.PolicyGlobal {
-			want = "" // the default is omitted from the wire format
-		}
-		if back.ShardPolicy != want {
-			t.Errorf("policy %v: round-tripped as %q, want %q", p, back.ShardPolicy, want)
-		}
-	}
-}
-
-// TestSpecDifferentialMultiCell: same identity on the shard engine
-// with a non-default placement.
-func TestSpecDifferentialMultiCell(t *testing.T) {
-	spec := &Spec{Seed: 5, Cells: 3, Terminals: 1, Shards: 2,
-		ShardPolicy: "dynamic", Duration: Duration(12 * time.Second)}
-	sc, err := spec.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := sc.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewScenario(
-		WithSeed(5), WithCells(3, 1), WithShards(2),
-		WithShardPolicy(shard.PolicyDynamic), WithDuration(12*time.Second),
-	).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resultBytes(t, viaSpec), resultBytes(t, direct)) {
-		t.Error("spec-built multi-cell run differs from direct run")
 	}
 }
 

@@ -121,8 +121,14 @@ type Iface struct {
 }
 
 // AddIface creates an interface on the node. prefix may be the zero value
-// for point-to-point interfaces without a connected subnet.
+// for point-to-point interfaces without a connected subnet. Interface
+// names come from program code, so a name already on the node is a bug:
+// AddIface panics with ErrDuplicate rather than attach an interface
+// that nothing could reach by name.
 func (n *Node) AddIface(name string, addr netip.Addr, prefix netip.Prefix) *Iface {
+	if n.Iface(name) != nil {
+		panic(fmt.Errorf("%w %q on node %s", ErrDuplicate, name, n.Name))
+	}
 	ifc := &Iface{Name: name, Node: n, Addr: addr, Prefix: prefix, MTU: 1500, up: true}
 	n.ifaces = append(n.ifaces, ifc)
 	n.ifaceGen++

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -281,6 +282,30 @@ func TestDuplicateNodePanics(t *testing.T) {
 	nw := NewNetwork(sim.NewLoop(1))
 	nw.AddNode("x")
 	nw.AddNode("x")
+}
+
+// TestDuplicateIfacePanics: a second interface under a name the node
+// already has would be unreachable by name, so AddIface refuses it;
+// the name is free again once the first is removed.
+func TestDuplicateIfacePanics(t *testing.T) {
+	n := NewNode(sim.NewLoop(1), "x")
+	n.AddIface("eth0", MustAddr("10.0.0.1"), netip.MustParsePrefix("10.0.0.0/24"))
+	func() {
+		defer func() {
+			err, _ := recover().(error)
+			if !errors.Is(err, ErrDuplicate) {
+				t.Fatalf("second eth0: recovered %v, want ErrDuplicate", err)
+			}
+		}()
+		n.AddIface("eth0", MustAddr("10.0.1.1"), netip.MustParsePrefix("10.0.1.0/24"))
+	}()
+	if got := n.Iface("eth0").Addr; got != MustAddr("10.0.0.1") {
+		t.Fatalf("eth0 has address %v after the refused add, want the first one's", got)
+	}
+	n.RemoveIface("eth0")
+	if ifc := n.AddIface("eth0", MustAddr("10.0.1.1"), netip.Prefix{}); n.Iface("eth0") != ifc {
+		t.Fatal("eth0 re-added after removal is not the one found by name")
+	}
 }
 
 func TestSendNoSrcAddrCountsDrop(t *testing.T) {

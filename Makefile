@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify test race vet golden bench bench-smoke serve-smoke fuzz-smoke
+.PHONY: all build verify fmt test race vet golden bench bench-smoke serve-smoke fuzz-smoke
 
 all: build
 
@@ -12,8 +12,11 @@ build:
 # benchmark (or a perf-path regression that panics) fails the gate
 # without paying for real measurement runs. serve-smoke exercises the
 # service mode end to end in-process. golden checks the full-length
-# report digests.
-verify: vet build test race golden bench-smoke serve-smoke
+# report digests. fmt fails on any file gofmt would change.
+verify: fmt vet build test race golden bench-smoke serve-smoke
+
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

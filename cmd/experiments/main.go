@@ -228,11 +228,16 @@ func main() {
 	flag.Parse()
 
 	spec := testbed.Spec{
-		Seed: *seed, Duration: testbed.Duration(*dur),
-		FaultProfile: *faultProfile, SelfHeal: *selfHeal,
-		Analysis: &testbed.AnalysisSpec{Mode: *analysis},
-		Cells:    *cells, Shards: *shards, ShardPolicy: *shardPolicy,
-		IdleTerminals: *fleetIdle, Population: *populationN,
+		Seed:          *seed,
+		Duration:      testbed.Duration(*dur),
+		FaultProfile:  *faultProfile,
+		SelfHeal:      *selfHeal,
+		Analysis:      &testbed.AnalysisSpec{Mode: *analysis},
+		Cells:         *cells,
+		Shards:        *shards,
+		ShardPolicy:   *shardPolicy,
+		IdleTerminals: *fleetIdle,
+		Population:    *populationN,
 	}
 	// -terminals defaults to one terminal per cell; without -cells it
 	// enters the spec, to be rejected, only when given.

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build verify fmt test race vet golden bench bench-smoke serve-smoke fuzz-smoke
+.PHONY: all build verify fmt test race vet golden bench bench-module bench-smoke serve-smoke fuzz-smoke
 
 all: build
 
@@ -13,7 +13,9 @@ build:
 # without paying for real measurement runs. serve-smoke exercises the
 # service mode end to end in-process. golden checks the full-length
 # report digests. fmt fails on any file gofmt would change.
-verify: fmt vet build test race golden bench-smoke serve-smoke
+# bench-module vets and tests the bench/ module, its own Go module that
+# the root ./... patterns do not reach.
+verify: fmt vet build test race golden bench-module bench-smoke serve-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -34,6 +36,9 @@ race:
 # -race because the race detector would make it take minutes.
 golden:
 	$(GO) test -count 1 -run '^TestGoldenReports$$' ./internal/control -golden.full
+
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime 1x ./...

@@ -22,8 +22,10 @@
 // document -spec reads and -serve accepts, checked by Spec.Validate
 // (exit status 2 on error): a flag left at its default leaves its
 // spec field at the zero value, except -dur (the paper's 120 s in both
-// modes) and -terminals (one per cell), and a flag that only -cells
-// uses is rejected without -cells. The figure mode runs that spec once
+// modes) and -terminals (one per cell), a flag that only -cells uses
+// is rejected without -cells, and one that only the figure mode uses
+// (-figure, -reps, -every, -csv, -summary-only, -workers) is rejected
+// with -cells. The figure mode runs that spec once
 // per (workload, path) cell with -reps repetitions; the -cells mode
 // runs it on the shard engine.
 //
@@ -240,10 +242,16 @@ func main() {
 		Population:    *populationN,
 	}
 	// -terminals defaults to one terminal per cell; without -cells it
-	// enters the spec, to be rejected, only when given.
+	// enters the spec, to be rejected, only when given. A flag that only
+	// the figure mode reads is rejected with -cells.
+	figureOnly := map[string]bool{"figure": true, "reps": true, "every": true, "csv": true, "summary-only": true, "workers": true}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "terminals" {
 			spec.Terminals = *terminals
+		}
+		if *cells > 0 && figureOnly[f.Name] {
+			fmt.Fprintf(os.Stderr, "experiments: -%s: figure mode only (conflicts with -cells)\n", f.Name)
+			os.Exit(2)
 		}
 	})
 	if spec.Cells > 0 {

@@ -63,3 +63,20 @@ func TestCLIGoldenOutput(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRejectsFigureFlagsWithCells: a flag that only the figure mode
+// reads exits 2 with -cells, naming the flag, instead of being ignored.
+func TestCLIRejectsFigureFlagsWithCells(t *testing.T) {
+	for _, arg := range []string{"-figure 4", "-reps 5", "-every 2", "-csv " + t.TempDir(), "-summary-only", "-workers 2"} {
+		args := append([]string{"-cells", "2", "-dur", "1s"}, strings.Fields(arg)...)
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		flagName := strings.Fields(arg)[0]
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(stderr.String(), flagName) {
+			t.Errorf("experiments %s: exit %d (%v), stderr %q; want exit 2 naming %s", strings.Join(args, " "), code, err, stderr.String(), flagName)
+		}
+	}
+}

@@ -11,6 +11,5 @@
 //
 // See README.md for the architecture overview, DESIGN.md for the system
 // inventory and per-experiment index, and EXPERIMENTS.md for the
-// paper-versus-measured record. The benchmarks in bench_test.go
-// regenerate every figure of the paper's evaluation.
+// paper-versus-measured record. cmd/experiments regenerates every figure.
 package umtslab

@@ -517,6 +517,22 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsRunLimits: a spec past a multi-cell run's build
+// limits is refused by Submit itself, not queued to fail at run time.
+func TestSubmitRejectsRunLimits(t *testing.T) {
+	s, _ := newTestService(t, Config{})
+	for _, spec := range []testbed.Spec{
+		{Cells: 57, Duration: testbed.Duration(time.Second)},
+		{Cells: 2, Terminals: 40000, IdleTerminals: 1},
+		{Cells: 1, Terminals: 255},
+		{Cells: 1, Population: 1, PopulationSpec: &testbed.PopulationSpecJSON{}},
+	} {
+		if id, err := s.Submit(&spec); err == nil {
+			t.Errorf("Submit(%+v) queued %s, want it refused", spec, id)
+		}
+	}
+}
+
 // TestSubmitRejectsPanickingSpecs: specs whose values would panic deep
 // in the run (a quantile sketch error bound outside (0, 1), a shrinking
 // redial backoff) are refused at submission with 400, and the server

@@ -26,7 +26,8 @@ func FleetFootprint(n int, eager bool) (float64, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("testbed: fleet footprint needs n > 0, got %d", n)
 	}
-	sc, err := (&Spec{Cells: 1, Terminals: n}).Scenario()
+	// In cell 0 a terminal's identity needs only its index, not sc.terminals.
+	sc, err := (&Spec{Cells: 1}).Scenario()
 	if err != nil {
 		return 0, err
 	}

@@ -84,25 +84,35 @@ func DeterministicCounters(snaps []metrics.Snapshot) map[string]int64 {
 	return out
 }
 
+// Multi-cell limits, enforced by Spec.Validate before a run builds.
+const (
+	maxCells = 56                            // cell c's Gi link is 172.16.(200+c).0/24
+	maxFlows = math.MaxUint16 - receiverPort // flow id's receiver port is receiverPort+id
+)
+
+// cellOperator is the operator profile of a multi-cell run's cells:
+// fleet scales need FleetCell's /16 pool.
+func cellOperator(population, idleTerminals int) func(int) umts.Config {
+	if population > 0 || idleTerminals > 0 {
+		return umts.FleetCell
+	}
+	return umts.CommercialCell
+}
+
 // terminalIdentity centralizes flow and subscriber naming for cell c,
 // terminal m: the ITG flow ID, the server-side receiver port, and the
 // positional identity the IMSI derives from (umts.SubscriberIMSI keeps
-// the string format the scenario always used). It guards the two silent
-// wraps the old inline expressions had: uint32 flow-ID overflow at huge
-// K×M products and uint16 receiver-port overflow past flow 56535.
+// the string format the scenario always used). It guards the silent
+// uint16 receiver-port wrap past flow maxFlows, which also bounds the
+// uint32 flow ID.
 func terminalIdentity(c, m, perCell int) (uint32, uint16, umts.TerminalID, error) {
 	id := int64(c)*int64(perCell) + int64(m) + 1
-	if id > math.MaxUint32 {
-		return 0, 0, umts.TerminalID{}, fmt.Errorf(
-			"testbed: flow id %d (cell %d terminal %d) overflows uint32", id, c, m)
-	}
-	port := 9000 + id
-	if port > math.MaxUint16 {
+	if id > maxFlows {
 		return 0, 0, umts.TerminalID{}, fmt.Errorf(
 			"testbed: receiver port %d for flow %d overflows uint16 — at most %d active flows per run; model additional subscribers as IdleTerminals or Population",
-			port, id, math.MaxUint16-9000)
+			receiverPort+id, id, maxFlows)
 	}
-	return uint32(id), uint16(port), umts.TerminalID{Cell: int32(c), Sub: int32(m + 1)}, nil
+	return uint32(id), uint16(receiverPort + id), umts.TerminalID{Cell: int32(c), Sub: int32(m + 1)}, nil
 }
 
 // cellEnv is the per-cell build context shared by that cell's
@@ -138,11 +148,6 @@ type mcTerminal struct {
 // with a different shard count produces byte-identical Flows and
 // Counters.
 func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
-	if sc.cells > 58 {
-		// 172.16.(200+c) would leave the Gi /24 plan; far beyond any
-		// realistic configuration, but fail loudly rather than alias.
-		return nil, fmt.Errorf("testbed: multicell supports at most 58 cells, got %d", sc.cells)
-	}
 	eng := shard.NewEngine(sc.seed, sc.shards)
 	eng.SetPolicy(sc.shardPolicy)
 	if sc.interrupt != nil {
@@ -182,10 +187,7 @@ func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 	serverRouter.InstallConnected()
 	serverRouter.DefaultVia("eth0", mcServerGW)
 
-	operator := umts.CommercialCell
-	if sc.population > 0 || sc.idleTerminals > 0 {
-		operator = umts.FleetCell // fleet scales need the /16 pool
-	}
+	operator := cellOperator(sc.population, sc.idleTerminals)
 	var terms []*mcTerminal
 	var idleFleets [][]umts.Terminal
 	var pops []*umts.Population

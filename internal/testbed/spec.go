@@ -258,6 +258,16 @@ func (s *Spec) Validate() error {
 		if s.Reps > 1 {
 			return fmt.Errorf("spec.reps: repetitions are single-cell only (conflicts with spec.cells)")
 		}
+		if s.Cells > maxCells {
+			return fmt.Errorf("spec.cells: at most %d (the Gi links' 172.16.(200+cell) plan)", maxCells)
+		}
+		t := s.activeTerminals()
+		if t > maxFlows/s.Cells {
+			return fmt.Errorf("spec.terminals: cells x terminals must be <= %d, one receiver port per flow; model more subscribers as idle_terminals or population", maxFlows)
+		}
+		if pool := cellOperator(s.Population, s.IdleTerminals)(0).PoolSize(); s.Population > pool-t {
+			return fmt.Errorf("spec.terminals: terminals + population must be <= %d, the addresses of one cell's pool", pool)
+		}
 	} else {
 		for _, f := range []struct {
 			name string
@@ -280,7 +290,20 @@ func (s *Spec) Validate() error {
 	if s.PopulationSpec != nil && s.Population <= 0 {
 		return fmt.Errorf("spec.population_spec: requires spec.population")
 	}
+	if s.PopulationSpec != nil && s.PopulationSpec.RateBps <= 0 {
+		return fmt.Errorf("spec.population_spec.rate_bps: must be > 0")
+	}
 	return nil
+}
+
+// activeTerminals is the dialing-terminal count per cell of a
+// multi-cell run. A cell with only background load (idle fleet or
+// population) is legal; otherwise it keeps at least one terminal.
+func (s *Spec) activeTerminals() int {
+	if s.Terminals <= 0 && s.Population <= 0 && s.IdleTerminals <= 0 {
+		return 1
+	}
+	return s.Terminals
 }
 
 // Scenario validates the spec and resolves it, once, into the runnable
@@ -335,11 +358,7 @@ func (s *Spec) Scenario() (*Scenario, error) {
 		}
 	}
 	if sc.cells > 0 {
-		// A cell with only background load (idle fleet or population)
-		// is legal; otherwise keep one terminal.
-		if sc.terminals <= 0 && sc.population <= 0 && sc.idleTerminals <= 0 {
-			sc.terminals = 1
-		}
+		sc.terminals = s.activeTerminals()
 		if sc.shards <= 0 || sc.shards > sc.cells+1 {
 			sc.shards = sc.cells + 1
 		}

@@ -124,6 +124,36 @@ func TestSpecValidateFieldPaths(t *testing.T) {
 	}
 }
 
+// TestSpecValidateRunLimits has one row per limit a multi-cell run
+// would otherwise hit only when it builds or runs: the spec at the
+// limit validates and builds, one step past it fails Validate with the
+// row's field path.
+func TestSpecValidateRunLimits(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		ok, bad Spec
+		path    string
+	}{
+		{"Gi plan", Spec{Cells: 56}, Spec{Cells: 57}, "spec.cells"},
+		{"receiver ports", Spec{Cells: 1, Terminals: 56535, IdleTerminals: 1},
+			Spec{Cells: 1, Terminals: 56536, IdleTerminals: 1}, "spec.terminals"},
+		{"receiver ports, all cells", Spec{Cells: 5, Terminals: 11307, IdleTerminals: 1},
+			Spec{Cells: 5, Terminals: 11308, IdleTerminals: 1}, "spec.terminals"},
+		{"cell pool", Spec{Cells: 2, Terminals: 254}, Spec{Cells: 2, Terminals: 255}, "spec.terminals"},
+		{"fleet cell pool", Spec{Cells: 1, Terminals: 1, Population: 65533},
+			Spec{Cells: 1, Terminals: 1, Population: 65534}, "spec.terminals"},
+		{"population rate", Spec{Cells: 1, Population: 1, PopulationSpec: &PopulationSpecJSON{RateBps: 1}},
+			Spec{Cells: 1, Population: 1, PopulationSpec: &PopulationSpecJSON{}}, "spec.population_spec.rate_bps"},
+	} {
+		if _, err := c.ok.Scenario(); err != nil {
+			t.Errorf("%s: %+v at the limit: %v", c.name, c.ok, err)
+		}
+		if err := c.bad.Validate(); err == nil || !strings.HasPrefix(err.Error(), c.path+":") {
+			t.Errorf("%s: Validate(%+v) = %v, want a %s error", c.name, c.bad, err, c.path)
+		}
+	}
+}
+
 // FuzzParseSpec feeds arbitrary bytes to the spec parser. Every input
 // must either be rejected or build a Scenario, and an accepted spec's
 // encoding must parse back to the same Spec and build the same

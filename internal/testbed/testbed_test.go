@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -310,6 +311,52 @@ func TestOperatorFirewallBlocksSSH(t *testing.T) {
 	tb.Loop.RunUntil(tb.Loop.Now() + 2*time.Second)
 	if tb.Operator.FirewallDrops != drops+1 {
 		t.Fatalf("operator firewall did not block inbound ssh (drops %d)", tb.Operator.FirewallDrops)
+	}
+}
+
+func TestTCPInboundSSHBlocked(t *testing.T) {
+	tb := newTB(t, 42)
+	_, fe, err := tb.NewUMTSSlice("unina_umts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.StartUMTS(fe); err != nil {
+		t.Fatal(err)
+	}
+	// An ssh daemon listens on the Napoli node; INRIA would hear any
+	// reply (a RST included) on its source port.
+	var synsTo []netip.Addr
+	tb.Napoli.Bind(netsim.ProtoTCP, 22, func(p *netsim.Packet) { synsTo = append(synsTo, p.Dst) })
+	replies := 0
+	tb.Inria.Bind(netsim.ProtoTCP, 50000, func(*netsim.Packet) { replies++ })
+	// A client dialling the UMTS address retransmits its SYN with
+	// exponential backoff (1, 2, 4, ... s) until it gives up.
+	dial := func(dst netip.Addr, tries int) {
+		rto := time.Second
+		for i := 0; i < tries; i++ {
+			tb.Inria.Send(&netsim.Packet{Dst: dst, Proto: netsim.ProtoTCP, SrcPort: 50000, DstPort: 22, Payload: []byte("SYN")})
+			tb.Loop.RunUntil(tb.Loop.Now() + rto)
+			rto *= 2
+		}
+	}
+	ppp0 := tb.Napoli.Iface("ppp0")
+	drops := tb.Operator.FirewallDrops
+	const tries = 6
+	dial(ppp0.Addr, tries)
+	if len(synsTo) != 0 {
+		t.Fatalf("inbound ssh to the UMTS address: %d SYNs reached the daemon, want none", len(synsTo))
+	}
+	if replies != 0 {
+		t.Fatalf("inbound ssh to the UMTS address drew %d replies, want none (firewall drops, no RST)", replies)
+	}
+	if got := tb.Operator.FirewallDrops - drops; got != tries {
+		t.Fatalf("firewall accounted %d dropped SYNs, want %d", got, tries)
+	}
+	// The same daemon is reachable on the wired address, the reason the
+	// paper keeps control traffic on eth0.
+	dial(NapoliEthAddr, 1)
+	if len(synsTo) != 1 || synsTo[0] != NapoliEthAddr {
+		t.Fatalf("ssh over the wired path: SYNs reached the daemon at %v, want one at %v", synsTo, NapoliEthAddr)
 	}
 }
 

@@ -337,6 +337,10 @@ func (op *Operator) postRouting(pkt *netsim.Packet, out *netsim.Iface) netsim.Ve
 	return netsim.VerdictDrop
 }
 
+// PoolSize is the number of subscriber addresses the pool hands out:
+// all of it but the network and .1 addresses (see allocAddr).
+func (c Config) PoolSize() int { return 1<<(32-c.Pool.Bits()) - 2 }
+
 // allocAddr takes the next free address from the pool (skipping the
 // network and .1 addresses).
 func (op *Operator) allocAddr() (netip.Addr, error) {

@@ -45,20 +45,17 @@ bench-smoke:
 
 # fuzz-smoke runs each native fuzz target for a short while; plain
 # `go test` already runs their seed corpora. Go fuzzes one target per
-# invocation. A crasher lands in the package's testdata/fuzz directory:
-# commit it, and it runs as a regression test from then on.
+# invocation, so the targets are listed with `go test -list` and run in
+# turn: a new Fuzz function joins without an edit here. A crasher lands
+# in the package's testdata/fuzz directory: commit it, and it runs as a
+# regression test from then on.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDeframerFeed$$' -fuzztime 10s ./internal/ppp
-	$(GO) test -run '^$$' -fuzz '^FuzzAppendFrame$$' -fuzztime 10s ./internal/ppp
-	$(GO) test -run '^$$' -fuzz '^FuzzParseControlOptions$$' -fuzztime 10s ./internal/ppp
-	$(GO) test -run '^$$' -fuzz '^FuzzModemAT$$' -fuzztime 10s ./internal/modem
-	$(GO) test -run '^$$' -fuzz '^FuzzChat$$' -fuzztime 10s ./internal/dialer
-	$(GO) test -run '^$$' -fuzz '^FuzzSchedulerDifferential$$' -fuzztime 10s ./internal/sim
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalPooled$$' -fuzztime 10s ./internal/netsim
-	$(GO) test -run '^$$' -fuzz '^FuzzResolveDifferential$$' -fuzztime 10s ./internal/iproute
-	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/testbed
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeLog$$' -fuzztime 10s ./internal/itg
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 10s ./internal/itg
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | awk '/^Fuzz/ { f[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, f[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s $$pkg || exit 1; \
+	done
 
 # serve-smoke runs the measurement-service mode end to end in one
 # process: start the control plane, submit two declarative specs

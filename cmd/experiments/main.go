@@ -12,7 +12,6 @@
 //	            [-metrics file]
 //	            [-cells K] [-terminals M] [-shards S]
 //	            [-fleet N] [-population P]
-//	            [-shard-policy global|dynamic]
 //	            [-analysis batch|stream|stream-only]
 //	            [-fault-profile name] [-self-heal]
 //	            [-serve :port] [-spec file.json] [-serve-smoke]
@@ -28,6 +27,12 @@
 // with -cells. The figure mode runs that spec once
 // per (workload, path) cell with -reps repetitions; the -cells mode
 // runs it on the shard engine.
+//
+// -spec takes the whole experiment from the document, so a flag that
+// sets a Spec field (-seed, -dur, -reps, -workers, -fault-profile,
+// -self-heal, -analysis, -cells, -terminals, -fleet, -population,
+// -shards) is rejected beside it. -spec exits 2 when the document
+// cannot be read or is refused, and 1 when its run fails.
 //
 // -serve turns the binary into a long-lived measurement service: an
 // HTTP/JSON control plane (internal/control) that accepts declarative
@@ -72,13 +77,8 @@
 // figures: K cells x M terminals (-terminals) run as one simulation,
 // partitioned over S shards (-shards; default one shard per cell plus
 // one for the wired core) by the conservative parallel engine in
-// internal/sim/shard. -shard-policy selects the engine's window policy:
-// global lockstep windows (default) or dynamic per-shard horizons
-// (shortest-path distances over the edge graph, extended by earliest-
-// output-time promises of what each shard can actually emit — idle-
-// heavy fleets advance in event-to-event strides). Unknown policy names
-// are rejected with the allowed set. The per-flow QoS summary is
-// identical for every shard count AND policy.
+// internal/sim/shard. The per-flow QoS summary is identical for every
+// shard count.
 //
 // -fleet N powers on N additional compact idle terminals per cell
 // (registered, never dialing; the full node stack materializes only on
@@ -101,7 +101,6 @@ import (
 	"time"
 
 	"github.com/onelab/umtslab/internal/metrics"
-	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/stats"
 	"github.com/onelab/umtslab/internal/testbed"
 )
@@ -218,7 +217,6 @@ func main() {
 	fleetIdle := flag.Int("fleet", 0, "additional idle (never-dialing) compact terminals per cell for -cells")
 	populationN := flag.Int("population", 0, "aggregate background subscribers per cell for -cells (fluid ensemble, O(1) cost)")
 	shards := flag.Int("shards", 0, "shard count for -cells (0: one per cell plus the wired core)")
-	shardPolicy := flag.String("shard-policy", "", "shard engine window policy for -cells: global (lockstep windows, the default) or dynamic (per-shard horizons with EOT promises)")
 	analysis := flag.String("analysis", "", "QoS reports: batch (exact reference, the default), stream (batch + sketched percentiles), stream-only (sketch only, constant memory)")
 	faultProfile := flag.String("fault-profile", "", "deterministic fault preset injected into every run: none (the default), drops, fades, degrade, regloss, flaps, flaky")
 	selfHeal := flag.Bool("self-heal", false, "run the umts backend in recover mode (supervised redial instead of failing the slice)")
@@ -237,17 +235,23 @@ func main() {
 		Analysis:      &testbed.AnalysisSpec{Mode: *analysis},
 		Cells:         *cells,
 		Shards:        *shards,
-		ShardPolicy:   *shardPolicy,
 		IdleTerminals: *fleetIdle,
 		Population:    *populationN,
 	}
 	// -terminals defaults to one terminal per cell; without -cells it
 	// enters the spec, to be rejected, only when given. A flag that only
-	// the figure mode reads is rejected with -cells.
+	// the figure mode reads is rejected with -cells, and one that sets a
+	// Spec field with -spec.
 	figureOnly := map[string]bool{"figure": true, "reps": true, "every": true, "csv": true, "summary-only": true, "workers": true}
+	specField := map[string]bool{"seed": true, "dur": true, "reps": true, "workers": true, "fault-profile": true, "self-heal": true,
+		"analysis": true, "cells": true, "terminals": true, "fleet": true, "population": true, "shards": true}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "terminals" {
 			spec.Terminals = *terminals
+		}
+		if *specFile != "" && specField[f.Name] {
+			fmt.Fprintf(os.Stderr, "experiments: -%s: set by the -spec document (conflicts with -spec)\n", f.Name)
+			os.Exit(2)
 		}
 		if *cells > 0 && figureOnly[f.Name] {
 			fmt.Fprintf(os.Stderr, "experiments: -%s: figure mode only (conflicts with -cells)\n", f.Name)
@@ -306,7 +310,12 @@ func main() {
 	}
 
 	if *specFile != "" {
-		if err := runSpec(*specFile); err != nil {
+		sc, err := loadSpec(*specFile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: spec: %v\n", err)
+			os.Exit(2)
+		}
+		if err := runSpec(sc); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: spec: %v\n", err)
 			os.Exit(1)
 		}
@@ -415,12 +424,11 @@ func writeJSON(path string, v any) error {
 }
 
 // runMultiCell reproduces the scale-out scenario and prints one QoS
-// line per flow. The report is identical for every -shards and
-// -shard-policy value — those flags only change how the wall-clock
-// work is partitioned and synchronized. With -metrics, each shard's
-// snapshot is dumped keyed by shard index; the shard/* instruments
-// there (windows, windows_released, the horizon_stride_ns histogram)
-// are where a policy's windowing behavior is visible.
+// line per flow. The report is identical for every -shards value —
+// the flag only changes how the wall-clock work is partitioned. With
+// -metrics, each shard's snapshot is dumped keyed by shard index; the
+// shard/* instruments there (windows, messages, stall time, mailbox
+// backlog) show the engine's synchronization.
 func runMultiCell(spec testbed.Spec, metricsOut string) error {
 	sc, err := spec.Scenario()
 	if err != nil {
@@ -431,11 +439,10 @@ func runMultiCell(spec testbed.Spec, metricsOut string) error {
 		return err
 	}
 	res := rep.MultiCell
-	// Validate has accepted both names.
-	policy, _ := shard.ParsePolicy(spec.ShardPolicy)
+	// Validate has accepted the name.
 	mode, _ := testbed.ParseAnalysisMode(spec.Analysis.Mode)
-	fmt.Printf("Multi-cell scale-out: %d cells x %d terminals on %d shard(s), %v windows\n",
-		spec.Cells, len(res.Flows)/spec.Cells, res.Shards, policy)
+	fmt.Printf("Multi-cell scale-out: %d cells x %d terminals on %d shard(s)\n",
+		spec.Cells, len(res.Flows)/spec.Cells, res.Shards)
 	if res.IdleTerminals > 0 {
 		fmt.Printf("idle fleet: %d compact terminals (%d per cell), powered on and registered, never dialing\n",
 			res.IdleTerminals, spec.IdleTerminals)

@@ -26,9 +26,9 @@ func TestMain(m *testing.M) {
 // cliGolden pins the SHA-256 of the command's stdout for short runs of
 // each mode: the paper figures with and without repetitions, a fault
 // profile with self-healing, the streaming analysis, and the multi-cell
-// run with a fault profile and with an idle fleet, populations, one
-// shard and the dynamic policy. Any change to what the command prints,
-// or to the runs behind it, moves a digest.
+// run with a fault profile and with an idle fleet, populations and one
+// shard. Any change to what the command prints, or to the runs behind
+// it, moves a digest.
 var cliGolden = []struct {
 	args   string
 	digest string
@@ -36,8 +36,8 @@ var cliGolden = []struct {
 	{"-dur 6s -summary-only", "3be76707fefa8ee405c940e6e9300ffbefd40c5ebdef5eca3853ac6365e5e5d2"},
 	{"-figure 4 -dur 6s -reps 2 -fault-profile flaky -self-heal -every 10", "bee8967776b4ad3c264e355b7b3203e8a559c3c337c4cdd434d3e7885f70f7ad"},
 	{"-figure 2 -dur 6s -reps 2 -analysis stream -summary-only", "ea7b0d6541f11c314f32de674655219205eac795b86650ba4e26fc2f02006744"},
-	{"-cells 2 -terminals 2 -dur 4s -fault-profile drops", "a2bb710db89e94e5f6d8c6e6af67d8af2481d75cc3d9d6a607a40365e5fe03a4"},
-	{"-cells 2 -dur 4s -fleet 50 -population 20 -shards 1 -shard-policy dynamic", "1b6f52cb691dd84c6b3e63469cad9df76c0174cee7f27af4f6b329f6905c06af"},
+	{"-cells 2 -terminals 2 -dur 4s -fault-profile drops", "6530faa2304c786e552f7efa1ba1e1eb467dcc1c8cae912b280824437d3aada8"},
+	{"-cells 2 -dur 4s -fleet 50 -population 20 -shards 1", "539219c4eab96a68efc8b64ebefc7dbefff4f0038be3a85655563f1c27f651e3"},
 }
 
 // TestCLIGoldenOutput runs each invocation of cliGolden as a child
@@ -77,6 +77,32 @@ func TestCLIRejectsFigureFlagsWithCells(t *testing.T) {
 		flagName := strings.Fields(arg)[0]
 		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(stderr.String(), flagName) {
 			t.Errorf("experiments %s: exit %d (%v), stderr %q; want exit 2 naming %s", strings.Join(args, " "), code, err, stderr.String(), flagName)
+		}
+	}
+}
+
+// TestCLISpecExitCodes: -spec exits 2 for a document it refuses and for
+// a flag that sets a Spec field beside it, naming that flag, and 0 for
+// a document that runs.
+func TestCLISpecExitCodes(t *testing.T) {
+	for _, c := range []struct {
+		args, stdin string
+		code        int
+		stderr      string // substring the error must contain
+	}{
+		{"-spec -", `{"cells":2,"path":"umts"}`, 2, "spec.path"},
+		{"-spec - -cells 2", `{"duration":"1s"}`, 2, "-cells"},
+		{"-spec -", `{"duration":"1s"}`, 0, ""},
+	} {
+		cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd.Stdin = strings.NewReader(c.stdin)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("experiments %s < %s: exit %d (%v), stderr %q; want exit %d naming %q",
+				c.args, c.stdin, code, err, stderr.String(), c.code, c.stderr)
 		}
 	}
 }

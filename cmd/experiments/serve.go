@@ -20,11 +20,10 @@ import (
 	"github.com/onelab/umtslab/internal/testbed"
 )
 
-// runSpec executes one declarative spec document ("-" for stdin) and
-// writes the canonical result encoding to stdout. This is the one-shot
-// twin of the control plane's job runner: the same spec submitted to
-// -serve produces byte-identical output at /v1/jobs/{id}/result.
-func runSpec(path string) error {
+// loadSpec reads one declarative spec document ("-" for stdin) and
+// builds its scenario; an error means the document was unreadable or
+// refused, before anything ran.
+func loadSpec(path string) (*testbed.Scenario, error) {
 	var data []byte
 	var err error
 	if path == "-" {
@@ -33,16 +32,20 @@ func runSpec(path string) error {
 		data, err = os.ReadFile(path)
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spec, err := testbed.ParseSpec(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sc, err := spec.Scenario()
-	if err != nil {
-		return err
-	}
+	return spec.Scenario()
+}
+
+// runSpec runs a scenario built by loadSpec and writes the canonical
+// result encoding to stdout. This is the one-shot twin of the control
+// plane's job runner: the same spec submitted to -serve produces
+// byte-identical output at /v1/jobs/{id}/result.
+func runSpec(sc *testbed.Scenario) error {
 	rep, err := sc.Run()
 	if err != nil {
 		return err

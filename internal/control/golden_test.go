@@ -20,8 +20,8 @@ var (
 )
 
 // goldenCase is one fixed scenario with a known report. Multi-cell
-// specs are also run on one shard and under the dynamic policy;
-// poolOff cases also run with buffer pooling disabled.
+// specs are also run on one shard; poolOff cases also run with buffer
+// pooling disabled.
 type goldenCase struct {
 	name    string
 	spec    string
@@ -68,9 +68,9 @@ type goldenEntry struct {
 // regenerate the digests with -update and say which moved and why.
 //
 // Each digest must hold however the run is executed: on the default
-// shard count and on one shard, under the global and the dynamic window
-// policy, with buffer pooling disabled (the allocating reference), and
-// when the spec is submitted through the server's HTTP handler.
+// shard count and on one shard, with buffer pooling disabled (the
+// allocating reference), and when the spec is submitted through the
+// server's HTTP handler.
 //
 // The digests are keyed by GOARCH (testdata/golden/<GOARCH>.json; amd64
 // is committed). Go may fuse x*y+z into one FMA instruction on arm64,
@@ -177,8 +177,6 @@ func goldenVariants(t *testing.T, c goldenCase) []goldenVariant {
 	} else if spec.Cells > 0 {
 		vs = append(vs,
 			goldenVariant{"shards=1", func(s *testbed.Spec) { s.Shards = 1 }},
-			goldenVariant{"dynamic", func(s *testbed.Spec) { s.ShardPolicy = "dynamic" }},
-			goldenVariant{"shards=1 dynamic", func(s *testbed.Spec) { s.Shards, s.ShardPolicy = 1, "dynamic" }},
 		)
 	}
 	if c.poolOff {

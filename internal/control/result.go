@@ -46,7 +46,7 @@ type RepResult struct {
 type MultiCellResult struct {
 	Flows []FlowResult `json:"flows"`
 	// Counters is the placement-independent merged counter view —
-	// byte-identical across shard counts and policies.
+	// byte-identical across shard counts.
 	Counters      map[string]int64       `json:"counters"`
 	IdleTerminals int                    `json:"idle_terminals,omitempty"`
 	Populations   []umts.PopulationStats `json:"populations,omitempty"`

@@ -85,8 +85,7 @@ func (s *eventSlab) release(ev *event) {
 // first; within a band, insertion order (seq) still breaks ties. The
 // sharded engine schedules cross-shard deliveries in the head band so
 // the delivery-vs-local interleaving at a shared nanosecond does not
-// depend on when the coordinator flushed — a prerequisite for window
-// policies with different flush points to stay byte-identical.
+// depend on when the coordinator flushed.
 const (
 	priHead   int8 = -1
 	priNormal int8 = 0

@@ -4,42 +4,23 @@
 // registry), and advances all shards in bounded virtual-time windows.
 //
 // Shards interact only through Edges — directed cross-shard channels
-// with a declared minimum propagation delay. Two window policies share
-// the same delivery machinery:
-//
-//   - PolicyGlobal (default): the smallest edge delay is the engine's
-//     lookahead; all shards advance in lockstep windows of that size,
-//     exchanging messages at each barrier. Simple, and the reference
-//     oracle the dynamic policy is differentially tested against.
-//   - PolicyDynamic: each shard gets its own horizon and is released the
-//     moment its predecessors allow, instead of waiting at a global
-//     barrier. At each coordinator pass every idle shard reports, per
-//     outbound edge, its Earliest Output Time — min(earliest pending
-//     message already in the mailbox, next local event time + edge
-//     min-delay) — and promises propagate through the edge graph to a
-//     fixpoint (see computeEOT). A shard's horizon is max(distance
-//     bound, min over inbound edges of EOT), where the distance bound
-//     (horizonFor) is the earliest time any live predecessor could
-//     reach it along the shortest edge path. Promises only ever EXTEND
-//     horizons: an idle-heavy shard whose predecessors have nothing
-//     queued for seconds of virtual time advances in seconds-long
-//     strides instead of min-edge-delay-long ones, and when every
-//     inbound EOT is +inf the shard fast-forwards to the Run horizon in
-//     a single window.
+// with a declared minimum propagation delay. The smallest edge delay is
+// the engine's lookahead: all shards advance in lockstep windows of that
+// size and exchange messages at each barrier, where no message sent
+// during the window can be due before the next one ends.
 //
 // Message hand-off is batched and allocation-free on the hot path.
 // Send appends to the edge's outbox, owned by the source shard while
 // its window runs. When the shard completes a window the coordinator
 // moves the outbox into the edge's mailbox (a swap when possible — the
-// arenas are reused across barriers). A release drains the due mailbox
-// messages into the destination shard's inbox, sorts them once by the
-// (At, edge, seq) key precomputed at Send, and arms one pre-bound
-// trigger event per message on the destination loop — no per-message
-// closure is ever allocated.
+// arenas are reused across barriers). At the next barrier the due
+// mailbox messages drain into the destination shard's inbox, are sorted
+// once by the (At, edge, seq) key precomputed at Send, and arm one
+// pre-bound trigger event per message on the destination loop — no
+// per-message closure is ever allocated.
 //
 // Determinism. A run is bit-identical for a given seed regardless of
-// how partitions are mapped onto shards (including all-on-one-shard)
-// AND regardless of the window policy:
+// how partitions are mapped onto shards (including all-on-one-shard):
 //
 //   - Every shard loop is created with the same seed, so a named RNG
 //     stream ("link/x", "serial/y", ...) yields the same sequence on
@@ -58,96 +39,28 @@
 //     are grouped into shards.)
 //   - Deliveries are armed in the loop's head priority band
 //     (sim.Loop.AtHead): at a shared nanosecond a delivery always runs
-//     before locally scheduled events, no matter which window's flush
-//     inserted it. Policies flush at different points — global at grid
-//     barriers, dynamic at per-shard releases — and the head band is
-//     what makes that difference invisible to the model. Two same-At
-//     messages for one shard always travel in the same flush (the
-//     horizon guarantee puts any not-yet-flushed message at or beyond
-//     the release horizon), so the sorted batch fixes their order.
+//     before locally scheduled events, whether the message crossed
+//     shards or stayed on one loop. Two same-At messages for one shard
+//     always travel in the same flush (a message not yet flushed is due
+//     at or beyond the barrier), so the sorted batch fixes their order.
 //
 // Each shard's registry carries the engine's instruments: counters
-// shard/windows, shard/windows_released (incremented when the
-// coordinator grants a window, vs shard/windows at its completion),
-// shard/msgs_in, shard/msgs_out, the wall-clock shard/stall_wall_ns
-// (time spent waiting for the slowest shard at global barriers —
-// placement-dependent by nature, so excluded from differential
-// comparisons, and zero under the dynamic policy which has no global
-// barrier), the pow2 histogram shard/horizon_stride_ns (the
-// virtual-time length of each granted window — the direct observable
-// of how far a policy lets shards stride), and the gauge
-// shard/mailbox_backlog (messages held in the shard's outgoing
-// mailboxes, with its peak).
+// shard/windows, shard/msgs_in, shard/msgs_out, the wall-clock
+// shard/stall_wall_ns (time spent waiting for the slowest shard at
+// barriers — placement-dependent by nature, so excluded from
+// differential comparisons), and the gauge shard/mailbox_backlog
+// (messages held in the shard's outgoing mailboxes, with its peak).
 package shard
 
 import (
 	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/sim"
 )
-
-// Policy selects how the engine windows shard execution. All policies
-// produce byte-identical simulations; they differ only in how much
-// wall-clock parallelism and how few coordinator windows the schedule
-// exposes.
-type Policy int
-
-const (
-	// PolicyGlobal advances all shards in lockstep windows sized by the
-	// global minimum edge delay.
-	PolicyGlobal Policy = iota
-	// PolicyDynamic releases shards independently, each to its own
-	// horizon: the later of the shortest-path distance bound and the
-	// demand-driven earliest-output-time promises of its predecessors.
-	PolicyDynamic
-)
-
-// Policies returns every valid policy in flag-name order. Flag help,
-// Spec validation, and the control plane all derive their allowed set
-// (and ParsePolicy its error message) from this one list.
-func Policies() []Policy {
-	return []Policy{PolicyGlobal, PolicyDynamic}
-}
-
-// PolicyNames returns the canonical names of Policies, in order.
-func PolicyNames() []string {
-	ps := Policies()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.String()
-	}
-	return names
-}
-
-// String returns the flag-friendly name of the policy.
-func (p Policy) String() string {
-	if p == PolicyDynamic {
-		return "dynamic"
-	}
-	return "global"
-}
-
-// ParsePolicy converts a flag value ("global" or "dynamic") into a
-// Policy; the empty string selects the default.
-// Unknown values are an error naming the allowed set.
-func ParsePolicy(s string) (Policy, error) {
-	if s == "" {
-		return PolicyGlobal, nil
-	}
-	for _, p := range Policies() {
-		if s == p.String() {
-			return p, nil
-		}
-	}
-	return PolicyGlobal, fmt.Errorf("shard: unknown policy %q (allowed: %s)",
-		s, strings.Join(PolicyNames(), ", "))
-}
 
 // Message is one cross-shard delivery: a payload that becomes visible
 // to the destination shard at virtual time At. Edge and Seq identify
@@ -182,27 +95,16 @@ type Shard struct {
 	eng  *Engine
 	loop *sim.Loop
 
-	mWindows  *metrics.Counter
-	mReleased *metrics.Counter
-	mMsgsIn   *metrics.Counter
-	mMsgsOut  *metrics.Counter
-	mStall    *metrics.Counter
-	hStride   *metrics.Histogram
-	gBacklog  *metrics.Gauge
+	mWindows *metrics.Counter
+	mMsgsIn  *metrics.Counter
+	mMsgsOut *metrics.Counter
+	mStall   *metrics.Counter
+	gBacklog *metrics.Gauge
 
 	runCh chan windowReq
 
 	inEdges  []*Edge
 	outEdges []*Edge
-
-	// Coordinator-owned window state. barrier is the time the shard has
-	// completed through: events strictly before it have executed (and at
-	// it too, once done is set by an inclusive window).
-	barrier   time.Duration
-	done      bool
-	running   bool
-	target    time.Duration
-	inclusive bool
 
 	// inbox is the sorted arena of released-but-not-yet-executed
 	// deliveries. One pre-bound trigger (deliverFn) is armed per entry in
@@ -274,7 +176,6 @@ func (ed *Edge) Send(at time.Duration, payload any) {
 // Engine coordinates the shards.
 type Engine struct {
 	seed   int64
-	policy Policy
 	shards []*Shard
 	edges  []*Edge
 	now    time.Duration
@@ -282,28 +183,11 @@ type Engine struct {
 	// inclusiveDone records that the horizon at now was executed
 	// inclusively, making a repeated Run(now) a no-op.
 	inclusiveDone bool
-	started       bool
-
-	// PolicyDynamic state (dynamic.go). dist[j][i] is the shortest
-	// cross-shard path delay from j to i (noPath when i is unreachable
-	// from j), recomputed at each Run from the edge set; dist[i][i] is
-	// the shortest cycle through i, so self-edges and loops bound a
-	// shard's own horizon. eot and nextT are scratch refilled by
-	// computeEOT each coordinator pass: eot[ed.id] is the earliest time
-	// a message can still arrive over that edge, nextT[s.id] the
-	// earliest time shard s can still act (local event or inbound
-	// arrival). noPath means "never again within this Run".
-	dist  [][]time.Duration
-	eot   []time.Duration
-	nextT []time.Duration
 
 	doneCh chan windowDone
 	walls  []time.Duration
 	wg     sync.WaitGroup
 }
-
-// noPath marks an absent shard-to-shard path in the distance matrix.
-const noPath = time.Duration(math.MaxInt64)
 
 type windowReq struct {
 	target    time.Duration
@@ -315,9 +199,7 @@ type windowDone struct {
 	wall time.Duration
 }
 
-// NewEngine creates n shards whose loops all share the given seed. The
-// engine starts under PolicyGlobal; use SetPolicy before the first Run
-// to select dynamic windowing.
+// NewEngine creates n shards whose loops all share the given seed.
 func NewEngine(seed int64, n int) *Engine {
 	if n < 1 {
 		panic(fmt.Sprintf("shard: engine needs at least one shard, got %d", n))
@@ -327,16 +209,14 @@ func NewEngine(seed int64, n int) *Engine {
 		loop := sim.NewLoop(seed)
 		reg := loop.Metrics()
 		s := &Shard{
-			id:        i,
-			eng:       e,
-			loop:      loop,
-			mWindows:  reg.Counter("shard/windows"),
-			mReleased: reg.Counter("shard/windows_released"),
-			mMsgsIn:   reg.Counter("shard/msgs_in"),
-			mMsgsOut:  reg.Counter("shard/msgs_out"),
-			mStall:    reg.Counter("shard/stall_wall_ns"),
-			hStride:   reg.Histogram("shard/horizon_stride_ns"),
-			gBacklog:  reg.Gauge("shard/mailbox_backlog"),
+			id:       i,
+			eng:      e,
+			loop:     loop,
+			mWindows: reg.Counter("shard/windows"),
+			mMsgsIn:  reg.Counter("shard/msgs_in"),
+			mMsgsOut: reg.Counter("shard/msgs_out"),
+			mStall:   reg.Counter("shard/stall_wall_ns"),
+			gBacklog: reg.Gauge("shard/mailbox_backlog"),
 		}
 		s.deliverFn = s.deliverNext
 		e.shards = append(e.shards, s)
@@ -358,18 +238,6 @@ func (e *Engine) Shards() []*Shard { return e.shards }
 
 // Now returns the engine's virtual time (the horizon of the last Run).
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Policy returns the engine's window policy.
-func (e *Engine) Policy() Policy { return e.policy }
-
-// SetPolicy selects the window policy. It must be called before the
-// first Run; the policy cannot change once shards have advanced.
-func (e *Engine) SetPolicy(p Policy) {
-	if e.started {
-		panic("shard: SetPolicy after Run")
-	}
-	e.policy = p
-}
 
 // NewEdge declares a directed cross-shard channel. minDelay must be
 // positive — it is the time a message spends in flight at minimum, and
@@ -406,9 +274,9 @@ func (e *Engine) Lookahead() time.Duration {
 }
 
 // Run advances every shard to virtual time until (inclusive, like
-// sim.Loop.RunUntil), exchanging cross-shard messages as the window
-// policy allows. Calling Run again with the same horizon is a no-op;
-// a later horizon resumes from the current one.
+// sim.Loop.RunUntil) in lockstep windows of Lookahead, exchanging
+// cross-shard messages at each barrier. Calling Run again with the same
+// horizon is a no-op; a later horizon resumes from the current one.
 //
 // When Run returns, every mailbox and outbox is empty of messages with
 // At <= until: after the inclusive horizon window the engine keeps
@@ -418,31 +286,12 @@ func (e *Engine) Run(until time.Duration) {
 	if until < e.now || (until == e.now && e.inclusiveDone) {
 		return
 	}
-	e.started = true
-	for _, s := range e.shards {
-		s.barrier = e.now
-		s.done = false
-	}
 	e.startWorkers()
-	if e.policy == PolicyDynamic {
-		e.runPerShard(until)
-	} else {
-		e.runGlobal(until)
-	}
-	e.stopWorkers()
-	e.now = until
-	e.inclusiveDone = true
-}
-
-// runGlobal is the lockstep policy: windows sized by the global minimum
-// edge delay, all shards barriered together, then a drain loop for
-// messages emitted at the horizon itself.
-func (e *Engine) runGlobal(until time.Duration) {
 	w := e.Lookahead()
 	for t := e.now; w > 0 && t+w < until; t += w {
 		end := t + w
 		e.flushAll(end)
-		e.globalWindow(end, false)
+		e.window(end, false)
 		e.now = end
 	}
 	// Final, inclusive window: release messages due at exactly until and
@@ -455,84 +304,36 @@ func (e *Engine) runGlobal(until time.Duration) {
 	// send it provokes lands strictly later and the loop terminates.
 	for {
 		e.flushAll(until + 1)
-		e.globalWindow(until, true)
+		e.window(until, true)
 		if !e.anyDue(until) {
-			return
+			break
 		}
 	}
+	e.stopWorkers()
+	e.now = until
+	e.inclusiveDone = true
 }
 
-// release flushes due mailbox messages into s and starts its window.
-// The instruments are touched before the hand-off to the worker (s is
-// still idle here; the runCh send publishes the writes).
-func (e *Engine) release(s *Shard, flushHorizon, target time.Duration, inclusive bool) {
-	e.flushInto(s, flushHorizon)
-	s.mReleased.Inc()
-	s.hStride.Observe(int64(target - s.barrier))
-	s.running = true
-	s.target = target
-	s.inclusive = inclusive
-	req := windowReq{target: target, inclusive: inclusive}
-	if e.doneCh == nil { // single shard: run inline
-		s.runWindow(req)
-		e.complete(s)
-		return
-	}
-	s.runCh <- req
-}
-
-// awaitOne blocks for one worker completion and retires that window.
-func (e *Engine) awaitOne() {
-	d := <-e.doneCh
-	e.complete(e.shards[d.id])
-}
-
-// complete retires shard s's finished window: barrier advances to the
-// window target, outboxes hand off to the coordinator-owned mailboxes,
-// and the backlog gauge is refreshed (safe — the worker is idle again,
-// and the doneCh receive ordered its writes before ours).
-func (e *Engine) complete(s *Shard) {
-	s.running = false
+// complete retires s's finished window: outboxes hand off to the
+// coordinator-owned mailboxes and the backlog gauge is refreshed (safe —
+// the worker is idle again, and the doneCh receive ordered its writes
+// before ours).
+func (s *Shard) complete() {
 	s.mWindows.Inc()
-	s.barrier = s.target
-	if s.inclusive {
-		s.done = true
-	}
 	for _, ed := range s.outEdges {
 		ed.handoff()
 	}
-	e.updateBacklog(s)
-}
-
-// anyRunning reports whether any shard window is in flight.
-func (e *Engine) anyRunning() bool {
-	for _, s := range e.shards {
-		if s.running {
-			return true
-		}
-	}
-	return false
-}
-
-// dueInbound reports whether a mailbox into s holds a message due at or
-// before until.
-func (e *Engine) dueInbound(s *Shard, until time.Duration) bool {
-	for _, ed := range s.inEdges {
-		for _, m := range ed.mailbox {
-			if m.At <= until {
-				return true
-			}
-		}
-	}
-	return false
+	s.updateBacklog()
 }
 
 // anyDue reports whether any mailbox holds a message due at or before
 // until.
 func (e *Engine) anyDue(until time.Duration) bool {
-	for _, s := range e.shards {
-		if e.dueInbound(s, until) {
-			return true
+	for _, ed := range e.edges {
+		for _, m := range ed.mailbox {
+			if m.At <= until {
+				return true
+			}
 		}
 	}
 	return false
@@ -555,13 +356,13 @@ func (ed *Edge) handoff() {
 	ed.outbox = ed.outbox[:0]
 }
 
-// flushInto drains every mailbox into shard s of messages due before
+// flush drains every mailbox into shard s of messages due before
 // horizon, sorts s's inbox by (At, edge, seq), and arms one head-band
 // trigger per message on s's loop. Messages due later (sent near the
 // end of a window across a long edge) stay in the mailbox for a later
-// release. Must be called while s is idle with its inbox fully
+// barrier. Must be called while s is idle with its inbox fully
 // consumed.
-func (e *Engine) flushInto(s *Shard, horizon time.Duration) {
+func (s *Shard) flush(horizon time.Duration) {
 	for _, ed := range s.inEdges {
 		kept := ed.mailbox[:0]
 		for _, m := range ed.mailbox {
@@ -584,23 +385,17 @@ func (e *Engine) flushInto(s *Shard, horizon time.Duration) {
 	for _, m := range s.inbox {
 		s.loop.AtHead(m.At, s.deliverFn)
 	}
-	for _, ed := range s.inEdges {
-		e.updateBacklog(ed.src)
-	}
 }
 
-// updateBacklog refreshes src's mailbox-backlog gauge. Skipped while
-// the shard runs — its registry belongs to the worker then — and
-// recomputed at its next completion instead.
-func (e *Engine) updateBacklog(src *Shard) {
-	if src.running {
-		return
-	}
+// updateBacklog refreshes s's mailbox-backlog gauge. It runs only
+// while s is idle: its registry belongs to the worker while a window
+// runs.
+func (s *Shard) updateBacklog() {
 	n := 0
-	for _, ed := range src.outEdges {
+	for _, ed := range s.outEdges {
 		n += len(ed.mailbox)
 	}
-	src.gBacklog.Set(float64(n))
+	s.gBacklog.Set(float64(n))
 }
 
 // runWindow executes one window on the shard's loop (on the worker
@@ -647,37 +442,31 @@ func (e *Engine) stopWorkers() {
 	e.doneCh = nil
 }
 
-// flushAll releases due messages into every shard (global policy: all
-// shards are idle at a barrier, so every mailbox may drain at once).
+// flushAll releases due messages into every shard: all shards are
+// idle at a barrier, so every mailbox may drain at once.
 func (e *Engine) flushAll(horizon time.Duration) {
 	for _, s := range e.shards {
-		e.flushInto(s, horizon)
+		s.flush(horizon)
 	}
 	for _, s := range e.shards {
-		e.updateBacklog(s)
+		s.updateBacklog()
 	}
 }
 
-// globalWindow executes one window on every shard and waits for all of
-// them (the barrier). The channel handshake also publishes each
-// worker's writes (outbox appends, loop state) to the coordinator and
-// the coordinator's flush writes back to the workers.
-func (e *Engine) globalWindow(target time.Duration, inclusive bool) {
-	for _, s := range e.shards {
-		s.mReleased.Inc()
-		s.hStride.Observe(int64(target - s.barrier))
-		s.running = true
-		s.target = target
-		s.inclusive = inclusive
-	}
+// window executes one window on every shard and waits for all of them
+// (the barrier). The channel handshake also publishes each worker's
+// writes (outbox appends, loop state) to the coordinator and the
+// coordinator's flush writes back to the workers.
+func (e *Engine) window(target time.Duration, inclusive bool) {
+	req := windowReq{target: target, inclusive: inclusive}
 	if e.doneCh == nil {
 		s := e.shards[0]
-		s.runWindow(windowReq{target: target, inclusive: inclusive})
-		e.complete(s)
+		s.runWindow(req)
+		s.complete()
 		return
 	}
 	for _, s := range e.shards {
-		s.runCh <- windowReq{target: target, inclusive: inclusive}
+		s.runCh <- req
 	}
 	var maxWall time.Duration
 	for range e.shards {
@@ -688,7 +477,7 @@ func (e *Engine) globalWindow(target time.Duration, inclusive bool) {
 		}
 	}
 	for _, s := range e.shards {
-		e.complete(s)
+		s.complete()
 		s.mStall.Add(int64(maxWall - e.walls[s.id]))
 	}
 }

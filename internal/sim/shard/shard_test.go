@@ -2,7 +2,8 @@ package shard_test
 
 import (
 	"fmt"
-	"strings"
+	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -268,27 +269,24 @@ func TestMailboxBacklogGauge(t *testing.T) {
 // window and nothing drained afterwards. The engine must deliver it and
 // leave every mailbox empty (zero final backlog gauge).
 func TestFinalWindowHorizonSend(t *testing.T) {
-	for _, p := range shard.Policies() {
-		eng := shard.NewEngine(1, 2)
-		eng.SetPolicy(p)
-		d := 2 * time.Millisecond
-		until := 10 * time.Millisecond
-		var deliveredAt time.Duration
-		ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
-			deliveredAt = eng.Shard(1).Loop().Now()
-		})
-		// Fires at until-d, inside the final inclusive window [8ms, 10ms],
-		// after the engine's last pre-window flush has already run.
-		eng.Shard(0).Loop().At(until-d, func() { ed.Send(until, "last") })
-		eng.Run(until)
-		if deliveredAt != until {
-			t.Errorf("policy %v: horizon message delivered at %v, want exactly %v", p, deliveredAt, until)
-		}
-		for i := 0; i < eng.N(); i++ {
-			g := eng.Shard(i).Loop().Metrics().Snapshot().Gauges["shard/mailbox_backlog"]
-			if g.Value != 0 {
-				t.Errorf("policy %v: shard %d final mailbox backlog = %v, want 0", p, i, g.Value)
-			}
+	eng := shard.NewEngine(1, 2)
+	d := 2 * time.Millisecond
+	until := 10 * time.Millisecond
+	var deliveredAt time.Duration
+	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
+		deliveredAt = eng.Shard(1).Loop().Now()
+	})
+	// Fires at until-d, inside the final inclusive window [8ms, 10ms],
+	// after the engine's last pre-window flush has already run.
+	eng.Shard(0).Loop().At(until-d, func() { ed.Send(until, "last") })
+	eng.Run(until)
+	if deliveredAt != until {
+		t.Errorf("horizon message delivered at %v, want exactly %v", deliveredAt, until)
+	}
+	for i := 0; i < eng.N(); i++ {
+		g := eng.Shard(i).Loop().Metrics().Snapshot().Gauges["shard/mailbox_backlog"]
+		if g.Value != 0 {
+			t.Errorf("shard %d final mailbox backlog = %v, want 0", i, g.Value)
 		}
 	}
 }
@@ -297,78 +295,213 @@ func TestFinalWindowHorizonSend(t *testing.T) {
 // re-execute the inclusive window — metrics (window counts, deliveries)
 // and loop state stay exactly as the first call left them.
 func TestRunReentryNoOp(t *testing.T) {
-	for _, p := range shard.Policies() {
-		eng := shard.NewEngine(3, 2)
-		eng.SetPolicy(p)
-		d := 2 * time.Millisecond
-		ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(shard.Message) {})
-		eng.Shard(0).Loop().Post(func() { ed.Send(d, 1) })
-		ticks := 0
-		eng.Shard(1).Loop().At(5*time.Millisecond, func() { ticks++ })
-		eng.Run(10 * time.Millisecond)
+	eng := shard.NewEngine(3, 2)
+	d := 2 * time.Millisecond
+	ed := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(shard.Message) {})
+	eng.Shard(0).Loop().Post(func() { ed.Send(d, 1) })
+	ticks := 0
+	eng.Shard(1).Loop().At(5*time.Millisecond, func() { ticks++ })
+	eng.Run(10 * time.Millisecond)
 
-		snap := make([]string, eng.N())
-		for i := range snap {
-			snap[i] = fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
-				eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
+	snap := make([]string, eng.N())
+	for i := range snap {
+		snap[i] = fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
+			eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
+	}
+	eng.Run(10 * time.Millisecond)
+	if ticks != 1 {
+		t.Fatalf("event ran %d times across re-entrant Run calls, want 1", ticks)
+	}
+	for i := range snap {
+		got := fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
+			eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
+		if got != snap[i] {
+			t.Errorf("shard %d state changed on re-entrant Run:\nbefore: %s\nafter:  %s",
+				i, snap[i], got)
 		}
-		eng.Run(10 * time.Millisecond)
-		if ticks != 1 {
-			t.Fatalf("policy %v: event ran %d times across re-entrant Run calls, want 1", p, ticks)
+	}
+}
+
+// TestSingleShardCoordinatorNoOp: a single-shard engine with no edges
+// runs inline — one inclusive window covering the whole span, no
+// goroutines, no extra machinery.
+func TestSingleShardCoordinatorNoOp(t *testing.T) {
+	until := 100 * time.Millisecond
+	eng := shard.NewEngine(9, 1)
+	loop := eng.Shard(0).Loop()
+	fired := 0
+	loop.At(30*time.Millisecond, func() { fired++ })
+	loop.At(until, func() { fired++ })
+	eng.Run(until)
+	if fired != 2 {
+		t.Errorf("%d events fired, want 2 (inclusive horizon)", fired)
+	}
+	if w := loop.Metrics().Snapshot().Counter("shard/windows"); w != 1 {
+		t.Errorf("single shard ran %d windows, want 1", w)
+	}
+	if loop.Now() != until {
+		t.Errorf("clock at %v, want %v", loop.Now(), until)
+	}
+}
+
+// TestWindowInstrumentation pins the engine's instrument set on an
+// echo ring: shard 0 sends every 50ms over a 1ms edge and shard 1
+// echoes each message back. Every shard counts the same lockstep
+// windows (the span over the lookahead, the last one inclusive), each
+// message once on each side, carries the stall counter, and ends with
+// an empty backlog.
+func TestWindowInstrumentation(t *testing.T) {
+	const period, until = 50 * time.Millisecond, 500 * time.Millisecond
+	eng := shard.NewEngine(1, 2)
+	d := time.Millisecond
+	var back *shard.Edge
+	fwd := eng.NewEdge(eng.Shard(0), eng.Shard(1), d, func(m shard.Message) {
+		back.Send(eng.Shard(1).Loop().Now()+d, m.Payload)
+	})
+	back = eng.NewEdge(eng.Shard(1), eng.Shard(0), d, func(shard.Message) {})
+	loop := eng.Shard(0).Loop()
+	var tick func()
+	tick = func() {
+		fwd.Send(loop.Now()+d, loop.Now())
+		if loop.Now()+period < until {
+			loop.After(period, tick)
 		}
-		for i := range snap {
-			got := fmt.Sprintf("%v %d %v", eng.Shard(i).Loop().Metrics().Snapshot().Counters,
-				eng.Shard(i).Loop().Len(), eng.Shard(i).Loop().Now())
-			if got != snap[i] {
-				t.Errorf("policy %v: shard %d state changed on re-entrant Run:\nbefore: %s\nafter:  %s",
-					p, i, snap[i], got)
+	}
+	loop.At(0, tick)
+	eng.Run(until)
+
+	const msgs = int64(until / period) // ticks at 0, 50, …, 450 ms
+	for i := 0; i < eng.N(); i++ {
+		snap := eng.Shard(i).Loop().Metrics().Snapshot()
+		if w := snap.Counter("shard/windows"); w != int64(until/d) {
+			t.Errorf("shard %d: %d windows, want %d", i, w, int64(until/d))
+		}
+		if in, out := snap.Counter("shard/msgs_in"), snap.Counter("shard/msgs_out"); in != msgs || out != msgs {
+			t.Errorf("shard %d: msgs_in %d msgs_out %d, want %d each", i, in, out, msgs)
+		}
+		if _, ok := snap.Counters["shard/stall_wall_ns"]; !ok {
+			t.Errorf("shard %d: shard/stall_wall_ns missing", i)
+		}
+		if g := snap.Gauges["shard/mailbox_backlog"]; g.Value != 0 || g.Max < 1 {
+			t.Errorf("shard %d: backlog gauge %+v, want final 0 and peak >= 1", i, g)
+		}
+	}
+}
+
+// TestRandomTopologyPlacement is the randomized placement stress: for
+// several seeds, a random station graph (a ring, which guarantees a
+// cycle, plus random chords) with mixed 1–8ms edge delays and random
+// station activity runs with every station on one shard, then with the
+// stations mapped at random onto 2–4 shards. Sends land on a 250µs grid
+// and every delivery may be relayed onward, so many messages share an
+// instant at one station and the (At, edge, seq) tie-break decides
+// their order. Every mapping's traces must equal the one-shard run, and
+// each mapping's traces and window counts must be the same at
+// GOMAXPROCS 1 as at the default. Run with -race this doubles as the
+// data-race harness for the coordinator.
+func TestRandomTopologyPlacement(t *testing.T) {
+	const until = 150 * time.Millisecond
+	const grid = 250 * time.Microsecond
+	for seed := int64(1); seed <= 3; seed++ {
+		topo := rand.New(rand.NewSource(seed))
+		nStations := 4 + topo.Intn(5) // 4..8
+		type edgeSpec struct {
+			src, dst int
+			delay    time.Duration
+		}
+		var edges []edgeSpec
+		perm := topo.Perm(nStations)
+		for i := range perm {
+			edges = append(edges, edgeSpec{perm[i], perm[(i+1)%nStations],
+				time.Duration(1+topo.Intn(8)) * time.Millisecond})
+		}
+		for k := 2 * nStations; k > 0; k-- {
+			s, d := topo.Intn(nStations), topo.Intn(nStations)
+			if s != d {
+				edges = append(edges, edgeSpec{s, d, time.Duration(1+topo.Intn(8)) * time.Millisecond})
 			}
 		}
-	}
-}
-
-// TestParsePolicy covers the flag round-trip.
-func TestParsePolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want shard.Policy
-		ok   bool
-	}{
-		{"global", shard.PolicyGlobal, true},
-		{"", shard.PolicyGlobal, true},
-		{"dynamic", shard.PolicyDynamic, true},
-		{"adaptive", shard.PolicyGlobal, false},
-		{"optimistic", shard.PolicyGlobal, false},
-		{"fancy", shard.PolicyGlobal, false},
-	} {
-		got, err := shard.ParsePolicy(tc.in)
-		if (err == nil) != tc.ok || got != tc.want {
-			t.Errorf("ParsePolicy(%q) = %v, %v", tc.in, got, err)
+		periods := make([]time.Duration, nStations)
+		for i := range periods {
+			periods[i] = time.Duration(1+topo.Intn(8)) * time.Millisecond
 		}
-	}
-	for _, p := range shard.Policies() {
-		if got, err := shard.ParsePolicy(p.String()); err != nil || got != p {
-			t.Errorf("Policy.String round-trip broken for %v: %v, %v", p, got, err)
-		}
-	}
-	if _, err := shard.ParsePolicy("fancy"); err == nil || !strings.Contains(err.Error(), "(allowed: global, dynamic)") {
-		t.Errorf("unknown-policy error must list the allowed set, got %v", err)
-	}
-}
-
-// TestSetPolicyAfterRunPanics: the window policy is part of the run
-// configuration and must be frozen once shards have advanced.
-func TestSetPolicyAfterRunPanics(t *testing.T) {
-	for _, p := range shard.Policies() {
-		func() {
-			eng := shard.NewEngine(1, 1)
-			eng.Run(time.Millisecond)
-			defer func() {
-				if recover() == nil {
-					t.Errorf("SetPolicy(%v) after Run did not panic", p)
+		run := func(mapping []int) ([]string, []int64) {
+			nShards := 0
+			for _, m := range mapping {
+				nShards = max(nShards, m+1)
+			}
+			eng := shard.NewEngine(seed, nShards)
+			traces := make([]string, nStations)
+			rngs := make([]*rand.Rand, nStations)
+			for i := range rngs {
+				rngs[i] = eng.Shard(mapping[i]).Loop().RNG(fmt.Sprintf("station/%d", i))
+			}
+			type token struct{ from, hops int }
+			outBy := make([][]*shard.Edge, nStations)
+			// send relays a token from station i over one of its edges
+			// chosen at random, due on the grid past the edge's delay.
+			send := func(i int, tok token) {
+				ed := outBy[i][rngs[i].Intn(len(outBy[i]))]
+				now := eng.Shard(mapping[i]).Loop().Now()
+				ed.Send(now+ed.MinDelay()+time.Duration(rngs[i].Intn(4))*grid, tok)
+			}
+			for k, es := range edges {
+				ed := eng.NewEdge(eng.Shard(mapping[es.src]), eng.Shard(mapping[es.dst]), es.delay,
+					func(m shard.Message) {
+						tok := m.Payload.(token)
+						traces[es.dst] += fmt.Sprintf("recv e%d from %d hop %d @%v\n",
+							k, tok.from, tok.hops, eng.Shard(mapping[es.dst]).Loop().Now())
+						if tok.hops < 3 && rngs[es.dst].Intn(2) == 0 {
+							send(es.dst, token{tok.from, tok.hops + 1})
+						}
+					})
+				outBy[es.src] = append(outBy[es.src], ed)
+			}
+			for i := 0; i < nStations; i++ {
+				loop := eng.Shard(mapping[i]).Loop()
+				var tick func()
+				tick = func() {
+					traces[i] += fmt.Sprintf("tick @%v\n", loop.Now())
+					for n := rngs[i].Intn(4); n > 0; n-- {
+						send(i, token{from: i})
+					}
+					if loop.Now()+periods[i] < until {
+						loop.After(periods[i], tick)
+					}
 				}
-			}()
-			eng.SetPolicy(p)
-		}()
+				loop.At(time.Duration(i)*grid, tick)
+			}
+			eng.Run(until)
+			windows := make([]int64, nShards)
+			for i := range windows {
+				windows[i] = eng.Shard(i).Loop().Metrics().Snapshot().Counter("shard/windows")
+			}
+			return traces, windows
+		}
+		ref, _ := run(make([]int, nStations))
+		for k := 0; k < 3; k++ {
+			nShards := 2 + topo.Intn(3) // 2..4
+			mapping := make([]int, nStations)
+			for i := range mapping {
+				mapping[i] = i % nShards // every shard hosts a station
+			}
+			topo.Shuffle(nStations, func(i, j int) { mapping[i], mapping[j] = mapping[j], mapping[i] })
+			got, w := run(mapping)
+			prev := runtime.GOMAXPROCS(1)
+			got1, w1 := run(mapping)
+			runtime.GOMAXPROCS(prev)
+			for i := range ref {
+				if ref[i] != got[i] {
+					t.Fatalf("seed %d mapping %v: station %d trace differs from one shard:\n--- one shard ---\n%s--- mapped ---\n%s",
+						seed, mapping, i, ref[i], got[i])
+				}
+				if got[i] != got1[i] {
+					t.Fatalf("seed %d mapping %v: station %d trace differs across GOMAXPROCS", seed, mapping, i)
+				}
+			}
+			if fmt.Sprint(w) != fmt.Sprint(w1) {
+				t.Fatalf("seed %d mapping %v: window counts differ across GOMAXPROCS: %v vs %v", seed, mapping, w, w1)
+			}
+		}
 	}
 }

@@ -360,29 +360,6 @@ func (l *Loop) step() {
 // nor cancelled. Useful in tests.
 func (l *Loop) Len() int { return l.q.len() }
 
-// PeekNext reports the virtual time of the earliest pending event, or
-// ok=false when the queue is empty. The answer honors the full firing
-// order including the head priority band: PeekNext never observes past
-// the head band — if a head-band event and an ordinary event share the
-// earliest instant, that instant is reported (and the head-band event
-// is the one that would fire first). Peeking does not execute events,
-// advance the clock, or perturb the firing order (it may free cancelled
-// entries at the head of the queue); it also does not consult OnIdle
-// sources, which may lazily synthesize events at any time >= Now
-// (callers promising future quiet must check HasIdleSources first).
-func (l *Loop) PeekNext() (time.Duration, bool) {
-	ev := l.q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
-// HasIdleSources reports whether any OnIdle callback is registered.
-// Such loops can grow new events whenever the queue drains, so their
-// PeekNext result is not a promise about the future.
-func (l *Loop) HasIdleSources() bool { return len(l.idleFns) > 0 }
-
 // Ticker invokes a function at a fixed virtual-time period until stopped.
 type Ticker struct {
 	loop   *Loop

@@ -473,96 +473,6 @@ func TestAtHeadPastClamps(t *testing.T) {
 	}
 }
 
-// TestPeekNext pins the accessor's contract: it reports the earliest
-// pending instant across BOTH priority bands — it never observes past a
-// head-band event — without executing anything or advancing the clock.
-func TestPeekNext(t *testing.T) {
-	for _, newLoop := range loopQueues {
-		name := newLoop.name
-		l := newLoop.fn(1)
-		if _, ok := l.PeekNext(); ok {
-			t.Fatalf("%s: empty loop reported a pending event", name)
-		}
-		l.At(5*time.Millisecond, func() {})
-		if at, ok := l.PeekNext(); !ok || at != 5*time.Millisecond {
-			t.Fatalf("%s: PeekNext = %v,%v, want 5ms", name, at, ok)
-		}
-		// A head-band event earlier than the ordinary one must win.
-		l.AtHead(3*time.Millisecond, func() {})
-		if at, ok := l.PeekNext(); !ok || at != 3*time.Millisecond {
-			t.Fatalf("%s: PeekNext past head band: %v,%v, want 3ms", name, at, ok)
-		}
-		// Same instant in both bands: the instant is reported either way.
-		l.AtHead(5*time.Millisecond, func() {})
-		if at, ok := l.PeekNext(); !ok || at != 3*time.Millisecond {
-			t.Fatalf("%s: PeekNext = %v,%v, want 3ms", name, at, ok)
-		}
-		if l.Now() != 0 {
-			t.Fatalf("%s: peeking advanced the clock to %v", name, l.Now())
-		}
-		l.RunUntil(4 * time.Millisecond)
-		if at, ok := l.PeekNext(); !ok || at != 5*time.Millisecond {
-			t.Fatalf("%s: after partial run PeekNext = %v,%v, want 5ms", name, at, ok)
-		}
-	}
-}
-
-// TestPeekNextIsInert: interleaving PeekNext calls into a randomized
-// kernel must not perturb the firing order on either queue — the
-// peeked loop's trace stays byte-identical to an unpeeked twin's.
-func TestPeekNextIsInert(t *testing.T) {
-	for _, newLoop := range loopQueues {
-		name := newLoop.name
-		run := func(peek bool) string {
-			l := newLoop.fn(3)
-			rng := l.RNG("kernel")
-			trace := ""
-			var tick func()
-			n := 0
-			tick = func() {
-				n++
-				trace += l.Now().String() + ";"
-				if peek {
-					if at, ok := l.PeekNext(); ok && at < l.Now() {
-						trace += "PAST!" // peek must never see the past
-					}
-				}
-				if n < 200 {
-					if rng.Intn(3) == 0 {
-						l.AtHead(l.Now()+time.Duration(rng.Intn(1000))*time.Microsecond, tick)
-					} else {
-						l.At(l.Now()+time.Duration(rng.Intn(1000))*time.Microsecond, tick)
-					}
-				}
-			}
-			l.At(0, tick)
-			l.At(0, tick)
-			if peek {
-				l.PeekNext()
-			}
-			l.Run()
-			return trace
-		}
-		if plain, peeked := run(false), run(true); plain != peeked {
-			t.Fatalf("%s: PeekNext perturbed execution:\n--- plain ---\n%s\n--- peeked ---\n%s",
-				name, plain, peeked)
-		}
-	}
-}
-
-// TestHasIdleSources: the flag that tells horizon planners a loop may
-// lazily synthesize events (so PeekNext is not a promise).
-func TestHasIdleSources(t *testing.T) {
-	l := NewLoop(1)
-	if l.HasIdleSources() {
-		t.Fatal("fresh loop claims idle sources")
-	}
-	l.OnIdle(func() {})
-	if !l.HasIdleSources() {
-		t.Fatal("OnIdle registration not reported")
-	}
-}
-
 // TestScheduleFireNoAlloc pins the kernel's allocation-free hot path:
 // once the slab and heap are warm, scheduling a bound callback and
 // firing it, scheduling and cancelling, and a Ticker's reschedule

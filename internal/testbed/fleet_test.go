@@ -2,14 +2,12 @@ package testbed
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
-	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
 
@@ -35,35 +33,6 @@ func TestFleetFootprintCompaction(t *testing.T) {
 	}
 	if ratio := eager / lazy; ratio < 50 {
 		t.Fatalf("compaction ratio %.1fx (eager %.0f B vs lazy %.0f B), want >= 50x", ratio, eager, lazy)
-	}
-}
-
-// TestDynamicFewerWindowsOnIdleFleet is the dynamic policy's reason to
-// exist, at testbed level: cells with only idle terminals and
-// background populations exchange no cross-shard traffic, so dynamic
-// horizons stride from population tick to population tick while global
-// grinds lookahead-sized windows. Summed over shards, dynamic must run
-// at least 5x fewer windows, with the same result.
-func TestDynamicFewerWindowsOnIdleFleet(t *testing.T) {
-	run := func(p shard.Policy) (*MultiCellResult, int64) {
-		rep := runSpec(t, Spec{
-			Seed: 3, Cells: 2, ShardPolicy: p.String(),
-			IdleTerminals: 100, Population: 10, Duration: Duration(10 * time.Second),
-		})
-		var windows int64
-		for _, snap := range rep.MultiCell.Snapshots {
-			windows += snap.Counter("shard/windows")
-		}
-		return rep.MultiCell, windows
-	}
-	g, gw := run(shard.PolicyGlobal)
-	d, dw := run(shard.PolicyDynamic)
-	t.Logf("windows: global %d, dynamic %d (%.1fx)", gw, dw, float64(gw)/float64(dw))
-	if dw <= 0 || gw < 5*dw {
-		t.Errorf("windows: global %d vs dynamic %d (%.1fx), want >= 5x fewer under dynamic", gw, dw, float64(gw)/float64(dw))
-	}
-	if !reflect.DeepEqual(g.Counters, d.Counters) || !reflect.DeepEqual(g.Populations, d.Populations) {
-		t.Error("global and dynamic idle-fleet runs differ")
 	}
 }
 
@@ -115,10 +84,8 @@ func TestFleetShardedIdentical(t *testing.T) {
 
 // TestFleetZeroActiveFaultedDifferential: cells with ZERO active
 // terminals (idle fleet + background population only) inside a faulted
-// run. This is the shard-engine edge case the dynamic policy leans on
-// hardest — no cross-shard traffic at all, so cell shards fast-forward
-// on pure promises — and faults perturbing the radio mid-run must not
-// break the 1-vs-N-shard/policy byte identity.
+// run. No cross-shard traffic flows at all, and faults perturbing the
+// radio mid-run must not break the 1-vs-N-shard byte identity.
 func TestFleetZeroActiveFaultedDifferential(t *testing.T) {
 	diffMultiCell(t, Spec{
 		Seed: 13, Cells: 2, IdleTerminals: 30, Population: 10,

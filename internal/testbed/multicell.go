@@ -149,7 +149,6 @@ type mcTerminal struct {
 // Counters.
 func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 	eng := shard.NewEngine(sc.seed, sc.shards)
-	eng.SetPolicy(sc.shardPolicy)
 	if sc.interrupt != nil {
 		// Cooperative cancellation: every shard loop polls the hook, so
 		// an abandoned run stops within a bounded number of events per

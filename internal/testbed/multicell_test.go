@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
 // TestMultiCellFlowsDeliver sanity-checks the scenario itself: every
@@ -47,57 +45,51 @@ func TestMultiCellFlowsDeliver(t *testing.T) {
 }
 
 // diffMultiCell runs the same scenario with shard count 1 (the
-// reference) and then shard count n under both window policies (global
-// lockstep and dynamic per-shard horizons), and
-// asserts byte-identical QoS reports, bearer logs, and placement-
-// independent kernel counters across all runs — the determinism
-// contract covers placement AND window policy. set changes each built
-// scenario as in runCells.
+// reference) and then with shard count n, and asserts byte-identical
+// QoS reports, bearer logs, and placement-independent kernel counters
+// across both runs — the determinism contract covers placement. set
+// changes each built scenario as in runCells.
 func diffMultiCell(t *testing.T, spec Spec, n int, set ...func(*Scenario)) {
 	t.Helper()
 	spec.Shards = 1
-	spec.ShardPolicy = ""
 	single, err := runCells(spec, set...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, policy := range shard.Policies() {
-		spec.Shards = n
-		spec.ShardPolicy = policy.String()
-		sharded, err := runCells(spec, set...)
-		if err != nil {
-			t.Fatal(err)
+	spec.Shards = n
+	sharded, err := runCells(spec, set...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := fmt.Sprintf("%d shards", n)
+	if len(single.Flows) != len(sharded.Flows) {
+		t.Fatalf("flow counts differ: %d vs %d (%s)", len(single.Flows), len(sharded.Flows), label)
+	}
+	for i := range single.Flows {
+		a, b := single.Flows[i], sharded.Flows[i]
+		if !reflect.DeepEqual(a.Decoded, b.Decoded) {
+			t.Errorf("cell %d terminal %d: decoded QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
 		}
-		label := fmt.Sprintf("%d shards/%v", n, policy)
-		if len(single.Flows) != len(sharded.Flows) {
-			t.Fatalf("flow counts differ: %d vs %d (%s)", len(single.Flows), len(sharded.Flows), label)
+		if !reflect.DeepEqual(a.Streamed, b.Streamed) {
+			t.Errorf("cell %d terminal %d: streamed QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
 		}
-		for i := range single.Flows {
-			a, b := single.Flows[i], sharded.Flows[i]
-			if !reflect.DeepEqual(a.Decoded, b.Decoded) {
-				t.Errorf("cell %d terminal %d: decoded QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
-			}
-			if !reflect.DeepEqual(a.Streamed, b.Streamed) {
-				t.Errorf("cell %d terminal %d: streamed QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
-			}
-			if !reflect.DeepEqual(a.BearerEvents, b.BearerEvents) {
-				t.Errorf("cell %d terminal %d: bearer logs differ:\n1 shard:  %v\n%s: %v",
-					a.Cell, a.Terminal, a.BearerEvents, label, b.BearerEvents)
-			}
-			if a.SetupTime != b.SetupTime || a.SendErrors != b.SendErrors {
-				t.Errorf("cell %d terminal %d: setup/senderrors differ (%s)", a.Cell, a.Terminal, label)
+		if !reflect.DeepEqual(a.BearerEvents, b.BearerEvents) {
+			t.Errorf("cell %d terminal %d: bearer logs differ:\n1 shard:  %v\n%s: %v",
+				a.Cell, a.Terminal, a.BearerEvents, label, b.BearerEvents)
+		}
+		if a.SetupTime != b.SetupTime || a.SendErrors != b.SendErrors {
+			t.Errorf("cell %d terminal %d: setup/senderrors differ (%s)", a.Cell, a.Terminal, label)
+		}
+	}
+	if !reflect.DeepEqual(single.Counters, sharded.Counters) {
+		for name, v := range single.Counters {
+			if sharded.Counters[name] != v {
+				t.Errorf("counter %s: %d (1 shard) vs %d (%s)", name, v, sharded.Counters[name], label)
 			}
 		}
-		if !reflect.DeepEqual(single.Counters, sharded.Counters) {
-			for name, v := range single.Counters {
-				if sharded.Counters[name] != v {
-					t.Errorf("counter %s: %d (1 shard) vs %d (%s)", name, v, sharded.Counters[name], label)
-				}
-			}
-			for name, v := range sharded.Counters {
-				if _, ok := single.Counters[name]; !ok {
-					t.Errorf("counter %s only present in the %s run (%d)", name, label, v)
-				}
+		for name, v := range sharded.Counters {
+			if _, ok := single.Counters[name]; !ok {
+				t.Errorf("counter %s only present in the %s run (%d)", name, label, v)
 			}
 		}
 	}

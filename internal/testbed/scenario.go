@@ -8,7 +8,6 @@ import (
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/netsim"
-	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
 
@@ -45,11 +44,10 @@ type Scenario struct {
 
 	analysis AnalysisConfig
 
-	cells       int
-	terminals   int
-	shards      int
-	shardPolicy shard.Policy
-	flowStart   time.Duration
+	cells     int
+	terminals int
+	shards    int
+	flowStart time.Duration
 
 	idleTerminals  int
 	population     int

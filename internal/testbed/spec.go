@@ -10,7 +10,6 @@ import (
 
 	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
-	"github.com/onelab/umtslab/internal/sim/shard"
 	"github.com/onelab/umtslab/internal/umts"
 )
 
@@ -68,8 +67,8 @@ type Spec struct {
 	// Shards overrides the shard count (default cells+1); requires
 	// Cells. Must not change results.
 	Shards int `json:"shards,omitempty"`
-	// ShardPolicy selects the engine's window policy: "global"
-	// (default) or "dynamic". Requires Cells. Must not change results.
+	// ShardPolicy is accepted for existing documents ("global" or
+	// "dynamic"); the engine has one window policy. Requires Cells.
 	ShardPolicy string `json:"shard_policy,omitempty"`
 	// FlowStart delays the multi-cell senders (default 15s); requires
 	// Cells.
@@ -211,8 +210,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("spec.fault_profile: unknown preset %q (want %s)",
 			s.FaultProfile, strings.Join(fault.PresetNames(), ", "))
 	}
-	if _, err := shard.ParsePolicy(s.ShardPolicy); err != nil {
-		return fmt.Errorf("spec.shard_policy: %v", err)
+	switch s.ShardPolicy {
+	case "", "global", "dynamic":
+	default:
+		return fmt.Errorf("spec.shard_policy: unknown policy %q (allowed: global, dynamic)", s.ShardPolicy)
 	}
 	if s.Analysis != nil {
 		if _, err := ParseAnalysisMode(s.Analysis.Mode); err != nil {
@@ -339,7 +340,6 @@ func (s *Spec) Scenario() (*Scenario, error) {
 	// Validate has accepted every name.
 	sc.path, _ = ParsePath(s.Path)
 	sc.workload, _ = ParseWorkload(s.Workload)
-	sc.shardPolicy, _ = shard.ParsePolicy(s.ShardPolicy)
 	if s.HealPolicy != nil {
 		sc.healPolicy = s.HealPolicy.policy()
 	}

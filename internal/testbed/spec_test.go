@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/onelab/umtslab/internal/dialer"
-	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
 // specGolden is the wire form of TestSpecGoldenJSON's spec, which sets
@@ -193,27 +192,25 @@ func FuzzParseSpec(f *testing.F) {
 	})
 }
 
-// TestSpecShardPolicyRoundTrip: every engine policy name survives the
-// wire format — JSON decode, Validate and Scenario conversion — so a
-// saved measurement spec replays under the policy it recorded.
-// Iterating shard.Policies() makes the test self-widening: a new
-// policy that misses any leg of the path fails here.
+// TestSpecShardPolicyRoundTrip: both policy names that saved
+// documents carry still parse, and each builds the same Scenario as a
+// document without the field — the engine has one window policy.
 func TestSpecShardPolicyRoundTrip(t *testing.T) {
-	for _, p := range shard.Policies() {
-		raw := []byte(`{"cells":2,"shard_policy":"` + p.String() + `"}`)
-		var s Spec
-		if err := json.Unmarshal(raw, &s); err != nil {
-			t.Fatalf("policy %v: unmarshal: %v", p, err)
-		}
-		if err := s.Validate(); err != nil {
-			t.Fatalf("policy %v: validate: %v", p, err)
+	base, err := (&Spec{Cells: 2}).Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"global", "dynamic"} {
+		s, err := ParseSpec([]byte(`{"cells":2,"shard_policy":"` + p + `"}`))
+		if err != nil {
+			t.Fatalf("policy %s: %v", p, err)
 		}
 		sc, err := s.Scenario()
 		if err != nil {
-			t.Fatalf("policy %v: scenario: %v", p, err)
+			t.Fatalf("policy %s: scenario: %v", p, err)
 		}
-		if sc.shardPolicy != p {
-			t.Fatalf("policy %v: scenario carries %v", p, sc.shardPolicy)
+		if !reflect.DeepEqual(sc, base) {
+			t.Fatalf("policy %s: scenario differs from the default:\n %+v\n %+v", p, sc, base)
 		}
 	}
 }

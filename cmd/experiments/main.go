@@ -55,7 +55,8 @@
 // metrics registry, and results merge by repetition index, so the
 // output is byte-identical to a sequential run of the same seeds.
 // -metrics dumps each cell's rep-0 metrics snapshot as JSON ("-" for
-// stdout). -cpuprofile/-memprofile write pprof profiles of whichever
+// stdout); it exits 2 beside -spec and -serve (the service serves its
+// metrics at /v1/metrics). -cpuprofile/-memprofile write pprof profiles of whichever
 // mode ran. Wall time, CPU and memory are measured by the separate
 // bench/ module (`make bench`), not by this command.
 //
@@ -240,8 +241,8 @@ func main() {
 	}
 	// -terminals defaults to one terminal per cell; without -cells it
 	// enters the spec, to be rejected, only when given. A flag that only
-	// the figure mode reads is rejected with -cells, and one that sets a
-	// Spec field with -spec.
+	// the figure mode reads is rejected with -cells, one that sets a
+	// Spec field with -spec, and -metrics with -spec and -serve.
 	figureOnly := map[string]bool{"figure": true, "reps": true, "every": true, "csv": true, "summary-only": true, "workers": true}
 	specField := map[string]bool{"seed": true, "dur": true, "reps": true, "workers": true, "fault-profile": true, "self-heal": true,
 		"analysis": true, "cells": true, "terminals": true, "fleet": true, "population": true, "shards": true}
@@ -251,6 +252,10 @@ func main() {
 		}
 		if *specFile != "" && specField[f.Name] {
 			fmt.Fprintf(os.Stderr, "experiments: -%s: set by the -spec document (conflicts with -spec)\n", f.Name)
+			os.Exit(2)
+		}
+		if f.Name == "metrics" && (*specFile != "" || *serveAddr != "") {
+			fmt.Fprintln(os.Stderr, "experiments: -metrics: figure and -cells modes only (conflicts with -spec and -serve)")
 			os.Exit(2)
 		}
 		if *cells > 0 && figureOnly[f.Name] {

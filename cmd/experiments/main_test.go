@@ -83,7 +83,7 @@ func TestCLIRejectsFigureFlagsWithCells(t *testing.T) {
 
 // TestCLISpecExitCodes: -spec exits 2 for a document it refuses and for
 // a flag that sets a Spec field beside it, naming that flag, and 0 for
-// a document that runs.
+// a document that runs; -metrics exits 2 beside -spec and -serve.
 func TestCLISpecExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		args, stdin string
@@ -92,6 +92,8 @@ func TestCLISpecExitCodes(t *testing.T) {
 	}{
 		{"-spec -", `{"cells":2,"path":"umts"}`, 2, "spec.path"},
 		{"-spec - -cells 2", `{"duration":"1s"}`, 2, "-cells"},
+		{"-spec - -metrics m.json", `{"duration":"1s"}`, 2, "-metrics"},
+		{"-serve 127.0.0.1:0 -metrics m.json", "", 2, "-metrics"},
 		{"-spec -", `{"duration":"1s"}`, 0, ""},
 	} {
 		cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)

@@ -19,7 +19,6 @@ type fakePort struct {
 
 func (p *fakePort) Write(b []byte) int          { p.sent.Write(b); return len(b) }
 func (p *fakePort) SetReceiver(fn func([]byte)) { p.recv = fn }
-func (p *fakePort) Pending() int                { return 0 }
 
 // push feeds modem output to the chat engine in the given chunks.
 func (p *fakePort) push(chunks ...string) {

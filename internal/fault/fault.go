@@ -216,7 +216,7 @@ type Hooks struct {
 	// (Operator.TerminatePPP).
 	PPPTerminate func()
 	// LinkDown/LinkUp set and clear the backhaul loss probability
-	// (P2PLink.SetConfig / CrossLink.SetLossProb).
+	// (P2PLink.SetLossProb / CrossLink.SetLossProb).
 	LinkDown func(loss float64)
 	LinkUp   func()
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/sim"
+	"github.com/onelab/umtslab/internal/sim/shard"
 )
 
 // Link is anything an interface can transmit packets into. Concrete links
@@ -48,33 +49,16 @@ type DirStats struct {
 
 // P2PLink is a full-duplex point-to-point link between two interfaces,
 // with independent per-direction rate, delay, jitter, loss and queue.
-type P2PLink struct {
-	loop *sim.Loop
-	name string
-	rng  *rand.Rand
-	ends [2]*Iface
-	dirs [2]*linkDir // dirs[0] carries ends[0] -> ends[1]
-}
+type P2PLink struct{ duplex }
 
 // NewP2PLink creates a link. a2b configures the ends[0]->ends[1] direction
 // and b2a the reverse. Attach the ends with Attach before sending.
 func NewP2PLink(loop *sim.Loop, name string, a2b, b2a LinkConfig) *P2PLink {
-	l := &P2PLink{loop: loop, name: name, rng: loop.RNG("link/" + name)}
-	reg := loop.Metrics()
+	l := &P2PLink{duplex{name: name}}
+	rng := loop.RNG("link/" + name)
 	prefix := "netsim/link/" + name + "/"
-	l.dirs[0] = &linkDir{link: l, cfg: a2b}
-	l.dirs[1] = &linkDir{link: l, cfg: b2a}
-	for _, d := range l.dirs {
-		// Bind the event callbacks once: scheduling a stored func()
-		// does not allocate, unlike a per-packet closure.
-		d.txDoneFn = d.txDone
-		d.deliverFn = d.deliverHead
-		d.mTxPackets = reg.Counter(prefix + "tx_packets")
-		d.mTxBytes = reg.Counter(prefix + "tx_bytes")
-		d.mQueueDrops = reg.Counter(prefix + "queue_drops")
-		d.mLossDrops = reg.Counter(prefix + "loss_drops")
-		d.mQueueOcc = reg.Histogram(prefix + "queue_occupancy_pkts")
-	}
+	l.dirs[0] = newLinkDir(loop, rng, prefix, a2b)
+	l.dirs[1] = newLinkDir(loop, rng, prefix, b2a)
 	return l
 }
 
@@ -82,6 +66,7 @@ func NewP2PLink(loop *sim.Loop, name string, a2b, b2a LinkConfig) *P2PLink {
 // link.
 func (l *P2PLink) Attach(end int, iface *Iface) {
 	l.ends[end] = iface
+	l.dirs[1-end].to = iface
 	iface.link = l
 }
 
@@ -91,51 +76,67 @@ func (l *P2PLink) Connect(a, b *Iface) {
 	l.Attach(1, b)
 }
 
-// Stats returns counters for the direction out of the given end.
-func (l *P2PLink) Stats(end int) DirStats { return l.dirs[end].stats }
-
-// SetConfig replaces the configuration of the direction out of the given
-// end. In-flight and queued packets are unaffected; the new rate applies
-// from the next serialization. This models link renegotiation (e.g. a UMTS
-// bearer upgrade at a coarser layer).
-func (l *P2PLink) SetConfig(end int, cfg LinkConfig) { l.dirs[end].cfg = cfg }
-
-// Config returns the current configuration of the direction out of end.
-func (l *P2PLink) Config(end int) LinkConfig { return l.dirs[end].cfg }
+// duplex is what P2PLink and CrossLink share: the two ends and the two
+// directions between them. The links differ only in a direction's
+// delivery leg.
+type duplex struct {
+	name string
+	ends [2]*Iface
+	dirs [2]*linkDir // dirs[0] carries ends[0] -> ends[1]
+}
 
 // Send implements Link.
-func (l *P2PLink) Send(from *Iface, pkt *Packet) {
+func (l *duplex) Send(from *Iface, pkt *Packet) {
 	switch from {
 	case l.ends[0]:
-		l.dirs[0].send(l.ends[1], pkt)
+		l.dirs[0].send(pkt)
 	case l.ends[1]:
-		l.dirs[1].send(l.ends[0], pkt)
+		l.dirs[1].send(pkt)
 	default:
 		panic(fmt.Sprintf("netsim: iface %s not attached to link %s", from.Name, l.name))
 	}
 }
 
+// Stats returns counters for the direction out of the given end.
+func (l *duplex) Stats(end int) DirStats { return l.dirs[end].stats }
+
+// SetLossProb changes the loss probability of the direction out of end
+// — the fault-injection knob for backhaul flaps. Queued and in-flight
+// packets are unaffected: loss is drawn when a packet is sent. Loss is
+// resolved on the source loop before a cross-shard packet is shipped,
+// so unlike delay it has no bearing on the shard engine's lookahead
+// contract. The direction's loss RNG is only drawn while the
+// probability is positive, so a flap window perturbs no RNG stream
+// outside the window.
+func (l *duplex) SetLossProb(end int, p float64) { l.dirs[end].cfg.LossProb = p }
+
+// linkDir is one direction of a link: random loss, then a drop-tail
+// queue in front of a sim.Pacer that serializes at cfg.RateBps, then
+// the delivery leg, which adds the propagation delay and jitter (forced
+// monotone) and either schedules the arrival on the direction's own
+// loop (P2PLink) or ships the packet across a shard edge (CrossLink,
+// edge != nil).
 type linkDir struct {
-	link        *P2PLink
+	loop        *sim.Loop
+	rng         *rand.Rand
 	cfg         LinkConfig
-	busy        bool
-	queue       sim.FIFO[queued] // packets waiting to serialize
-	queuedBytes int
+	to          *Iface // destination end
+	tx          sim.Pacer[*Packet]
 	lastArrival time.Duration // monotone arrival guard against reordering
 	stats       DirStats
 
-	// Allocation-free event plumbing: the packet being serialized, the
-	// FIFO of packets whose delivery events are already scheduled, and
-	// the two callbacks bound once at construction. The pending ring
-	// works because arrivals are forced monotone (lastArrival) and
-	// same-timestamp events fire in scheduling order, so deliveries pop
-	// in exactly the order their events fire.
-	inflight  queued
-	pending   sim.FIFO[queued] // packets whose deliveries are scheduled
-	txDoneFn  func()
+	// The delivery leg. A cross-shard direction sends on edge; a local
+	// one parks its packets in pending, the FIFO of packets whose
+	// delivery events are scheduled, and schedules deliverFn (bound
+	// once) for each. The ring works because arrivals are forced
+	// monotone (lastArrival) and same-timestamp events fire in
+	// scheduling order, so deliveries pop in exactly the order their
+	// events fire.
+	edge      *shard.Edge
+	pending   sim.FIFO[*Packet]
 	deliverFn func()
 
-	// Registry instruments, shared by both directions of the link.
+	// Registry instruments; both directions of a P2PLink share them.
 	mTxPackets  *metrics.Counter
 	mTxBytes    *metrics.Counter
 	mQueueDrops *metrics.Counter
@@ -143,94 +144,93 @@ type linkDir struct {
 	mQueueOcc   *metrics.Histogram
 }
 
-type queued struct {
-	pkt *Packet
-	to  *Iface
+// newLinkDir creates one direction paced on loop; prefix starts its
+// metric names.
+func newLinkDir(loop *sim.Loop, rng *rand.Rand, prefix string, cfg LinkConfig) *linkDir {
+	reg := loop.Metrics()
+	d := &linkDir{
+		loop: loop,
+		rng:  rng,
+		cfg:  cfg,
+
+		mTxPackets:  reg.Counter(prefix + "tx_packets"),
+		mTxBytes:    reg.Counter(prefix + "tx_bytes"),
+		mQueueDrops: reg.Counter(prefix + "queue_drops"),
+		mLossDrops:  reg.Counter(prefix + "loss_drops"),
+		mQueueOcc:   reg.Histogram(prefix + "queue_occupancy_pkts"),
+	}
+	d.tx.Init(loop, d.txTime, d.txDone)
+	d.deliverFn = d.deliverHead
+	return d
 }
 
-func (d *linkDir) send(to *Iface, pkt *Packet) {
-	if d.cfg.LossProb > 0 && d.link.rng.Float64() < d.cfg.LossProb {
+func (d *linkDir) send(pkt *Packet) {
+	if d.cfg.LossProb > 0 && d.rng.Float64() < d.cfg.LossProb {
 		d.stats.LossDrops++
 		d.mLossDrops.Inc()
-		pkt.Free(d.link.loop.Buffers())
+		pkt.Free(d.loop.Buffers())
 		return
 	}
-	if d.busy {
-		if (d.cfg.QueuePackets > 0 && d.qlen() >= d.cfg.QueuePackets) ||
-			(d.cfg.QueueBytes > 0 && d.queuedBytes+pkt.Length() > d.cfg.QueueBytes) {
-			d.stats.QueueDrops++
-			d.mQueueDrops.Inc()
-			pkt.Free(d.link.loop.Buffers())
-			return
-		}
-		d.queue.Push(queued{pkt, to})
-		d.queuedBytes += pkt.Length()
-		d.mQueueOcc.Observe(int64(d.qlen()))
+	if d.tx.Busy() &&
+		((d.cfg.QueuePackets > 0 && d.tx.Len() >= d.cfg.QueuePackets) ||
+			(d.cfg.QueueBytes > 0 && d.tx.Bytes()+pkt.Length() > d.cfg.QueueBytes)) {
+		d.stats.QueueDrops++
+		d.mQueueDrops.Inc()
+		pkt.Free(d.loop.Buffers())
 		return
 	}
-	d.transmit(to, pkt)
+	if d.tx.Push(pkt, pkt.Length()) {
+		d.mQueueOcc.Observe(int64(d.tx.Len()))
+	}
 }
 
-func (d *linkDir) qlen() int { return d.queue.Len() }
-
-func (d *linkDir) transmit(to *Iface, pkt *Packet) {
-	d.busy = true
-	var txDur time.Duration
+func (d *linkDir) txTime(pkt *Packet) time.Duration {
 	if d.cfg.RateBps > 0 {
-		txDur = time.Duration(float64(pkt.Length()*8) / d.cfg.RateBps * float64(time.Second))
+		return time.Duration(float64(pkt.Length()*8) / d.cfg.RateBps * float64(time.Second))
 	}
-	d.inflight = queued{pkt, to}
-	d.link.loop.After(txDur, d.txDoneFn)
+	return 0
 }
 
-// txDone fires when the in-flight packet finishes serializing: schedule
-// its delivery after propagation delay and start the next queued packet.
-func (d *linkDir) txDone() {
-	pkt, to := d.inflight.pkt, d.inflight.to
-	d.inflight = queued{}
-	loop := d.link.loop
+// txDone runs when pkt finishes serializing: count it and send it on
+// its delivery leg after the propagation delay.
+func (d *linkDir) txDone(pkt *Packet) {
 	d.stats.TxPackets++
 	d.stats.TxBytes += uint64(pkt.Length())
 	d.mTxPackets.Inc()
 	d.mTxBytes.Add(int64(pkt.Length()))
 	extra := d.cfg.Delay
 	if d.cfg.Jitter > 0 {
-		extra += time.Duration(d.link.rng.Int63n(int64(d.cfg.Jitter)))
+		extra += time.Duration(d.rng.Int63n(int64(d.cfg.Jitter)))
 	}
-	arrival := loop.Now() + extra
+	arrival := d.loop.Now() + extra
 	if arrival < d.lastArrival {
 		arrival = d.lastArrival
 	}
 	d.lastArrival = arrival
-	d.pending.Push(queued{pkt, to})
-	loop.At(arrival, d.deliverFn)
-	// Start the next queued packet, if any.
-	if d.queue.Len() > 0 {
-		next := d.queue.Pop()
-		d.queuedBytes -= next.pkt.Length()
-		d.transmit(next.to, next.pkt)
-	} else {
-		d.busy = false
+	if d.edge != nil {
+		d.edge.Send(arrival, pkt)
+		return
 	}
+	d.pending.Push(pkt)
+	d.loop.At(arrival, d.deliverFn)
 }
 
 // deliverHead fires at a scheduled arrival time and hands the oldest
-// pending packet to its destination interface.
+// pending packet to the destination interface.
 func (d *linkDir) deliverHead() {
-	q := d.pending.Pop()
-	if q.to != nil {
-		q.to.Deliver(q.pkt)
+	pkt := d.pending.Pop()
+	if d.to != nil {
+		d.to.Deliver(pkt)
 	} else {
-		q.pkt.Free(d.link.loop.Buffers())
+		pkt.Free(d.loop.Buffers())
 	}
 }
 
-// QueueLen returns the number of packets waiting (not counting the one in
-// serialization) in the direction out of end.
-func (l *P2PLink) QueueLen(end int) int { return l.dirs[end].qlen() }
-
-// QueueBytes returns the bytes waiting in the direction out of end.
-func (l *P2PLink) QueueBytes(end int) int { return l.dirs[end].queuedBytes }
+// arrive runs on the destination shard's loop at a cross-shard packet's
+// arrival time.
+func (d *linkDir) arrive(m shard.Message) {
+	d.to.Deliver(m.Payload.(*Packet))
+}
 
 // FuncLink adapts a function to the Link interface; used to splice custom
 // data paths (e.g. the PPP device) into a node's interface table.

@@ -27,9 +27,6 @@ type Port interface {
 	// chunk. Only one receiver is active at a time; installing replaces
 	// the previous one. A nil receiver discards incoming bytes.
 	SetReceiver(fn func(p []byte))
-	// Pending returns the number of bytes queued but not yet delivered
-	// to the far end.
-	Pending() int
 }
 
 // Line is a serial line with two ports. Direction A->B and B->A are
@@ -50,10 +47,8 @@ func NewLine(loop *sim.Loop, name string, baud int) *Line {
 	l.b = &port{loop: loop, baud: baud, rng: rng}
 	l.a.peer = l.b
 	l.b.peer = l.a
-	// Bind the tx-complete callbacks once; scheduling a stored func()
-	// does not allocate, unlike a per-chunk closure.
-	l.a.txDoneFn = l.a.txDone
-	l.b.txDoneFn = l.b.txDone
+	l.a.tx.Init(loop, l.a.txTime, l.a.txDone)
+	l.b.tx.Init(loop, l.b.txTime, l.b.txDone)
 	return l
 }
 
@@ -74,20 +69,13 @@ func (l *Line) HostEnd() Port { return l.a }
 func (l *Line) ModemEnd() Port { return l.b }
 
 type port struct {
-	loop     *sim.Loop
-	baud     int
-	rng      *rand.Rand
-	errRate  float64
-	peer     *port
-	recv     func([]byte)
-	txQueue  sim.FIFO[[]byte] // chunks waiting to serialize
-	txBytes  int
-	busy     bool
-	inflight []byte // chunk being serialized
-	txDoneFn func() // bound once; see NewLine
-	TxTotal  uint64
-	RxTotal  uint64
-	ErrBytes uint64
+	loop    *sim.Loop
+	baud    int
+	rng     *rand.Rand
+	errRate float64
+	peer    *port
+	recv    func([]byte)
+	tx      sim.Pacer[[]byte] // paces chunks onto the line
 }
 
 func (p *port) Write(data []byte) int {
@@ -98,51 +86,30 @@ func (p *port) Write(data []byte) int {
 	// that travels the line and returns to the pool after delivery.
 	cp := p.loop.Buffers().Get(len(data))
 	copy(cp, data)
-	if p.busy {
-		p.txQueue.Push(cp)
-		p.txBytes += len(cp)
-		return len(cp)
-	}
-	p.transmit(cp)
+	p.tx.Push(cp, len(cp))
 	return len(cp)
 }
 
-func (p *port) transmit(data []byte) {
-	p.busy = true
-	var dur time.Duration
+func (p *port) txTime(data []byte) time.Duration {
 	if p.baud > 0 {
-		dur = time.Duration(float64(len(data)*bitsPerByte) / float64(p.baud) * float64(time.Second))
+		return time.Duration(float64(len(data)*bitsPerByte) / float64(p.baud) * float64(time.Second))
 	}
-	p.inflight = data
-	p.loop.After(dur, p.txDoneFn)
+	return 0
 }
 
-// txDone fires when the in-flight chunk finishes serializing: deliver it
-// to the peer and start the next queued chunk.
-func (p *port) txDone() {
-	data := p.inflight
-	p.inflight = nil
-	p.TxTotal += uint64(len(data))
-	// Receivers consume delivered chunks synchronously (deframer,
-	// modem parser), so the chunk can be recycled right after.
+// txDone runs when a chunk finishes serializing: deliver it to the peer.
+// Receivers consume delivered chunks synchronously (deframer, modem
+// parser), so the chunk can be recycled right after.
+func (p *port) txDone(data []byte) {
 	p.peer.deliver(data)
 	p.loop.Buffers().Put(data)
-	if p.txQueue.Len() > 0 {
-		next := p.txQueue.Pop()
-		p.txBytes -= len(next)
-		p.transmit(next)
-	} else {
-		p.busy = false
-	}
 }
 
 func (p *port) deliver(data []byte) {
-	p.RxTotal += uint64(len(data))
 	if p.errRate > 0 {
 		for i := range data {
 			if p.rng.Float64() < p.errRate {
 				data[i] ^= 1 << p.rng.Intn(8)
-				p.ErrBytes++
 			}
 		}
 	}
@@ -152,14 +119,6 @@ func (p *port) deliver(data []byte) {
 }
 
 func (p *port) SetReceiver(fn func([]byte)) { p.recv = fn }
-
-func (p *port) Pending() int {
-	n := p.txBytes
-	if p.busy {
-		n++ // count the in-flight chunk approximately
-	}
-	return n
-}
 
 // SetDCD changes the line's data-carrier-detect state (driven by the
 // modem firmware: asserted on CONNECT, dropped on carrier loss). The

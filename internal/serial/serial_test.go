@@ -73,20 +73,6 @@ func TestNilReceiverDiscards(t *testing.T) {
 	loop.Run() // must not panic
 }
 
-func TestPending(t *testing.T) {
-	loop := sim.NewLoop(1)
-	l := NewLine(loop, "tty", 1000)
-	l.HostEnd().Write(make([]byte, 10))
-	l.HostEnd().Write(make([]byte, 20))
-	if p := l.HostEnd().Pending(); p < 20 {
-		t.Fatalf("Pending = %d, want >= 20", p)
-	}
-	loop.Run()
-	if p := l.HostEnd().Pending(); p != 0 {
-		t.Fatalf("Pending after drain = %d", p)
-	}
-}
-
 func TestZeroLengthWrite(t *testing.T) {
 	loop := sim.NewLoop(1)
 	l := NewLine(loop, "tty", 9600)

@@ -179,11 +179,8 @@ func New(opts Options) (*Testbed, error) {
 	// and schedules no events, so faultless runs stay byte-identical.
 	// A Gi flap sets the loss of both directions of the P2P link.
 	giLoss := func(loss float64) {
-		for end := 0; end < 2; end++ {
-			cfg := giLink.Config(end)
-			cfg.LossProb = loss
-			giLink.SetConfig(end, cfg)
-		}
+		giLink.SetLossProb(0, loss)
+		giLink.SetLossProb(1, loss)
 	}
 	inj, err := fault.Arm(loop, opts.Faults, faultHooks(tb.Operator, []*umts.Terminal{tb.Terminal}, giLoss))
 	if err != nil {

@@ -58,11 +58,11 @@ func TestOperatorPauseResumeRadio(t *testing.T) {
 	sess := activeSession(t, op, term)
 
 	op.PauseRadio()
-	if !sess.ul.paused || !sess.dl.paused {
+	if !sess.ul.tx.Paused() || !sess.dl.tx.Paused() {
 		t.Fatal("PauseRadio did not pause both directions")
 	}
 	op.ResumeRadio()
-	if sess.ul.paused || sess.dl.paused {
+	if sess.ul.tx.Paused() || sess.dl.tx.Paused() {
 		t.Fatal("ResumeRadio did not resume both directions")
 	}
 }

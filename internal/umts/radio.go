@@ -49,33 +49,27 @@ type RadioDirStats struct {
 }
 
 // radioDir is a paced byte-chunk channel: each Write chunk (an HDLC frame
-// from the PPP layer) is serialized at the current rate, buffered
-// drop-tail when the channel is busy, and delivered after radio latency
-// and jitter. The rate can change mid-stream (bearer upgrade) and the
-// channel can be paused (fade).
+// from the PPP layer) is serialized at the current rate by a sim.Pacer,
+// buffered drop-tail when the channel is busy, and delivered after radio
+// latency and jitter. The rate can change mid-stream (bearer upgrade) and
+// the channel can be paused (fade).
 type radioDir struct {
 	loop    *sim.Loop
 	rng     *rand.Rand
 	cfg     RadioDirConfig
 	deliver func(p []byte)
 
-	busy        bool
-	paused      bool
-	scale       float64          // fault-injection rate multiplier; 1 = nominal
-	queue       sim.FIFO[[]byte] // chunks waiting to serialize
-	queuedBytes int
+	tx          sim.Pacer[[]byte]
+	scale       float64 // fault-injection rate multiplier; 1 = nominal
 	lastArrival time.Duration
 	stats       RadioDirStats
 	closed      bool
 
-	// Allocation-free event plumbing (same scheme as netsim.linkDir):
-	// the chunk being serialized, the FIFO of chunks whose delivery
-	// events are scheduled, and callbacks bound once. Arrivals are
-	// forced monotone (lastArrival), so deliveries pop in the order
-	// their events fire.
-	inflight  []byte
-	pending   sim.FIFO[[]byte] // chunks whose deliveries are scheduled
-	txDoneFn  func()
+	// Allocation-free delivery (same scheme as netsim's links): the
+	// FIFO of chunks whose delivery events are scheduled, and the
+	// callback bound once. Arrivals are forced monotone (lastArrival),
+	// so deliveries pop in the order their events fire.
+	pending   sim.FIFO[[]byte]
 	deliverFn func()
 
 	// Registry instruments; name carries the direction ("umts/ul/...").
@@ -104,7 +98,7 @@ func newRadioDir(loop *sim.Loop, rng *rand.Rand, name string, cfg RadioDirConfig
 		mStallNs:   reg.Histogram(name + "/stall_ns"),
 		mQueueOcc:  reg.Histogram(name + "/queue_occupancy_bytes"),
 	}
-	d.txDoneFn = d.txDone
+	d.tx.Init(loop, d.txTime, d.txDone)
 	d.deliverFn = d.deliverHead
 	return d
 }
@@ -117,41 +111,32 @@ func (d *radioDir) send(p []byte) {
 		d.loop.Buffers().Put(p)
 		return
 	}
-	if d.busy || d.paused {
-		if d.cfg.QueueBytes > 0 && d.queuedBytes+len(p) > d.cfg.QueueBytes {
-			d.stats.QueueDrops++
-			d.stats.DropBytes += uint64(len(p))
-			d.mDrops.Inc()
-			d.mDropBytes.Add(int64(len(p)))
-			d.loop.Buffers().Put(p)
-			return
-		}
-		d.queue.Push(p)
-		d.queuedBytes += len(p)
-		d.mQueueOcc.Observe(int64(d.queuedBytes))
+	if d.tx.Busy() && d.cfg.QueueBytes > 0 && d.tx.Bytes()+len(p) > d.cfg.QueueBytes {
+		d.stats.QueueDrops++
+		d.stats.DropBytes += uint64(len(p))
+		d.mDrops.Inc()
+		d.mDropBytes.Add(int64(len(p)))
+		d.loop.Buffers().Put(p)
 		return
 	}
-	d.transmit(p)
+	if d.tx.Push(p, len(p)) {
+		d.mQueueOcc.Observe(int64(d.tx.Bytes()))
+	}
 }
 
-func (d *radioDir) transmit(p []byte) {
-	d.busy = true
-	var txDur time.Duration
+func (d *radioDir) txTime(p []byte) time.Duration {
 	if d.cfg.RateBps > 0 {
 		// scale is 1 outside fault windows; multiplying by 1.0 is an
 		// exact identity in IEEE arithmetic, so the fault knob costs
 		// nothing in determinism when unused.
-		txDur = time.Duration(float64(len(p)*8) / (d.cfg.RateBps * d.scale) * float64(time.Second))
+		return time.Duration(float64(len(p)*8) / (d.cfg.RateBps * d.scale) * float64(time.Second))
 	}
-	d.inflight = p
-	d.loop.After(txDur, d.txDoneFn)
+	return 0
 }
 
-// txDone fires when the in-flight chunk finishes serializing: schedule
-// its delivery after radio latency and start the next queued chunk.
-func (d *radioDir) txDone() {
-	p := d.inflight
-	d.inflight = nil
+// txDone runs when chunk p finishes serializing: schedule its delivery
+// after radio latency. A closed direction recycles it instead.
+func (d *radioDir) txDone(p []byte) {
 	if d.closed {
 		d.loop.Buffers().Put(p)
 		return
@@ -186,7 +171,6 @@ func (d *radioDir) txDone() {
 	d.lastArrival = arrival
 	d.pending.Push(p)
 	d.loop.After(arrival-d.loop.Now(), d.deliverFn)
-	d.next()
 }
 
 // deliverHead fires at a scheduled arrival time and hands the oldest
@@ -201,16 +185,6 @@ func (d *radioDir) deliverHead() {
 	d.loop.Buffers().Put(p)
 }
 
-func (d *radioDir) next() {
-	if d.paused || d.queue.Len() == 0 {
-		d.busy = false
-		return
-	}
-	p := d.queue.Pop()
-	d.queuedBytes -= len(p)
-	d.transmit(p)
-}
-
 // setRate changes the bearer rate; queued chunks are transmitted at the
 // new rate, the chunk in flight finishes at the old one.
 func (d *radioDir) setRate(bps float64) { d.cfg.RateBps = bps }
@@ -222,33 +196,20 @@ func (d *radioDir) setScale(s float64) { d.scale = s }
 
 // pause suspends new transmissions (channel fade). The chunk in flight
 // completes.
-func (d *radioDir) pause() { d.paused = true }
+func (d *radioDir) pause() { d.tx.Pause() }
 
 // resume restarts transmission after a fade.
-func (d *radioDir) resume() {
-	if !d.paused {
-		return
-	}
-	d.paused = false
-	if !d.busy {
-		d.next()
-		// next() sets busy=false when the queue is empty; if it started
-		// a transmit, busy is true.
-	}
-}
+func (d *radioDir) resume() { d.tx.Resume() }
 
 // close stops the direction; queued and in-flight chunks are discarded
 // (queued ones go back to the buffer pool).
 func (d *radioDir) close() {
 	d.closed = true
-	for d.queue.Len() > 0 {
-		d.loop.Buffers().Put(d.queue.Pop())
-	}
-	d.queuedBytes = 0
+	d.tx.Drain(d.loop.Buffers().Put)
 }
 
 // Stats returns a copy of the counters.
 func (d *radioDir) Stats() RadioDirStats { return d.stats }
 
 // QueuedBytes returns the current buffer occupancy.
-func (d *radioDir) QueuedBytes() int { return d.queuedBytes }
+func (d *radioDir) QueuedBytes() int { return d.tx.Bytes() }

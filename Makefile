@@ -58,13 +58,13 @@ fuzz-smoke:
 	done
 
 # serve-smoke runs the measurement-service mode end to end in one
-# process: start the control plane, submit two declarative specs
-# concurrently, stream one job's live QoS windows to completion over
-# SSE, prove the HTTP result byte-identical to a one-shot run of the
-# same spec, scrape /v1/metrics, and check that graceful shutdown
-# drains a queued job instead of dropping it.
+# process (TestServeSmoke in cmd/experiments): start the control plane,
+# submit two declarative specs concurrently, stream one job's live QoS
+# windows to completion over SSE, prove the HTTP result byte-identical
+# to a one-shot run of the same spec, scrape /v1/metrics, and check that
+# graceful shutdown drains a queued job instead of dropping it.
 serve-smoke:
-	$(GO) run ./cmd/experiments -serve-smoke
+	$(GO) test -count=1 -run '^TestServeSmoke$$' ./cmd/experiments
 
 # bench runs every workload of the bench/ module (see bench/README.md):
 # wall time, CPU, allocation and peak RSS end to end, each output checked

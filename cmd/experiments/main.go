@@ -12,9 +12,9 @@
 //	            [-metrics file]
 //	            [-cells K] [-terminals M] [-shards S]
 //	            [-fleet N] [-population P]
-//	            [-analysis batch|stream|stream-only]
+//	            [-analysis stream-only]
 //	            [-fault-profile name] [-self-heal]
-//	            [-serve :port] [-spec file.json] [-serve-smoke]
+//	            [-serve :port] [-spec file.json]
 //	            [-cpuprofile file] [-memprofile file]
 //
 // The flags describe one experiment as a testbed.Spec, the same
@@ -39,11 +39,12 @@
 // testbed specs at POST /v1/jobs, runs them on a bounded worker pool,
 // streams live QoS windows over SSE at /v1/jobs/{id}/stream, and
 // exposes service counters plus per-job simulation metrics at
-// /v1/metrics. SIGINT/SIGTERM drains the queue before exit. -spec runs
-// one spec document in-process and prints the same canonical result
-// encoding, so service and one-shot results can be compared
-// byte-for-byte. -serve-smoke exercises the whole service mode
-// end-to-end in-process (the `make serve-smoke` gate).
+// /v1/metrics. It binds before it prints the address it listens on (so
+// -serve 127.0.0.1:0 reports the port it got), and reads only -workers
+// and the profile flags: any run flag beside it exits 2.
+// SIGINT/SIGTERM drains the queue before exit. -spec runs one spec
+// document in-process and prints the same canonical result encoding,
+// so service and one-shot results can be compared byte-for-byte.
 //
 // With -reps N each experiment is repeated on N independently seeded
 // testbeds (the paper ran each experiment 20 times) and the summary
@@ -67,12 +68,11 @@
 // connection and a supervised redial re-establishes it instead of
 // failing the slice.
 //
-// -analysis selects the QoS reports of the live per-flow decode (no
-// mode keeps per-packet logs): batch (the exact reference, keeping
-// 8 B per delay/RTT sample for exact percentiles), stream (batch plus
-// sketched percentiles from the same feed), or stream-only (sketch
-// only; analysis memory stays O(windows + flows) however long the flow
-// runs).
+// Every flow is decoded live, in one pass, into one QoS report; no
+// mode keeps per-packet logs. Its P95/P99 are exact by default, at 8 B
+// per delay/RTT sample. -analysis stream-only sketches them instead, so
+// analysis memory stays O(windows + flows) however long the flow runs;
+// batch and stream are accepted and mean exact.
 //
 // -cells K switches to the scale-out scenario instead of the paper
 // figures: K cells x M terminals (-terminals) run as one simulation,
@@ -89,6 +89,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -218,14 +219,13 @@ func main() {
 	fleetIdle := flag.Int("fleet", 0, "additional idle (never-dialing) compact terminals per cell for -cells")
 	populationN := flag.Int("population", 0, "aggregate background subscribers per cell for -cells (fluid ensemble, O(1) cost)")
 	shards := flag.Int("shards", 0, "shard count for -cells (0: one per cell plus the wired core)")
-	analysis := flag.String("analysis", "", "QoS reports: batch (exact reference, the default), stream (batch + sketched percentiles), stream-only (sketch only, constant memory)")
+	analysis := flag.String("analysis", "", "QoS percentiles: exact by default; stream-only sketches them (constant memory); batch and stream mean exact")
 	faultProfile := flag.String("fault-profile", "", "deterministic fault preset injected into every run: none (the default), drops, fades, degrade, regloss, flaps, flaky")
 	selfHeal := flag.Bool("self-heal", false, "run the umts backend in recover mode (supervised redial instead of failing the slice)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	serveAddr := flag.String("serve", "", `run as a long-lived measurement service on this address (e.g. ":8080"): HTTP/JSON control plane accepting declarative specs at POST /v1/jobs`)
 	specFile := flag.String("spec", "", `run one declarative JSON spec file ("-" for stdin) and print the canonical result document (byte-identical to the service's /v1/jobs/{id}/result)`)
-	smokeFlag := flag.Bool("serve-smoke", false, "run the in-process service-mode smoke test (submit, stream, scrape, drain) and exit")
 	flag.Parse()
 
 	spec := testbed.Spec{
@@ -242,7 +242,9 @@ func main() {
 	// -terminals defaults to one terminal per cell; without -cells it
 	// enters the spec, to be rejected, only when given. A flag that only
 	// the figure mode reads is rejected with -cells, one that sets a
-	// Spec field with -spec, and -metrics with -spec and -serve.
+	// Spec field with -spec, -metrics with -spec and -serve, and every
+	// flag that -serve does not read with -serve.
+	serveRead := map[string]bool{"serve": true, "workers": true, "cpuprofile": true, "memprofile": true}
 	figureOnly := map[string]bool{"figure": true, "reps": true, "every": true, "csv": true, "summary-only": true, "workers": true}
 	specField := map[string]bool{"seed": true, "dur": true, "reps": true, "workers": true, "fault-profile": true, "self-heal": true,
 		"analysis": true, "cells": true, "terminals": true, "fleet": true, "population": true, "shards": true}
@@ -256,6 +258,10 @@ func main() {
 		}
 		if f.Name == "metrics" && (*specFile != "" || *serveAddr != "") {
 			fmt.Fprintln(os.Stderr, "experiments: -metrics: figure and -cells modes only (conflicts with -spec and -serve)")
+			os.Exit(2)
+		}
+		if *serveAddr != "" && !serveRead[f.Name] {
+			fmt.Fprintf(os.Stderr, "experiments: -%s: not read by the service, which takes each run from its job's spec (conflicts with -serve)\n", f.Name)
 			os.Exit(2)
 		}
 		if *cells > 0 && figureOnly[f.Name] {
@@ -296,14 +302,6 @@ func main() {
 				fmt.Fprintf(os.Stderr, "experiments: memprofile: %v\n", err)
 			}
 		}()
-	}
-
-	if *smokeFlag {
-		if err := serveSmoke(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: serve-smoke: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *serveAddr != "" {
@@ -444,8 +442,9 @@ func runMultiCell(spec testbed.Spec, metricsOut string) error {
 		return err
 	}
 	res := rep.MultiCell
-	// Validate has accepted the name.
-	mode, _ := testbed.ParseAnalysisMode(spec.Analysis.Mode)
+	// The header names the -analysis value; its default is printed as
+	// "batch", one of the names for exact percentiles.
+	mode := cmp.Or(spec.Analysis.Mode, "batch")
 	fmt.Printf("Multi-cell scale-out: %d cells x %d terminals on %d shard(s)\n",
 		spec.Cells, len(res.Flows)/spec.Cells, res.Shards)
 	if res.IdleTerminals > 0 {

@@ -25,7 +25,7 @@ func TestMain(m *testing.M) {
 
 // cliGolden pins the SHA-256 of the command's stdout for short runs of
 // each mode: the paper figures with and without repetitions, a fault
-// profile with self-healing, the streaming analysis, and the multi-cell
+// profile with self-healing, an old analysis name, and the multi-cell
 // run with a fault profile and with an idle fleet, populations and one
 // shard. Any change to what the command prints, or to the runs behind
 // it, moves a digest.
@@ -83,7 +83,8 @@ func TestCLIRejectsFigureFlagsWithCells(t *testing.T) {
 
 // TestCLISpecExitCodes: -spec exits 2 for a document it refuses and for
 // a flag that sets a Spec field beside it, naming that flag, and 0 for
-// a document that runs; -metrics exits 2 beside -spec and -serve.
+// a document that runs; -metrics exits 2 beside -spec and -serve, and
+// so does every other flag that -serve does not read.
 func TestCLISpecExitCodes(t *testing.T) {
 	for _, c := range []struct {
 		args, stdin string
@@ -94,6 +95,12 @@ func TestCLISpecExitCodes(t *testing.T) {
 		{"-spec - -cells 2", `{"duration":"1s"}`, 2, "-cells"},
 		{"-spec - -metrics m.json", `{"duration":"1s"}`, 2, "-metrics"},
 		{"-serve 127.0.0.1:0 -metrics m.json", "", 2, "-metrics"},
+		{"-serve 127.0.0.1:0 -seed 7", "", 2, "-seed"},
+		{"-serve 127.0.0.1:0 -dur 5s", "", 2, "-dur"},
+		{"-serve 127.0.0.1:0 -analysis stream-only", "", 2, "-analysis"},
+		{"-serve 127.0.0.1:0 -figure 2", "", 2, "-figure"},
+		{"-serve 127.0.0.1:0 -cells 2", "", 2, "-cells"},
+		{"-serve 127.0.0.1:0 -spec -", `{"duration":"1s"}`, 2, "-spec"},
 		{"-spec -", `{"duration":"1s"}`, 0, ""},
 	} {
 		cmd := exec.Command(os.Args[0], strings.Fields(c.args)...)

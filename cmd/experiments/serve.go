@@ -1,18 +1,13 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -71,10 +66,9 @@ const (
 	serveIdleTimeout       = 2 * time.Minute
 )
 
-// newServeServer returns the serve-mode HTTP server for h on addr.
-func newServeServer(addr string, h http.Handler) *http.Server {
+// newServeServer returns the serve-mode HTTP server for h.
+func newServeServer(h http.Handler) *http.Server {
 	return &http.Server{
-		Addr:              addr,
 		Handler:           h,
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 		IdleTimeout:       serveIdleTimeout,
@@ -83,15 +77,21 @@ func newServeServer(addr string, h http.Handler) *http.Server {
 
 // runServe hosts the control plane on addr until SIGINT/SIGTERM, then
 // drains: the HTTP listener closes first (no new submissions), queued
-// jobs run to completion, and only then does the process exit.
+// jobs run to completion, and only then does the process exit. It
+// prints the bound address once the listener is up, so a caller that
+// asked for port 0 learns the port and can connect at once.
 func runServe(addr string, workers int) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
 	ctl := control.NewServer(control.Config{Workers: workers})
-	srv := newServeServer(addr, ctl.Handler())
+	srv := newServeServer(ctl.Handler())
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
+	go func() { errc <- srv.Serve(ln) }()
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	fmt.Printf("experiments: control plane listening on %s (POST /v1/jobs)\n", addr)
+	fmt.Printf("experiments: control plane listening on %s (POST /v1/jobs)\n", ln.Addr())
 	select {
 	case err := <-errc:
 		return err
@@ -108,232 +108,4 @@ func runServe(addr string, workers int) error {
 		fmt.Println("experiments: drained, bye")
 		return nil
 	}
-}
-
-// serveSmoke is the `make serve-smoke` gate: an in-process end-to-end
-// exercise of the service mode. It submits two specs concurrently,
-// streams one job's live windows to completion over SSE, proves the
-// HTTP result byte-identical to a direct run of the same spec, scrapes
-// the metrics endpoint, and checks graceful shutdown drains a queued
-// job instead of dropping it.
-func serveSmoke() error {
-	ctl := control.NewServer(control.Config{Workers: 2})
-	ts := httptest.NewServer(ctl.Handler())
-	defer ts.Close()
-
-	streamSpec := `{"seed":3,"duration":"12s","analysis":{"mode":"stream","exact":true}}`
-	multiSpec := `{"seed":5,"cells":2,"terminals":1,"duration":"12s"}`
-
-	// Submit both concurrently.
-	ids := make([]string, 2)
-	errs := make([]error, 2)
-	var wg sync.WaitGroup
-	for i, spec := range []string{streamSpec, multiSpec} {
-		wg.Add(1)
-		go func(i int, spec string) {
-			defer wg.Done()
-			ids[i], errs[i] = smokeSubmit(ts.URL, spec)
-		}(i, spec)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-	}
-
-	// Stream the first job to completion.
-	windows, final, err := smokeStream(ts.URL, ids[0])
-	if err != nil {
-		return err
-	}
-	if final.State != "done" {
-		return fmt.Errorf("streamed job ended %s (%s)", final.State, final.Error)
-	}
-	if windows == 0 {
-		return fmt.Errorf("streaming job delivered no live windows")
-	}
-	fmt.Printf("serve-smoke: job %s streamed %d live windows and finished %s\n",
-		ids[0], windows, final.State)
-
-	// The HTTP result must be byte-identical to the direct run.
-	got, err := smokeResult(ts.URL, ids[0])
-	if err != nil {
-		return err
-	}
-	spec, err := testbed.ParseSpec([]byte(streamSpec))
-	if err != nil {
-		return err
-	}
-	sc, err := spec.Scenario()
-	if err != nil {
-		return err
-	}
-	rep, err := sc.Run()
-	if err != nil {
-		return err
-	}
-	want, err := control.EncodeReport(rep)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(got, want) {
-		return fmt.Errorf("HTTP result differs from direct run (%d vs %d bytes)", len(got), len(want))
-	}
-	fmt.Printf("serve-smoke: job %s result byte-identical to the one-shot run (%d bytes)\n",
-		ids[0], len(got))
-
-	// Wait out the second job, then scrape the metrics endpoint.
-	if err := smokeWait(ts.URL, ids[1]); err != nil {
-		return err
-	}
-	var scrape struct {
-		Service struct {
-			Counters map[string]int64 `json:"counters"`
-		} `json:"service"`
-		Jobs map[string]json.RawMessage `json:"jobs"`
-	}
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
-		return err
-	}
-	err = json.NewDecoder(resp.Body).Decode(&scrape)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if got := scrape.Service.Counters["control/jobs_done"]; got != 2 {
-		return fmt.Errorf("metrics scrape: jobs_done = %d, want 2", got)
-	}
-	if len(scrape.Jobs) != 2 {
-		return fmt.Errorf("metrics scrape: %d per-job snapshots, want 2", len(scrape.Jobs))
-	}
-	fmt.Printf("serve-smoke: metrics scrape shows %d done jobs and %d per-job snapshots\n",
-		scrape.Service.Counters["control/jobs_done"], len(scrape.Jobs))
-
-	// Queue one more job and immediately drain: graceful shutdown must
-	// finish it, and post-shutdown submissions must bounce.
-	lastID, err := smokeSubmit(ts.URL, `{"seed":7,"duration":"12s"}`)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := ctl.Shutdown(ctx); err != nil {
-		return fmt.Errorf("graceful shutdown: %w", err)
-	}
-	st, err := smokeStatus(ts.URL, lastID)
-	if err != nil {
-		return err
-	}
-	if st.State != "done" {
-		return fmt.Errorf("job %s after drain: %s (%s), want done", lastID, st.State, st.Error)
-	}
-	if _, err := smokeSubmit(ts.URL, `{"seed":9}`); err == nil {
-		return fmt.Errorf("submission accepted after shutdown")
-	}
-	fmt.Printf("serve-smoke: graceful shutdown drained %s; post-shutdown submit refused\n", lastID)
-	fmt.Println("serve-smoke: PASS")
-	return nil
-}
-
-func smokeSubmit(base, spec string) (string, error) {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(spec))
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("submit: %d %s", resp.StatusCode, body)
-	}
-	var st control.JobStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return "", err
-	}
-	return st.ID, nil
-}
-
-func smokeStatus(base, id string) (control.JobStatus, error) {
-	var st control.JobStatus
-	resp, err := http.Get(base + "/v1/jobs/" + id)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
-}
-
-func smokeWait(base, id string) error {
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		st, err := smokeStatus(base, id)
-		if err != nil {
-			return err
-		}
-		switch st.State {
-		case "done":
-			return nil
-		case "failed", "canceled":
-			return fmt.Errorf("job %s ended %s (%s)", id, st.State, st.Error)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	return fmt.Errorf("job %s did not finish", id)
-}
-
-func smokeResult(base, id string) ([]byte, error) {
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("result: %d %s", resp.StatusCode, body)
-	}
-	return body, nil
-}
-
-// smokeStream follows a job's SSE stream to the terminal result event,
-// returning the live-window count and the final state.
-func smokeStream(base, id string) (int, control.JobStatus, error) {
-	var final control.JobStatus
-	resp, err := http.Get(base + "/v1/jobs/" + id + "/stream")
-	if err != nil {
-		return 0, final, err
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		return 0, final, fmt.Errorf("stream content type %q", ct)
-	}
-	windows := 0
-	event := ""
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "window":
-				windows++
-			case "result":
-				if err := json.Unmarshal([]byte(data), &final); err != nil {
-					return windows, final, err
-				}
-			}
-		}
-	}
-	if final.State == "" {
-		return windows, final, fmt.Errorf("stream closed without a result event")
-	}
-	return windows, final, sc.Err()
 }

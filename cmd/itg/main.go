@@ -105,29 +105,34 @@ func main() {
 		fmt.Printf("logs written to %s/{sent,recv,echo}.itg\n\n", *saveLogs)
 	}
 
-	res := itg.Decode(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, *window)
-	fmt.Print(res.Summary())
+	report(itg.Decode(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, *window), *series)
+}
 
-	if *series != "" {
-		var s stats.Series
-		switch *series {
-		case "bitrate":
-			s = res.BitrateSeries()
-		case "jitter":
-			s = res.JitterSeries()
-		case "loss":
-			s = res.LossSeries()
-		case "rtt":
-			s = res.RTTSeries()
-		case "delay":
-			s = res.DelaySeries()
-		default:
-			fatal(fmt.Errorf("unknown series %q", *series))
-		}
-		fmt.Printf("\n# t(s)  %s\n", *series)
-		for _, p := range s {
-			fmt.Printf("%7.2f  %g\n", p.T.Seconds(), p.V)
-		}
+// report prints the ITGDec-style summary of res and, when series is
+// set, that per-window series.
+func report(res *itg.Result, series string) {
+	fmt.Print(res.Summary())
+	if series == "" {
+		return
+	}
+	var s stats.Series
+	switch series {
+	case "bitrate":
+		s = res.BitrateSeries()
+	case "jitter":
+		s = res.JitterSeries()
+	case "loss":
+		s = res.LossSeries()
+	case "rtt":
+		s = res.RTTSeries()
+	case "delay":
+		s = res.DelaySeries()
+	default:
+		fatal(fmt.Errorf("unknown series %q", series))
+	}
+	fmt.Printf("\n# t(s)  %s\n", series)
+	for _, p := range s {
+		fmt.Printf("%7.2f  %g\n", p.T.Seconds(), p.V)
 	}
 }
 
@@ -166,7 +171,8 @@ func readLog(path string) (*itg.Log, error) {
 	return itg.DecodeLog(f)
 }
 
-// decodeMain is the ITGDec analog: re-analyze previously saved logs.
+// decodeMain is the ITGDec analog: re-analyze previously saved logs
+// (itg.Decode replays them through the decoder a live flow uses).
 func decodeMain(args []string) {
 	fs := flag.NewFlagSet("itg decode", flag.ExitOnError)
 	window := fs.Duration("window", 200*time.Millisecond, "analysis window")
@@ -196,27 +202,5 @@ func decodeMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	res := itg.Decode(sent, recv, echo, *window)
-	fmt.Print(res.Summary())
-	if *series != "" {
-		var s stats.Series
-		switch *series {
-		case "bitrate":
-			s = res.BitrateSeries()
-		case "jitter":
-			s = res.JitterSeries()
-		case "loss":
-			s = res.LossSeries()
-		case "rtt":
-			s = res.RTTSeries()
-		case "delay":
-			s = res.DelaySeries()
-		default:
-			fatal(fmt.Errorf("unknown series %q", *series))
-		}
-		fmt.Printf("\n# t(s)  %s\n", *series)
-		for _, p := range s {
-			fmt.Printf("%7.2f  %g\n", p.T.Seconds(), p.V)
-		}
-	}
+	report(itg.Decode(sent, recv, echo, *window), *series)
 }

@@ -294,8 +294,8 @@ func (s *Server) issued(id string) bool {
 
 // execute turns the job's declarative spec into a Scenario, attaches
 // the server-side runtime hooks (cancellation interrupt, metrics
-// capture, and the live-window feed into the job's hub, which only the
-// streaming analysis modes fill), and runs it.
+// capture, and the live-window feed into the job's hub, which every
+// job fills), and runs it.
 func (s *Server) execute(j *job) (*testbed.Report, metrics.Snapshot, error) {
 	sc, err := j.spec.Scenario()
 	if err != nil {

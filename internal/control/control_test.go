@@ -165,14 +165,28 @@ func readSSE(t *testing.T, r io.Reader) []sseEvent {
 	return events
 }
 
-// TestStreamMatchesFinalReport subscribes to a streaming job and
-// checks the live windows against the end-of-run report: under exact
-// percentiles every streamed window must equal the final decoder
-// output, and every window of the run must have been delivered.
+// TestStreamMatchesFinalReport subscribes to a job with the sketched
+// analysis ("stream-only") and checks the live windows against the
+// end-of-run report: every streamed window must equal the final
+// decoder output, and every window of the run must have been delivered.
 func TestStreamMatchesFinalReport(t *testing.T) {
+	checkLiveWindows(t, `{"seed":3,"duration":"`+testDur+`","analysis":{"mode":"stream-only"}}`)
+}
+
+// TestDefaultJobStreamsLiveWindows: a spec with no analysis section
+// (exact percentiles) streams its windows too, and they equal its final
+// decoded.windows.
+func TestDefaultJobStreamsLiveWindows(t *testing.T) {
+	checkLiveWindows(t, `{"seed":3,"duration":"`+testDur+`"}`)
+}
+
+// checkLiveWindows submits spec, follows its SSE stream to the result
+// event, and requires the live windows to be exactly the windows of the
+// job's final report, each once.
+func checkLiveWindows(t *testing.T, spec string) {
+	t.Helper()
 	_, ts := newTestService(t, Config{})
-	id := submit(t, ts,
-		`{"seed":3,"duration":"`+testDur+`","analysis":{"mode":"stream","exact":true}}`)
+	id := submit(t, ts, spec)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
 	if err != nil {
@@ -202,14 +216,12 @@ func TestStreamMatchesFinalReport(t *testing.T) {
 	if err := json.Unmarshal(getResult(t, ts, id), &res); err != nil {
 		t.Fatal(err)
 	}
-	want := res.Results[0].Streamed
-	if want == nil {
-		t.Fatal("stream-mode job has no streamed result")
-	}
+	want := res.Results[0].Decoded
 	windows := events[:len(events)-1]
-	if len(windows) != len(want.Windows) {
+	if len(windows) == 0 || len(windows) != len(want.Windows) {
 		t.Fatalf("streamed %d windows, final report has %d", len(windows), len(want.Windows))
 	}
+	seen := make([]bool, len(want.Windows))
 	for _, ev := range windows {
 		if ev.name != "window" {
 			t.Fatalf("unexpected event %q", ev.name)
@@ -218,9 +230,10 @@ func TestStreamMatchesFinalReport(t *testing.T) {
 		if err := json.Unmarshal([]byte(ev.data), &lw); err != nil {
 			t.Fatal(err)
 		}
-		if lw.Index < 0 || lw.Index >= len(want.Windows) {
-			t.Fatalf("window index %d out of range", lw.Index)
+		if lw.Index < 0 || lw.Index >= len(want.Windows) || seen[lw.Index] {
+			t.Fatalf("window index %d out of range or repeated", lw.Index)
 		}
+		seen[lw.Index] = true
 		if !reflect.DeepEqual(lw.Stats, want.Windows[lw.Index]) {
 			t.Errorf("window %d: streamed %+v != final %+v", lw.Index, lw.Stats, want.Windows[lw.Index])
 		}

@@ -29,10 +29,6 @@ type Result struct {
 // RepResult is one repetition's QoS outcome.
 type RepResult struct {
 	Decoded *itg.Result `json:"decoded"`
-	// Streamed is the sketched report (nil in batch mode; in
-	// stream-only mode Decoded aliases it and it is elided here to
-	// keep the encoding canonical).
-	Streamed *itg.Result `json:"streamed,omitempty"`
 	// SetupTime is how long the paper cell's dial-up (`umts start`)
 	// took; zero, and omitted, on the Ethernet path. Not comparable with
 	// FlowResult.SetupTime, which also counts the destination
@@ -63,7 +59,6 @@ type FlowResult struct {
 	// the dial-up alone.
 	SetupTime    time.Duration `json:"setup_time_ns"`
 	Decoded      *itg.Result   `json:"decoded"`
-	Streamed     *itg.Result   `json:"streamed,omitempty"`
 	BearerEvents []string      `json:"bearer_events,omitempty"`
 	SendErrors   uint64        `json:"send_errors,omitempty"`
 }
@@ -89,7 +84,6 @@ func EncodeReport(rep *testbed.Report) ([]byte, error) {
 			w.Flows[i] = FlowResult{
 				Cell: f.Cell, Terminal: f.Terminal, FlowID: f.FlowID,
 				SetupTime: f.SetupTime, Decoded: f.Decoded,
-				Streamed:     dedupeStream(f.Decoded, f.Streamed),
 				BearerEvents: f.BearerEvents, SendErrors: f.SendErrors,
 			}
 		}
@@ -99,7 +93,6 @@ func EncodeReport(rep *testbed.Report) ([]byte, error) {
 		for i, r := range rep.Results {
 			out.Results[i] = RepResult{
 				Decoded:      r.Decoded,
-				Streamed:     dedupeStream(r.Decoded, r.Streamed),
 				SetupTime:    r.SetupTime,
 				BearerEvents: r.BearerEvents,
 				SenderErrors: r.SendErrors,
@@ -240,13 +233,4 @@ type byteCount int
 func (c *byteCount) Write(b []byte) (int, error) {
 	*c += byteCount(len(b))
 	return len(b), nil
-}
-
-// dedupeStream elides the streamed result when it aliases the decoded
-// one (stream-only mode), so the encoding doesn't double-carry it.
-func dedupeStream(decoded, streamed *itg.Result) *itg.Result {
-	if streamed == decoded {
-		return nil
-	}
-	return streamed
 }

@@ -31,12 +31,12 @@ func TestResultEncodeMatchesEncoder(t *testing.T) {
 	events := []string{"attach <FACH>", "upgrade & DCH"}
 	full := &Result{
 		Results: []RepResult{
-			{Decoded: qos(3), Streamed: qos(2), SetupTime: time.Second, BearerEvents: events, SenderErrors: 2},
+			{Decoded: qos(3), SetupTime: time.Second, BearerEvents: events, SenderErrors: 2},
 			{Decoded: qos(1)},
 		},
 		MultiCell: &MultiCellResult{
 			Flows: []FlowResult{
-				{Cell: 1, Terminal: 2, FlowID: 3, SetupTime: time.Second, Decoded: qos(2), Streamed: qos(1), BearerEvents: events, SendErrors: 4},
+				{Cell: 1, Terminal: 2, FlowID: 3, SetupTime: time.Second, Decoded: qos(2), BearerEvents: events, SendErrors: 4},
 				{Decoded: qos(1)},
 			},
 			Counters:      map[string]int64{"b": 2, "a": 1},

@@ -1,9 +1,9 @@
 package itg
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -19,8 +19,8 @@ type WindowStats struct {
 	// Duplicate-delivery policy: a re-delivered (flow, seq) counts
 	// again here — the window really did receive those bytes — but
 	// never in Loss, which only asks whether each sent packet arrived
-	// at least once. Both decoders (Decode and StreamDecoder) pin this
-	// policy and are tested to agree on it.
+	// at least once. StreamDecoder (and so Decode) pins this policy,
+	// and is tested against the batch oracle on it.
 	Packets int
 	Bytes   int
 	// BitrateKbps is the received payload rate in the window.
@@ -60,201 +60,59 @@ type Result struct {
 
 	// Tail percentiles over per-packet samples (zero when no samples):
 	// P95/P99 one-way delay over received packets and P95/P99 RTT over
-	// echoes, computed with one sort each (stats.Percentiles).
+	// echoes: exact by selection over the retained samples, or
+	// estimated by a quantile sketch (see StreamDecoder).
 	P95Delay time.Duration
 	P99Delay time.Duration
 	P95RTT   time.Duration
 	P99RTT   time.Duration
 }
 
-// Clone returns a deep copy of r (its own Windows slice).
-func (r *Result) Clone() *Result {
-	c := *r
-	c.Windows = slices.Clone(r.Windows)
-	return &c
+// Decode correlates a sender log, receiver log, and (optionally) the
+// sender's echo log into windowed QoS series (the ITGDec analog of
+// saved logs). echo may be nil for MeterOWD flows. It replays the logs
+// through one exact StreamDecoder, the decoder every live flow uses:
+// sent and echo records in log order, arrivals in stable RxTime order.
+//
+// The replay inherits StreamDecoder's precondition: sent (flow, seq)
+// keys are unique, every received record has a sent record, and a
+// flow's first arrivals are not reordered across more than the
+// duplicate bitmap's span. Logs of one Sender/Receiver pair always
+// meet it. Outside it, loss is a per-window count of sent packets minus
+// distinct first arrivals by departure window, floored at zero, so an
+// arrival with no sent record cancels one real loss in its window: one
+// sent packet that never arrived plus one orphan arrival in the same
+// window decode to Lost 0, not 1.
+func Decode(sent, recv, echo *Log, window time.Duration) *Result {
+	d := NewStreamDecoder(window, WithExactPercentiles())
+	d.Expect(max(len(records(recv)), len(records(echo))))
+	for _, r := range records(sent) {
+		d.AddSent(r)
+	}
+	for _, r := range records(echo) {
+		d.AddEcho(r)
+	}
+	// Live captures are already RxTime-ordered (a receiver logs at its
+	// loop's monotone virtual time), so skip the copy and stable sort
+	// when an O(n) pass finds the log in order: a non-decreasing log is
+	// exactly what the sort would produce, ties keeping log order.
+	arrivals := records(recv)
+	if !sortedByRxTime(arrivals) {
+		arrivals = slices.Clone(arrivals)
+		slices.SortStableFunc(arrivals, func(a, b Record) int { return cmp.Compare(a.RxTime, b.RxTime) })
+	}
+	for _, r := range arrivals {
+		d.AddRecv(r)
+	}
+	return d.Finalize()
 }
 
-// Decode correlates a sender log, receiver log, and (optionally) the
-// sender's echo log into windowed QoS series. echo may be nil for
-// MeterOWD flows.
-func Decode(sent, recv, echo *Log, window time.Duration) *Result {
-	if window <= 0 {
-		window = 200 * time.Millisecond
+// records returns l's records (none for a nil log).
+func records(l *Log) []Record {
+	if l == nil {
+		return nil
 	}
-	res := &Result{Window: window}
-	if sent == nil {
-		sent = &Log{}
-	}
-	if recv == nil {
-		recv = &Log{}
-	}
-	if echo == nil {
-		echo = &Log{}
-	}
-	res.Sent = sent.Len()
-	res.Received = recv.Len()
-
-	// Horizon: cover every event.
-	var maxT time.Duration
-	for _, r := range sent.Records {
-		if r.TxTime > maxT {
-			maxT = r.TxTime
-		}
-	}
-	for _, r := range recv.Records {
-		if r.RxTime > maxT {
-			maxT = r.RxTime
-		}
-	}
-	for _, r := range echo.Records {
-		if r.RxTime > maxT {
-			maxT = r.RxTime
-		}
-	}
-	nWin := int(maxT/window) + 1
-	if res.Sent == 0 && res.Received == 0 && echo.Len() == 0 {
-		nWin = 0
-	}
-	res.Windows = make([]WindowStats, nWin)
-	for i := range res.Windows {
-		res.Windows[i].T = time.Duration(i) * window
-	}
-	widx := func(t time.Duration) int {
-		i := int(t / window)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nWin {
-			i = nWin - 1
-		}
-		return i
-	}
-
-	// Received packets: bitrate, delay, jitter (arrival order). Live
-	// captures are already RxTime-ordered — a receiver logs at its
-	// loop's monotone virtual time — so detect that in O(n) and skip
-	// the copy + stable sort. A non-decreasing log fed in place is
-	// exactly what the stable sort would produce (ties keep log order).
-	arrivals := recv.Records
-	if !sortedByRxTime(arrivals) {
-		arrivals = append([]Record(nil), recv.Records...)
-		sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].RxTime < arrivals[j].RxTime })
-	}
-	type acc struct {
-		jitterSum time.Duration
-		jitterN   int
-		delaySum  time.Duration
-	}
-	accs := make([]acc, nWin)
-	var haveLast bool
-	var lastDelay time.Duration
-	var totalDelay time.Duration
-	type flowSeq struct {
-		flow uint32
-		seq  uint32
-	}
-	received := make(map[flowSeq]struct{}, len(arrivals))
-	delaySamples := make([]float64, 0, len(arrivals))
-	for _, r := range arrivals {
-		received[flowSeq{r.FlowID, r.Seq}] = struct{}{}
-		i := widx(r.RxTime)
-		w := &res.Windows[i]
-		w.Packets++
-		w.Bytes += r.Size
-		delay := r.RxTime - r.TxTime
-		delaySamples = append(delaySamples, float64(delay))
-		accs[i].delaySum += delay
-		totalDelay += delay
-		if delay > res.MaxDelay {
-			res.MaxDelay = delay
-		}
-		if haveLast {
-			dv := delay - lastDelay
-			if dv < 0 {
-				dv = -dv
-			}
-			accs[i].jitterSum += dv
-			accs[i].jitterN++
-		}
-		lastDelay = delay
-		haveLast = true
-	}
-
-	// Losses, by departure window.
-	for _, r := range sent.Records {
-		if _, ok := received[flowSeq{r.FlowID, r.Seq}]; !ok {
-			res.Lost++
-			res.Windows[widx(r.TxTime)].Loss++
-		}
-	}
-
-	// RTT from echoes, by echo-arrival window.
-	type rttAcc struct {
-		sum time.Duration
-		n   int
-	}
-	rtts := make([]rttAcc, nWin)
-	rttSamples := make([]float64, 0, len(echo.Records))
-	var totalRTT time.Duration
-	for _, r := range echo.Records {
-		rtt := r.RxTime - r.TxTime
-		rttSamples = append(rttSamples, float64(rtt))
-		i := widx(r.RxTime)
-		rtts[i].sum += rtt
-		rtts[i].n++
-		totalRTT += rtt
-		if rtt > res.MaxRTT {
-			res.MaxRTT = rtt
-		}
-	}
-
-	// Fold the accumulators into the windows.
-	winSecs := window.Seconds()
-	var jitterSum time.Duration
-	var jitterN int
-	var totalBytes int
-	for i := range res.Windows {
-		w := &res.Windows[i]
-		totalBytes += w.Bytes
-		w.BitrateKbps = float64(w.Bytes) * 8 / winSecs / 1000
-		if w.Packets > 0 {
-			w.Delay = accs[i].delaySum / time.Duration(w.Packets)
-		}
-		if accs[i].jitterN > 0 {
-			w.JitterSamples = accs[i].jitterN
-			w.Jitter = accs[i].jitterSum / time.Duration(accs[i].jitterN)
-			jitterSum += accs[i].jitterSum
-			jitterN += accs[i].jitterN
-			if w.Jitter > res.MaxJitter {
-				res.MaxJitter = w.Jitter
-			}
-		}
-		if rtts[i].n > 0 {
-			w.RTT = rtts[i].sum / time.Duration(rtts[i].n)
-			w.RTTSamples = rtts[i].n
-		}
-	}
-	if nWin > 0 {
-		res.AvgBitrateKbps = float64(totalBytes) * 8 / (float64(nWin) * winSecs) / 1000
-	}
-	if res.Received > 0 {
-		res.AvgDelay = totalDelay / time.Duration(res.Received)
-	}
-	if jitterN > 0 {
-		res.AvgJitter = jitterSum / time.Duration(jitterN)
-	}
-	if echo.Len() > 0 {
-		res.AvgRTT = totalRTT / time.Duration(echo.Len())
-	}
-	if len(delaySamples) > 0 {
-		ps := stats.Percentiles(delaySamples, 95, 99)
-		res.P95Delay, res.P99Delay = time.Duration(ps[0]), time.Duration(ps[1])
-	}
-	if len(rttSamples) > 0 {
-		ps := stats.Percentiles(rttSamples, 95, 99)
-		res.P95RTT, res.P99RTT = time.Duration(ps[0]), time.Duration(ps[1])
-	}
-	return res
+	return l.Records
 }
 
 // BitrateSeries returns the per-window received bitrate in kbit/s

@@ -13,9 +13,9 @@ import (
 // TestLiveDecodeMatchesDecodeOverLink is the differential that stands
 // in for the testbed's retired batch pass: the same seeded flow runs
 // twice over a jittered, lossy, queue-limited netsim link — once logged
-// and decoded post hoc by Decode (the ITGDec analog), once decoded live
-// by an exact StreamDecoder — and the two Results must be equal in
-// every field. VoIP exercises the RTT meter over random loss; the 1 Mbps
+// and decoded post hoc by the batch oracle (the ITGDec analog), once
+// decoded live by an exact StreamDecoder — and the two Results must be
+// equal in every field. VoIP exercises the RTT meter over random loss; the 1 Mbps
 // CBR flow overruns a 512 kbps uplink, so drop-tail queue drops supply
 // most of its loss.
 func TestLiveDecodeMatchesDecodeOverLink(t *testing.T) {

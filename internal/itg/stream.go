@@ -7,24 +7,23 @@ import (
 	"github.com/onelab/umtslab/internal/stats"
 )
 
-// StreamDecoder is the online counterpart of Decode: records are fed
-// one at a time as the flow's endpoints observe them, and per-window
-// accumulators are maintained incrementally, so nothing per packet is
-// kept but what the tail percentiles need. Duplicate deliveries are
-// detected with a per-flow sliding sequence bitmap (span
-// WithReorderSpan, default 4096 sequence numbers) rather than a map
-// keyed by every packet ever received. Tail percentiles come either
-// from a bounded-relative-error quantile sketch (stats.QuantileSketch,
-// the default: O(windows + flows) memory whatever the packet count) or,
-// with WithExactPercentiles, from the raw delay/RTT samples (8 B each) —
-// the testbed's default analysis, which reproduces Decode exactly from
-// one live pass. WithSketch keeps both, so one feed yields both results
-// (FinalizeBoth).
+// StreamDecoder is the one QoS decoder: records are fed one at a time
+// as the flow's endpoints observe them (or, through Decode, replayed
+// from saved logs), and per-window accumulators are maintained
+// incrementally, so nothing per packet is kept but what the tail
+// percentiles need. Duplicate deliveries are detected with a per-flow
+// sliding sequence bitmap (span WithReorderSpan, default 4096 sequence
+// numbers) rather than a map keyed by every packet ever received. Tail
+// percentiles come either from a bounded-relative-error quantile sketch
+// (stats.QuantileSketch, the default: O(windows + flows) memory
+// whatever the packet count) or, with WithExactPercentiles, from the
+// raw delay/RTT samples (8 B each), the testbed's default analysis.
 //
-// Equivalence with Decode. Finalize reproduces the batch result
-// field-for-field — counts, bytes, per-window means, loss, totals —
-// provided the feed respects the same ordering the batch decoder
-// manufactures with its stable sort:
+// Equivalence with the batch decode. Finalize reproduces the direct
+// batch computation over full logs (the tests' decodeOracle) field for
+// field — counts, bytes, per-window means, loss, totals, and with
+// WithExactPercentiles the percentiles — provided the feed respects the
+// ordering the batch decoder manufactures with its stable sort:
 //
 //   - AddRecv must be called in non-decreasing RxTime order, ties in
 //     log order. A receiver on a sim loop satisfies this for free —
@@ -37,10 +36,11 @@ import (
 // Loss is computed by per-window subtraction: packets sent in a
 // departure window minus distinct (flow, seq) first-arrivals whose
 // departure fell in that window. This matches the batch decoder
-// exactly whenever every received record has a matching sent record
-// (always true for Sender/Receiver pairs) and first arrivals are not
-// reordered across more than the bitmap span (LateArrivals counts
-// violations; the in-order simulation never produces any).
+// exactly whenever sent (flow, seq) keys are unique, every received
+// record has a matching sent record (always true for Sender/Receiver
+// pairs), and first arrivals are not reordered across more than the
+// bitmap span (LateArrivals counts violations; the in-order simulation
+// never produces any).
 //
 // Concurrency. The sent/echo side and the recv side touch disjoint
 // state, so one goroutine may call AddSent/AddEcho while another calls
@@ -52,7 +52,6 @@ type StreamDecoder struct {
 	window time.Duration
 	start  time.Duration
 	exact  bool
-	sketch bool
 	relErr float64
 	span   uint32
 	expect int // exact samples to reserve per series (Expect)
@@ -96,23 +95,17 @@ func WithStart(start time.Duration) StreamOption {
 }
 
 // WithExactPercentiles retains every delay/RTT sample (8 B each, sized
-// by Expect) so Finalize computes P95/P99 exactly as Decode does, and
-// drops the sketch unless WithSketch keeps it too. This is the one
-// O(packets) cost of a live decode: 16 B per echoed packet, a sixth
-// of the three 32-byte log records Decode needs for it.
+// by Expect) in place of the quantile sketch, so Finalize computes
+// P95/P99 exactly. This is the one O(packets) cost of a live decode:
+// 16 B per echoed packet, a sixth of the three 32-byte log records a
+// batch decode needs for it.
 func WithExactPercentiles() StreamOption {
 	return func(d *StreamDecoder) { d.exact = true }
 }
 
-// WithSketch keeps the quantile sketch next to the exact samples of
-// WithExactPercentiles, so FinalizeBoth can return the exact and the
-// sketched result of one feed (a sketch-only decoder needs no option).
-func WithSketch() StreamOption {
-	return func(d *StreamDecoder) { d.sketch = true }
-}
-
 // WithSketchRelErr sets the quantile sketch's relative error bound
-// (default stats.DefaultSketchRelErr; ignored without a sketch).
+// (default stats.DefaultSketchRelErr; ignored with
+// WithExactPercentiles).
 func WithSketchRelErr(relErr float64) StreamOption {
 	return func(d *StreamDecoder) { d.relErr = relErr }
 }
@@ -214,7 +207,7 @@ type streamEchoAcc struct {
 }
 
 // NewStreamDecoder returns a decoder for the given sample window
-// (<= 0 selects the paper's 200 ms, like Decode).
+// (<= 0 selects the paper's 200 ms).
 func NewStreamDecoder(window time.Duration, opts ...StreamOption) *StreamDecoder {
 	if window <= 0 {
 		window = 200 * time.Millisecond
@@ -225,9 +218,6 @@ func NewStreamDecoder(window time.Duration, opts ...StreamOption) *StreamDecoder
 	}
 	d.recv.flows = make(map[uint32]*flowDedup)
 	if !d.exact {
-		d.sketch = true
-	}
-	if d.sketch {
 		d.recv.sketch = stats.NewQuantileSketch(d.relErr)
 		d.echo.sketch = stats.NewQuantileSketch(d.relErr)
 	}
@@ -245,7 +235,7 @@ func (d *StreamDecoder) Window() time.Duration { return d.window }
 func (d *StreamDecoder) Expect(n int) { d.expect = n }
 
 // widx maps a (rebased) time to a window index with the batch
-// decoder's lower clamp. There is no upper clamp: windows grow with
+// decode's lower clamp. There is no upper clamp: windows grow with
 // the feed, and Finalize sizes the output to the global horizon.
 func (d *StreamDecoder) widx(t time.Duration) int {
 	i := int(t / d.window)
@@ -513,8 +503,7 @@ func (d *StreamDecoder) windowAt(i int) WindowStats {
 	return w
 }
 
-// Finalize folds the accumulators into a Result identical in shape to
-// Decode's. It must be called once, after all feeding is done. With a
+// Finalize folds the accumulators into the flow's Result. It must be called once, after all feeding is done. With a
 // live sink installed, every window not yet sealed is published before
 // Finalize returns, so subscribers see the complete window series.
 func (d *StreamDecoder) Finalize() *Result {
@@ -588,32 +577,16 @@ func (d *StreamDecoder) Finalize() *Result {
 			res.P95RTT, res.P99RTT = time.Duration(ps[0]), time.Duration(ps[1])
 		}
 	} else {
-		d.sketchPercentiles(res)
+		if d.recv.sketch.Count() > 0 {
+			res.P95Delay = time.Duration(d.recv.sketch.Quantile(95))
+			res.P99Delay = time.Duration(d.recv.sketch.Quantile(99))
+		}
+		if d.echo.sketch.Count() > 0 {
+			res.P95RTT = time.Duration(d.echo.sketch.Quantile(95))
+			res.P99RTT = time.Duration(d.echo.sketch.Quantile(99))
+		}
 	}
 	return res
-}
-
-// FinalizeBoth is Finalize for a decoder that keeps both percentile
-// sources (WithExactPercentiles and WithSketch): exact is Finalize's
-// result, and sketched is a copy of it that carries the sketch's
-// P95/P99 instead.
-func (d *StreamDecoder) FinalizeBoth() (exact, sketched *Result) {
-	exact = d.Finalize()
-	sketched = exact.Clone()
-	d.sketchPercentiles(sketched)
-	return exact, sketched
-}
-
-func (d *StreamDecoder) sketchPercentiles(res *Result) {
-	res.P95Delay, res.P99Delay, res.P95RTT, res.P99RTT = 0, 0, 0, 0
-	if d.recv.sketch.Count() > 0 {
-		res.P95Delay = time.Duration(d.recv.sketch.Quantile(95))
-		res.P99Delay = time.Duration(d.recv.sketch.Quantile(99))
-	}
-	if d.echo.sketch.Count() > 0 {
-		res.P95RTT = time.Duration(d.echo.sketch.Quantile(95))
-		res.P99RTT = time.Duration(d.echo.sketch.Quantile(99))
-	}
 }
 
 // RetainedBytes reports the decoder's current memory footprint: window

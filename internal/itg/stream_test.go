@@ -15,7 +15,7 @@ import (
 // genLogs builds a synthetic multi-flow run: jittered delays, ~10%
 // loss, occasional duplicate deliveries, and echoes for received
 // packets. The recv log is appended flow-by-flow, so it is NOT
-// RxTime-sorted across flows — exercising the batch decoder's sort,
+// RxTime-sorted across flows — exercising the batch oracle's sort,
 // while decodeLive feeds the arrivals in RxTime order as a live
 // capture delivers them.
 func genLogs(seed int64, flows, perFlow int) (sent, recv, echo *Log) {
@@ -72,17 +72,10 @@ func decodeLive(sent, recv, echo *Log, window time.Duration, opts ...StreamOptio
 	return d.Finalize()
 }
 
-func records(l *Log) []Record {
-	if l == nil {
-		return nil
-	}
-	return l.Records
-}
-
 func TestStreamExactMatchesBatchRandomLogs(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 99} {
 		sent, recv, echo := genLogs(seed, 3, 400)
-		batch := Decode(sent, recv, echo, 200*time.Millisecond)
+		batch := decodeOracle(sent, recv, echo, 200*time.Millisecond)
 		stream := decodeLive(sent, recv, echo, 200*time.Millisecond, WithExactPercentiles())
 		if !reflect.DeepEqual(batch, stream) {
 			t.Fatalf("seed %d: exact-mode stream result differs from batch\nbatch:  %+v\nstream: %+v", seed, batch, stream)
@@ -100,7 +93,7 @@ func stripPercentiles(r *Result) Result {
 
 func TestStreamSketchMatchesBatchExceptPercentiles(t *testing.T) {
 	sent, recv, echo := genLogs(5, 2, 600)
-	batch := Decode(sent, recv, echo, 200*time.Millisecond)
+	batch := decodeOracle(sent, recv, echo, 200*time.Millisecond)
 	const relErr = 0.01
 	stream := decodeLive(sent, recv, echo, 200*time.Millisecond, WithSketchRelErr(relErr))
 	if got, want := stripPercentiles(stream), stripPercentiles(batch); !reflect.DeepEqual(got, want) {
@@ -136,7 +129,7 @@ func TestStreamDuplicatePolicyMatchesBatch(t *testing.T) {
 	recv.Add(Record{FlowID: 1, Seq: 0, Size: 100, TxTime: 0, RxTime: 30 * time.Millisecond})
 	recv.Add(Record{FlowID: 1, Seq: 1, Size: 100, TxTime: 10 * time.Millisecond, RxTime: 40 * time.Millisecond})
 	recv.Add(Record{FlowID: 1, Seq: 1, Size: 100, TxTime: 10 * time.Millisecond, RxTime: 45 * time.Millisecond})
-	batch := Decode(sent, recv, nil, 200*time.Millisecond)
+	batch := decodeOracle(sent, recv, nil, 200*time.Millisecond)
 	stream := decodeLive(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("duplicate handling diverged\nbatch:  %+v\nstream: %+v", batch, stream)
@@ -163,7 +156,7 @@ func TestStreamSeqReorderWithinSpanMatchesBatch(t *testing.T) {
 			TxTime: time.Duration(seq) * 20 * time.Millisecond,
 			RxTime: 500*time.Millisecond + time.Duration(k)*5*time.Millisecond})
 	}
-	batch := Decode(sent, recv, nil, 200*time.Millisecond)
+	batch := decodeOracle(sent, recv, nil, 200*time.Millisecond)
 	stream := decodeLive(sent, recv, nil, 200*time.Millisecond, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("reordered arrivals diverged\nbatch:  %+v\nstream: %+v", batch, stream)
@@ -204,8 +197,8 @@ func TestStreamLateBeyondSpanIsCountedAsDuplicate(t *testing.T) {
 }
 
 func TestStreamLiveFeedMatchesBatch(t *testing.T) {
-	// Run the same seeded flow twice — once logged and decoded by
-	// Decode, once decoded live: the live feed order must be exactly
+	// Run the same seeded flow twice — once logged and decoded by the
+	// batch oracle, once decoded live: the live feed order must be exactly
 	// the order batch's stable sort reconstructs.
 	spec := cbrSpec(100, 120, 5*time.Second, MeterRTT)
 	build := func(loop *sim.Loop) (*Sender, *Receiver) { return loopback(t, loop, 25*time.Millisecond, spec) }
@@ -219,7 +212,7 @@ func TestStreamLiveFeedMatchesBatch(t *testing.T) {
 // runFlow runs spec to completion on a fresh loop seeded with seed over
 // the endpoints build wires up, and returns its QoS result and the
 // loop: decoded live by an exact StreamDecoder, or logged and decoded
-// by Decode.
+// by the batch oracle.
 func runFlow(seed int64, spec FlowSpec, build func(*sim.Loop) (*Sender, *Receiver), live bool) (*Result, *sim.Loop) {
 	loop := sim.NewLoop(seed)
 	snd, rcv := build(loop)
@@ -234,7 +227,7 @@ func runFlow(seed int64, spec FlowSpec, build func(*sim.Loop) (*Sender, *Receive
 	if live {
 		return d.Finalize(), loop
 	}
-	return Decode(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, 200*time.Millisecond), loop
+	return decodeOracle(&snd.SentLog, &rcv.RecvLog, &snd.EchoLog, 200*time.Millisecond), loop
 }
 
 // TestEndpointsLogOnlyWithoutDecoder pins the one logging rule: an
@@ -281,7 +274,7 @@ func TestStreamWithStartMirrorsRebase(t *testing.T) {
 	// Rebase works in place, so the stream decodes the shifted logs
 	// first.
 	stream := decodeLive(sSent, sRecv, sEcho, 200*time.Millisecond, WithStart(start), WithExactPercentiles())
-	batch := Decode(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
+	batch := decodeOracle(sSent.Rebase(start), sRecv.Rebase(start), sEcho.Rebase(start), 200*time.Millisecond)
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("WithStart(...) differs from Rebase + decode\nbatch:  %+v\nstream: %+v", batch, stream)
 	}
@@ -326,14 +319,17 @@ func TestStreamRetainedBytesConstantInPackets(t *testing.T) {
 	}
 }
 
-// --- decode edge cases (shared by both decoders) ---
+// --- decode edge cases (the oracle, a live feed and Decode's replay) ---
 
 func assertBothDecodersEqual(t *testing.T, sent, recv, echo *Log, window time.Duration) (*Result, *Result) {
 	t.Helper()
-	batch := Decode(sent, recv, echo, window)
+	batch := decodeOracle(sent, recv, echo, window)
 	stream := decodeLive(sent, recv, echo, window, WithExactPercentiles())
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("decoders diverge\nbatch:  %+v\nstream: %+v", batch, stream)
+	}
+	if replay := Decode(sent, recv, echo, window); !reflect.DeepEqual(batch, replay) {
+		t.Fatalf("Decode diverges from the oracle\nbatch:  %+v\nreplay: %+v", batch, replay)
 	}
 	return batch, stream
 }

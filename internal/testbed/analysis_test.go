@@ -38,60 +38,58 @@ func pctWithin(t *testing.T, name string, got, exact time.Duration, relErr float
 }
 
 // TestScenarioStreamExactMatchesBatch runs the paper's single-cell UMTS
-// cell in stream mode with exact percentiles: the streamed report must
-// be a separate copy equal to the exact decode, and the live feed must
-// not perturb the run — the default (batch) run of the same seed
-// decodes to the same report. (The live decode's equivalence with
-// itg.Decode of full logs is TestLiveDecodeMatchesDecodeOverLink's.)
+// cell under each analysis name that means exact percentiles — "batch",
+// "stream", and "stream" or "stream-only" with "exact": each must decode
+// the very report the default run of the same seed decodes. (The live
+// decode's equivalence with a batch decode of full logs is
+// TestLiveDecodeMatchesDecodeOverLink's.)
 func TestScenarioStreamExactMatchesBatch(t *testing.T) {
-	res := runSpec(t, Spec{
-		Seed: 7, Duration: Duration(20 * time.Second),
-		Analysis: &AnalysisSpec{Mode: "stream", Exact: true},
-	}).Results[0]
-	if res.Streamed == nil {
-		t.Fatal("no streamed result in stream mode")
+	def := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second)}).Results[0]
+	if def.Decoded.Received == 0 {
+		t.Fatal("default run decoded no packets")
 	}
-	if res.Streamed.Received == 0 {
-		t.Fatal("streamed result saw no packets")
+	for _, a := range []AnalysisSpec{{Mode: "batch"}, {Mode: "stream"}, {Mode: "stream", Exact: true}, {Mode: "stream-only", Exact: true}} {
+		res := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second), Analysis: &a}).Results[0]
+		if !reflect.DeepEqual(res.Decoded, def.Decoded) {
+			t.Errorf("analysis %+v decoded a different report than the default run of the same seed:\ngot:     %+v\ndefault: %+v",
+				a, res.Decoded, def.Decoded)
+		}
 	}
-	if res.Streamed == res.Decoded || !reflect.DeepEqual(res.Streamed, res.Decoded) {
-		t.Errorf("streamed result is not an equal copy of the exact decode:\nstream: %+v\nbatch:  %+v",
-			res.Streamed, res.Decoded)
-	}
-	batch := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second)})
-	if !reflect.DeepEqual(batch.Results[0].Decoded, res.Decoded) {
-		t.Error("stream mode decoded a different report than the batch run of the same seed")
-	}
-	if n := res.Metrics.Counter("itg/records_streamed"); n == 0 {
+	if n := def.Metrics.Counter("itg/records_streamed"); n == 0 {
 		t.Error("itg/records_streamed counter is zero")
 	}
-	if g := res.Metrics.Gauge("itg/stream/flow1/retained_bytes"); g.Value <= 0 {
+	if g := def.Metrics.Gauge("itg/stream/flow1/retained_bytes"); g.Value <= 0 {
 		t.Error("retained_bytes gauge not recorded")
 	}
 }
 
-// TestScenarioStreamSketchBound runs the default sketch mode: counts,
-// bytes, per-window series, and loss still match batch exactly; only
+// TestScenarioStreamSketchBound runs the sketched analysis
+// ("stream-only") against the default exact run of the same seed:
+// counts, bytes, per-window series, and loss match exactly; only
 // P95/P99 are estimates, which must land within the declared bound.
 func TestScenarioStreamSketchBound(t *testing.T) {
-	res := runSpec(t, Spec{
+	exact := runSpec(t, Spec{Seed: 9, Duration: Duration(20 * time.Second)}).Results[0].Decoded
+	sketched := runSpec(t, Spec{
 		Seed: 9, Duration: Duration(20 * time.Second),
-		Analysis: &AnalysisSpec{Mode: "stream"},
-	}).Results[0]
-	if !reflect.DeepEqual(stripPct(res.Streamed), stripPct(res.Decoded)) {
-		t.Error("sketch mode: non-percentile fields differ from batch")
+		Analysis: &AnalysisSpec{Mode: "stream-only"},
+	}).Results[0].Decoded
+	if !reflect.DeepEqual(stripPct(sketched), stripPct(exact)) {
+		t.Error("sketch mode: non-percentile fields differ from the exact run")
+	}
+	if reflect.DeepEqual(sketched, exact) {
+		t.Error("sketch mode reported the exact percentiles: no sketch was used")
 	}
 	relErr := stats.DefaultSketchRelErr
-	pctWithin(t, "P95Delay", res.Streamed.P95Delay, res.Decoded.P95Delay, relErr)
-	pctWithin(t, "P99Delay", res.Streamed.P99Delay, res.Decoded.P99Delay, relErr)
-	pctWithin(t, "P95RTT", res.Streamed.P95RTT, res.Decoded.P95RTT, relErr)
-	pctWithin(t, "P99RTT", res.Streamed.P99RTT, res.Decoded.P99RTT, relErr)
+	pctWithin(t, "P95Delay", sketched.P95Delay, exact.P95Delay, relErr)
+	pctWithin(t, "P99Delay", sketched.P99Delay, exact.P99Delay, relErr)
+	pctWithin(t, "P95RTT", sketched.P95RTT, exact.P95RTT, relErr)
+	pctWithin(t, "P99RTT", sketched.P99RTT, exact.P99RTT, relErr)
 }
 
-// TestScenarioStreamOnlyMatchesSeparateBatchRun drops the per-packet
-// logs entirely and still must produce the same report a log-retaining
-// batch run of the same seed produces — the determinism contract makes
-// the two runs' traffic identical, so this is a true equivalence check.
+// TestScenarioStreamOnlyMatchesSeparateBatchRun runs "stream-only" with
+// exact percentiles and still must produce the same report the default
+// run of the same seed produces — the determinism contract makes the
+// two runs' traffic identical, so this is a true equivalence check.
 func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
 	batch := runSpec(t, Spec{Seed: 5, Duration: Duration(15 * time.Second)})
 	streamOnly := runSpec(t, Spec{
@@ -99,15 +97,12 @@ func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
 		Analysis: &AnalysisSpec{Mode: "stream-only", Exact: true},
 	})
 	so := streamOnly.Results[0]
-	if so.Decoded != so.Streamed {
-		t.Error("stream-only: Decoded should alias Streamed")
-	}
 	if !reflect.DeepEqual(so.Decoded, batch.Results[0].Decoded) {
-		t.Errorf("stream-only result differs from the batch run's decode:\nstream: %+v\nbatch:  %+v",
+		t.Errorf("stream-only result differs from the default run's decode:\nstream: %+v\nbatch:  %+v",
 			so.Decoded, batch.Results[0].Decoded)
 	}
 	if n, want := so.Metrics.Counter("itg/records_streamed"), batch.Results[0].Metrics.Counter("itg/records_streamed"); n == 0 || n != want {
-		t.Errorf("stream-only decoded %d records live, batch %d: want the same non-zero count", n, want)
+		t.Errorf("stream-only decoded %d records live, default %d: want the same non-zero count", n, want)
 	}
 }
 
@@ -147,9 +142,9 @@ func TestPaperCellDecodesLiveWithoutLogs(t *testing.T) {
 }
 
 // TestMultiCellStreamShardedIdentical extends the shard-count
-// differential to the streaming pipeline: per-flow streamed results are
+// differential to the "stream" analysis name: per-flow reports are
 // placement-independent (sender and receiver feed the same decoder from
-// different shards) and, with exact percentiles, equal to Decoded.
+// different shards) and equal to the default run's.
 func TestMultiCellStreamShardedIdentical(t *testing.T) {
 	spec := Spec{Seed: 3, Cells: 2, Terminals: 2, Analysis: &AnalysisSpec{Mode: "stream", Exact: true}}
 	diffMultiCell(t, spec, 3)
@@ -158,12 +153,17 @@ func TestMultiCellStreamShardedIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Flows {
-		if f.Streamed == nil || f.Streamed.Received == 0 {
-			t.Fatalf("cell %d terminal %d: empty streamed result", f.Cell, f.Terminal)
+	spec.Analysis = nil
+	def, err := runCells(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range res.Flows {
+		if f.Decoded == nil || f.Decoded.Received == 0 {
+			t.Fatalf("cell %d terminal %d: empty report", f.Cell, f.Terminal)
 		}
-		if !reflect.DeepEqual(f.Streamed, f.Decoded) {
-			t.Errorf("cell %d terminal %d: streamed result differs from batch decode", f.Cell, f.Terminal)
+		if !reflect.DeepEqual(f.Decoded, def.Flows[i].Decoded) {
+			t.Errorf("cell %d terminal %d: report differs from the default run's", f.Cell, f.Terminal)
 		}
 	}
 	merged := metrics.MergeSnapshots(res.Snapshots...)
@@ -172,12 +172,13 @@ func TestMultiCellStreamShardedIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiCellStreamOnlySharded runs the constant-memory mode across
-// shard counts: with the logs gone, the streamed report IS the decoded
-// report, and it must still be shard-count independent.
+// TestMultiCellStreamOnlySharded runs the constant-memory (sketched)
+// analysis across shard counts: the sketch is fed in the same order
+// whatever the placement, so the report must still be shard-count
+// independent.
 func TestMultiCellStreamOnlySharded(t *testing.T) {
 	diffMultiCell(t, Spec{
 		Seed: 5, Cells: 2, Terminals: 1,
-		Analysis: &AnalysisSpec{Mode: "stream-only", Exact: true},
+		Analysis: &AnalysisSpec{Mode: "stream-only"},
 	}, 3)
 }

@@ -158,9 +158,8 @@ type ExperimentSpec struct {
 	Duration time.Duration
 	// Window of the QoS samples (paper: 200 ms).
 	Window time.Duration
-	// Analysis selects the QoS reports of the flow's live decode: the
-	// exact reference (zero value), exact plus sketched percentiles,
-	// or sketch-only.
+	// Analysis configures the flow's live decode: exact percentiles
+	// (the zero value) or sketched, and the live-window subscription.
 	Analysis AnalysisConfig
 }
 
@@ -186,9 +185,6 @@ type ExperimentResult struct {
 type flowOutcome struct {
 	// Decoded is the flow's QoS report over the sample window.
 	Decoded *itg.Result
-	// Streamed is the sketched report (nil in batch mode). In
-	// stream-only mode Decoded aliases it.
-	Streamed *itg.Result
 	// SetupTime means two things. In a paper cell (RunExperiment) it
 	// is how long the dial-up took: the `umts start` call alone, from
 	// its invocation to the connection being up. In a multi-cell
@@ -241,10 +237,8 @@ func (f *flowRun) send(loop *sim.Loop, name string, from endpoint) error {
 }
 
 // outcome folds the finished flow into its report.
-func (f *flowRun) outcome(a AnalysisConfig, setup time.Duration, term *umts.Terminal) flowOutcome {
-	o := flowOutcome{SetupTime: setup, BearerEvents: term.SessionEvents(), SendErrors: f.snd.SendErrors}
-	o.Decoded, o.Streamed = a.finalize(f.stream)
-	return o
+func (f *flowRun) outcome(setup time.Duration, term *umts.Terminal) flowOutcome {
+	return flowOutcome{Decoded: f.stream.Finalize(), SetupTime: setup, BearerEvents: term.SessionEvents(), SendErrors: f.snd.SendErrors}
 }
 
 // RunExperiment reproduces one cell of the paper's evaluation on this
@@ -303,7 +297,7 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 		return nil, ErrInterrupted
 	}
 
-	res.flowOutcome = flow.outcome(spec.Analysis, setup, tb.Terminal)
+	res.flowOutcome = flow.outcome(setup, tb.Terminal)
 	// Recorded before the final snapshot so the decoder's footprint
 	// lands in the run's metrics next to the flow counters.
 	tb.Loop.Metrics().Gauge("itg/stream/flow1/retained_bytes").Set(float64(flow.stream.RetainedBytes()))

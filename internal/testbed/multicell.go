@@ -272,7 +272,7 @@ func runMultiCell(sc *Scenario) (*MultiCellResult, error) {
 		}
 		res.Flows = append(res.Flows, FlowResult{
 			Cell: ts.cell, Terminal: ts.idx, FlowID: ts.flow.spec.FlowID,
-			flowOutcome: ts.flow.outcome(sc.analysis, ts.setupAt, ts.term),
+			flowOutcome: ts.flow.outcome(ts.setupAt, ts.term),
 		})
 		if rb := float64(ts.flow.stream.RetainedBytes()); aggregateGauges {
 			a := &cellAggs[ts.cell]

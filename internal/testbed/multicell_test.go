@@ -70,9 +70,6 @@ func diffMultiCell(t *testing.T, spec Spec, n int, set ...func(*Scenario)) {
 		if !reflect.DeepEqual(a.Decoded, b.Decoded) {
 			t.Errorf("cell %d terminal %d: decoded QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
 		}
-		if !reflect.DeepEqual(a.Streamed, b.Streamed) {
-			t.Errorf("cell %d terminal %d: streamed QoS differs between 1 shard and %s", a.Cell, a.Terminal, label)
-		}
 		if !reflect.DeepEqual(a.BearerEvents, b.BearerEvents) {
 			t.Errorf("cell %d terminal %d: bearer logs differ:\n1 shard:  %v\n%s: %v",
 				a.Cell, a.Terminal, a.BearerEvents, label, b.BearerEvents)

@@ -122,9 +122,8 @@ func WithMetricsDump(fn func(metrics.Snapshot)) ScenarioOption {
 // WithLiveWindows subscribes fn to every flow's QoS windows while the
 // run executes: each window is delivered once the flow's feeds have
 // progressed the decoder's seal lag past its end, and any remainder at
-// the end of the flow. Only the streaming analysis modes deliver
-// windows; a batch run never calls fn. fn may be called from engine
-// worker goroutines and must be safe for concurrent use.
+// the end of the flow, whatever the analysis. fn may be called from
+// engine worker goroutines and must be safe for concurrent use.
 func WithLiveWindows(fn func(LiveWindow)) ScenarioOption {
 	return func(sc *Scenario) { sc.analysis.Live = fn }
 }

@@ -55,8 +55,8 @@ type Spec struct {
 	// HealPolicy tunes the self-heal dialer; requires SelfHeal.
 	HealPolicy *HealPolicySpec `json:"heal_policy,omitempty"`
 
-	// Analysis selects the QoS reports (the exact reference decode
-	// when omitted).
+	// Analysis selects how percentiles are computed (exact when
+	// omitted).
 	Analysis *AnalysisSpec `json:"analysis,omitempty"`
 
 	// Cells switches the run to the multi-cell shard engine with this
@@ -145,13 +145,16 @@ func (h *HealPolicySpec) policy() *dialer.Policy {
 
 // AnalysisSpec is the wire form of AnalysisConfig's declarative
 // fields. The Live subscription is runtime wiring and has no wire
-// form.
+// form. Every flow gets one report, with exact percentiles unless the
+// document asks for the sketch.
 type AnalysisSpec struct {
-	// Mode is "batch" (default), "stream", or "stream-only".
+	// Mode "stream-only" sketches the percentiles. "", "batch" and
+	// "stream" report them exact; the three names are kept so that
+	// older documents still parse.
 	Mode string `json:"mode,omitempty"`
 	// SketchRelErr is the quantile sketch's relative error bound.
 	SketchRelErr float64 `json:"sketch_rel_err,omitempty"`
-	// Exact makes the streaming modes report exact percentiles.
+	// Exact keeps "stream-only" exact too.
 	Exact bool `json:"exact,omitempty"`
 }
 
@@ -216,8 +219,10 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("spec.shard_policy: unknown policy %q (allowed: global, dynamic)", s.ShardPolicy)
 	}
 	if s.Analysis != nil {
-		if _, err := ParseAnalysisMode(s.Analysis.Mode); err != nil {
-			return fmt.Errorf("spec.analysis.mode: %v", err)
+		switch s.Analysis.Mode {
+		case "", "batch", "stream", "stream-only":
+		default:
+			return fmt.Errorf("spec.analysis.mode: unknown analysis mode %q (allowed: batch, stream, stream-only)", s.Analysis.Mode)
 		}
 		if e := s.Analysis.SketchRelErr; e < 0 || e >= 1 {
 			return fmt.Errorf("spec.analysis.sketch_rel_err: must be in [0, 1) (0 selects the default)")
@@ -344,9 +349,8 @@ func (s *Spec) Scenario() (*Scenario, error) {
 		sc.healPolicy = s.HealPolicy.policy()
 	}
 	if a := s.Analysis; a != nil {
-		sc.analysis.Mode, _ = ParseAnalysisMode(a.Mode)
+		sc.analysis.Sketch = a.Mode == "stream-only" && !a.Exact
 		sc.analysis.SketchRelErr = a.SketchRelErr
-		sc.analysis.Exact = a.Exact
 	}
 	if sc.window <= 0 {
 		sc.window = defaultWindow

@@ -1,13 +1,21 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/onelab/umtslab/internal/control"
+	"github.com/onelab/umtslab/internal/testbed"
 )
 
 // runMainEnv, when set, makes the test binary run the command itself:
@@ -112,6 +120,66 @@ func TestCLISpecExitCodes(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != c.code || !strings.Contains(stderr.String(), c.stderr) {
 			t.Errorf("experiments %s < %s: exit %d (%v), stderr %q; want exit %d naming %q",
 				c.args, c.stdin, code, err, stderr.String(), c.code, c.stderr)
+		}
+	}
+}
+
+// TestSpecRefusesRetiredFields: each value the Spec no longer has,
+// alone in an otherwise valid document, is refused with the field's
+// name by testbed.ParseSpec, by serve mode with 400, and by -spec with
+// exit 2, instead of being silently ignored.
+func TestSpecRefusesRetiredFields(t *testing.T) {
+	const (
+		heal = `{"duration":"1s","self_heal":true,"heal_policy":{%s}}`
+		pop  = `{"duration":"1s","cells":1,"population":1,"population_spec":{"rate_bps":64000%s}}`
+	)
+	retired := []struct{ name, doc string }{
+		{"window", `{"duration":"1s","window":"1s"}`},
+		{"flow_gauge_limit", `{"duration":"1s","cells":1,"flow_gauge_limit":64}`},
+		{"sketch_rel_err", `{"duration":"1s","analysis":{"mode":"stream-only","sketch_rel_err":0.02}}`},
+		{"exact", `{"duration":"1s","analysis":{"mode":"stream-only","exact":true}}`},
+		{"heal_policy", fmt.Sprintf(heal, `"initial_backoff":"1s"`)},
+		{"heal_policy", fmt.Sprintf(heal, `"max_backoff":"1m"`)},
+		{"heal_policy", fmt.Sprintf(heal, `"multiplier":1.5`)},
+		{"heal_policy", fmt.Sprintf(heal, `"jitter_frac":0.2`)},
+		{"heal_policy", fmt.Sprintf(heal, `"no_jitter":true`)},
+		{"heal_policy", fmt.Sprintf(heal, `"max_attempts":3`)},
+		{"heal_policy", fmt.Sprintf(heal, `"no_retry":true`)},
+		{"population_spec", fmt.Sprintf(pop, ``)},
+		{"population_spec", fmt.Sprintf(pop, `,"packet_bytes":200`)},
+		{"population_spec", fmt.Sprintf(pop, `,"tick":"100ms"`)},
+		{"population_spec", fmt.Sprintf(pop, `,"start":"15s"`)},
+		{"population_spec", fmt.Sprintf(pop, `,"duration":"1s"`)},
+		{"population_spec", fmt.Sprintf(pop, `,"tolerance":0.1`)},
+	}
+	ctl := control.NewServer(control.Config{Workers: 1})
+	ts := httptest.NewServer(ctl.Handler())
+	defer ts.Close()
+	defer ctl.Shutdown(context.Background())
+
+	for _, r := range retired {
+		if _, err := testbed.ParseSpec([]byte(r.doc)); err == nil || !strings.Contains(err.Error(), `"`+r.name+`"`) {
+			t.Errorf("ParseSpec(%s) = %v, want an error naming %q", r.doc, err, r.name)
+		}
+
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(r.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), r.name) {
+			t.Errorf("serve %s: %d %s, want 400 naming %q", r.doc, resp.StatusCode, body, r.name)
+		}
+
+		cmd := exec.Command(os.Args[0], "-spec", "-")
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		cmd.Stdin = strings.NewReader(r.doc)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err = cmd.Run()
+		if code := cmd.ProcessState.ExitCode(); code != 2 || !strings.Contains(stderr.String(), r.name) {
+			t.Errorf("experiments -spec - < %s: exit %d (%v), stderr %q; want exit 2 naming %q", r.doc, code, err, stderr.String(), r.name)
 		}
 	}
 }

@@ -1,0 +1,53 @@
+package main
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"os/exec"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// runMainEnv, when set, makes the test binary run the command itself:
+// the tests re-execute the binary with it to drive main() exactly as a
+// user's shell would, flags and stdout included.
+const runMainEnv = "ISOLATION_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns
+// its stdout; a failed run fails the test.
+func runMain(t *testing.T, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("isolation %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+	}
+	return out
+}
+
+// TestGoldenOutput pins the SHA-256 of the slice isolation
+// demonstration. Like the other stdout digests of the repository, it
+// is recorded on amd64 only.
+func TestGoldenOutput(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("digest recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	const want = "a677aa5eade644f874dabfef8ece1922adb670a3c6743b6906286d026eb0fe2c"
+	out := runMain(t)
+	if sum := sha256.Sum256(out); hex.EncodeToString(sum[:]) != want {
+		t.Errorf("stdout digest %x, want %s\n%s", sum, want, out)
+	}
+}

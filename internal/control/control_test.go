@@ -535,7 +535,6 @@ func TestSubmitRejectsRunLimits(t *testing.T) {
 		{Cells: 57, Duration: testbed.Duration(time.Second)},
 		{Cells: 2, Terminals: 40000, IdleTerminals: 1},
 		{Cells: 1, Terminals: 255},
-		{Cells: 1, Population: 1, PopulationSpec: &testbed.PopulationSpecJSON{}},
 	} {
 		if id, err := s.Submit(&spec); err == nil {
 			t.Errorf("Submit(%+v) queued %s, want it refused", spec, id)
@@ -543,15 +542,16 @@ func TestSubmitRejectsRunLimits(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsPanickingSpecs: specs whose values would panic deep
-// in the run (a quantile sketch error bound outside (0, 1), a shrinking
-// redial backoff) are refused at submission with 400, and the server
-// goes on to complete a valid job.
+// TestSubmitRejectsPanickingSpecs: a quantile sketch error bound
+// outside (0, 1) and a shrinking redial backoff, values that would
+// panic deep in a run, can no longer be stated: a spec naming their
+// fields is refused at submission with 400 naming the field, and the
+// server goes on to complete a valid job.
 func TestSubmitRejectsPanickingSpecs(t *testing.T) {
 	_, ts := newTestService(t, Config{})
 	for body, wantFrag := range map[string]string{
-		`{"duration":"2s","analysis":{"mode":"stream","sketch_rel_err":1.5}}`: "spec.analysis.sketch_rel_err",
-		`{"duration":"2s","self_heal":true,"heal_policy":{"multiplier":0.5}}`: "spec.heal_policy.multiplier",
+		`{"duration":"2s","analysis":{"mode":"stream","sketch_rel_err":1.5}}`: "sketch_rel_err",
+		`{"duration":"2s","self_heal":true,"heal_policy":{"multiplier":0.5}}`: "heal_policy",
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -37,7 +37,6 @@ var goldenShort = []goldenCase{
 	{name: "cbr1m_eth", spec: `{"seed":1,"workload":"cbr1m","path":"ethernet","duration":"30s"}`},
 	{name: "voip_flaky_heal", spec: `{"seed":1,"workload":"voip","reps":4,"duration":"30s","fault_profile":"flaky","self_heal":true}`},
 	{name: "voip_stream", spec: `{"seed":1,"workload":"voip","duration":"30s","analysis":{"mode":"stream"}}`},
-	{name: "voip_stream_exact", spec: `{"seed":1,"workload":"voip","duration":"30s","analysis":{"mode":"stream","exact":true}}`},
 	{name: "voip_stream_only", spec: `{"seed":1,"workload":"voip","duration":"30s","analysis":{"mode":"stream-only"}}`},
 	{name: "multicell_2x2", spec: `{"seed":1,"cells":2,"terminals":2,"duration":"10s"}`},
 	{name: "fleet_idle_small", spec: `{"seed":1,"cells":2,"terminals":1,"idle_terminals":100,"population":10,"duration":"10s"}`},

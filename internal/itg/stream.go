@@ -52,18 +52,16 @@ type StreamDecoder struct {
 	window time.Duration
 	start  time.Duration
 	exact  bool
-	relErr float64
 	span   uint32
 	expect int // exact samples to reserve per series (Expect)
 
 	// Live-window subscription (WithLiveWindows). When live is set the
 	// decoder serializes every Add*/Finalize call under mu — the price
 	// of publishing windows that read both feed sides — and seals
-	// window i once every feed has progressed liveLag past its end.
+	// window i once every feed has progressed liveSealLag past its end.
 	// Sealing only reads the accumulators, so Finalize stays
 	// byte-identical to a subscriber-free run.
 	live       func(i int, w WindowStats)
-	liveLag    time.Duration
 	mu         sync.Mutex
 	sealed     int
 	lateSealed int
@@ -103,21 +101,18 @@ func WithExactPercentiles() StreamOption {
 	return func(d *StreamDecoder) { d.exact = true }
 }
 
-// WithSketchRelErr sets the quantile sketch's relative error bound
-// (default stats.DefaultSketchRelErr; ignored with
-// WithExactPercentiles).
-func WithSketchRelErr(relErr float64) StreamOption {
-	return func(d *StreamDecoder) { d.relErr = relErr }
-}
+// liveSealLag is how far every feed side must have progressed past a
+// window's end before WithLiveWindows publishes it.
+const liveSealLag = 10 * time.Second
 
 // WithLiveWindows subscribes sink to the decoder's QoS windows while
 // the feed is still running: window i is published exactly once, as
 // soon as every feed side (sent, recv, echo) has progressed at least
-// lag past the window's end (lag <= 0 selects 10 s). Windows not yet
-// sealed when Finalize runs are published from the final accumulators,
-// so a subscriber always sees every window of the eventual Result —
-// and a window published early is identical to its Finalize value
-// whenever lag covers the flow's maximum in-flight delay plus
+// liveSealLag past the window's end. Windows not yet sealed when
+// Finalize runs are published from the final accumulators, so a
+// subscriber always sees every window of the eventual Result — and a
+// window published early is identical to its Finalize value whenever
+// the lag covers the flow's maximum in-flight delay plus
 // departure-to-arrival loss accounting (SealViolations counts feeds
 // that broke that promise).
 //
@@ -125,14 +120,8 @@ func WithSketchRelErr(relErr float64) StreamOption {
 // installed the decoder locks internally, so the sent/echo and recv
 // sides may still feed from two goroutines, and the sink may be called
 // from either. The sink must not call back into the decoder.
-func WithLiveWindows(lag time.Duration, sink func(i int, w WindowStats)) StreamOption {
-	return func(d *StreamDecoder) {
-		if lag <= 0 {
-			lag = 10 * time.Second
-		}
-		d.live = sink
-		d.liveLag = lag
-	}
+func WithLiveWindows(sink func(i int, w WindowStats)) StreamOption {
+	return func(d *StreamDecoder) { d.live = sink }
 }
 
 // WithReorderSpan sets how many consecutive sequence numbers the
@@ -212,14 +201,14 @@ func NewStreamDecoder(window time.Duration, opts ...StreamOption) *StreamDecoder
 	if window <= 0 {
 		window = 200 * time.Millisecond
 	}
-	d := &StreamDecoder{window: window, relErr: stats.DefaultSketchRelErr, span: 4096}
+	d := &StreamDecoder{window: window, span: 4096}
 	for _, o := range opts {
 		o(d)
 	}
 	d.recv.flows = make(map[uint32]*flowDedup)
 	if !d.exact {
-		d.recv.sketch = stats.NewQuantileSketch(d.relErr)
-		d.echo.sketch = stats.NewQuantileSketch(d.relErr)
+		d.recv.sketch = stats.NewQuantileSketch(stats.DefaultSketchRelErr)
+		d.echo.sketch = stats.NewQuantileSketch(stats.DefaultSketchRelErr)
 	}
 	return d
 }
@@ -433,7 +422,7 @@ func (d *StreamDecoder) LateArrivals() int { return d.recv.late }
 
 // SealViolations reports records that targeted a window already
 // published to the live sink — feeds whose in-flight delay exceeded
-// the WithLiveWindows lag, so the early-published window understates
+// liveSealLag, so the early-published window understates
 // the final one. Zero means every live window equals its Finalize
 // value.
 func (d *StreamDecoder) SealViolations() int {
@@ -445,9 +434,9 @@ func (d *StreamDecoder) SealViolations() int {
 }
 
 // maybeSeal publishes every window the feed has conclusively moved
-// past: window i seals once all three sides have progressed liveLag
-// beyond its end, leaving only records that would violate the lag
-// bound able to touch it. Callers hold mu.
+// past: window i seals once all three sides have progressed
+// liveSealLag beyond its end, leaving only records that would violate
+// the lag bound able to touch it. Callers hold mu.
 func (d *StreamDecoder) maybeSeal() {
 	if d.live == nil {
 		return
@@ -459,7 +448,7 @@ func (d *StreamDecoder) maybeSeal() {
 	if d.echo.maxT < progress {
 		progress = d.echo.maxT
 	}
-	for time.Duration(d.sealed+1)*d.window+d.liveLag <= progress {
+	for time.Duration(d.sealed+1)*d.window+liveSealLag <= progress {
 		d.live(d.sealed, d.windowAt(d.sealed))
 		d.sealed++
 	}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/onelab/umtslab/internal/sim"
+	"github.com/onelab/umtslab/internal/stats"
 )
 
 // genLogs builds a synthetic multi-flow run: jittered delays, ~10%
@@ -94,8 +95,8 @@ func stripPercentiles(r *Result) Result {
 func TestStreamSketchMatchesBatchExceptPercentiles(t *testing.T) {
 	sent, recv, echo := genLogs(5, 2, 600)
 	batch := decodeOracle(sent, recv, echo, 200*time.Millisecond)
-	const relErr = 0.01
-	stream := decodeLive(sent, recv, echo, 200*time.Millisecond, WithSketchRelErr(relErr))
+	const relErr = stats.DefaultSketchRelErr
+	stream := decodeLive(sent, recv, echo, 200*time.Millisecond)
 	if got, want := stripPercentiles(stream), stripPercentiles(batch); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sketch-mode stream differs from batch beyond percentiles\nbatch:  %+v\nstream: %+v", want, got)
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// QuantileSketch is a mergeable log-linear histogram sketch with a
+// QuantileSketch is a log-linear histogram sketch with a
 // bounded relative error on quantile queries (the DDSketch idea): a
 // positive sample v lands in bucket ceil(log_γ v) where
 // γ = (1+α)/(1−α), and the bucket's representative value
@@ -26,7 +26,6 @@ import (
 //
 // The zero value is not ready to use; construct with NewQuantileSketch.
 type QuantileSketch struct {
-	relErr      float64
 	gamma       float64
 	invLogGamma float64
 
@@ -64,14 +63,10 @@ func NewQuantileSketch(relErr float64) *QuantileSketch {
 	}
 	gamma := (1 + relErr) / (1 - relErr)
 	return &QuantileSketch{
-		relErr:      relErr,
 		gamma:       gamma,
 		invLogGamma: 1 / math.Log(gamma),
 	}
 }
-
-// RelErr returns the sketch's relative error bound α.
-func (s *QuantileSketch) RelErr() float64 { return s.relErr }
 
 // Count returns the number of samples added.
 func (s *QuantileSketch) Count() uint64 { return s.n }
@@ -167,36 +162,6 @@ func (s *QuantileSketch) Quantile(p float64) float64 {
 		}
 	}
 	return s.max
-}
-
-// Merge folds other into s. Both sketches must have been built with the
-// same relative error bound — bucket boundaries differ otherwise and
-// the merged counts would be meaningless, so a mismatch panics.
-func (s *QuantileSketch) Merge(other *QuantileSketch) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if other.relErr != s.relErr {
-		panic(fmt.Sprintf("stats: merging quantile sketches with different error bounds (%v vs %v)", s.relErr, other.relErr))
-	}
-	if s.n == 0 {
-		s.min, s.max = other.min, other.max
-	} else {
-		if other.min < s.min {
-			s.min = other.min
-		}
-		if other.max > s.max {
-			s.max = other.max
-		}
-	}
-	s.n += other.n
-	s.low += other.low
-	for j, c := range other.buckets {
-		if c != 0 {
-			s.bump(other.offset + j)
-			s.buckets[other.offset+j-s.offset] += c - 1
-		}
-	}
 }
 
 // RetainedBytes reports the sketch's memory footprint: the bucket array

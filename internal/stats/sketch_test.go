@@ -7,11 +7,12 @@ import (
 	"testing"
 )
 
-// checkQuantileBound asserts the sketch's guarantee for one query: the
-// estimate must be within relative error α of an order statistic
-// adjacent to the exact rank (rank quantization moves the target by at
-// most one position on either side of the interpolation anchors).
-func checkQuantileBound(t *testing.T, s *QuantileSketch, samples []float64, p float64) {
+// checkQuantileBound asserts the guarantee of s, built with relative
+// error a, for one query: the estimate must be within relative error a
+// of an order statistic adjacent to the exact rank (rank quantization
+// moves the target by at most one position on either side of the
+// interpolation anchors).
+func checkQuantileBound(t *testing.T, s *QuantileSketch, a float64, samples []float64, p float64) {
 	t.Helper()
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
@@ -25,7 +26,6 @@ func checkQuantileBound(t *testing.T, s *QuantileSketch, samples []float64, p fl
 	if hi > n-1 {
 		hi = n - 1
 	}
-	a := s.RelErr()
 	got := s.Quantile(p)
 	lower := (1 - a) * sorted[lo]
 	upper := (1 + a) * sorted[hi]
@@ -67,7 +67,7 @@ func TestQuantileSketchBound(t *testing.T) {
 				t.Fatalf("Count = %d, want 20000", s.Count())
 			}
 			for _, p := range []float64{1, 10, 25, 50, 75, 90, 95, 99, 99.9} {
-				checkQuantileBound(t, s, samples, p)
+				checkQuantileBound(t, s, 0.01, samples, p)
 			}
 		})
 	}
@@ -108,40 +108,6 @@ func TestQuantileSketchLowBucket(t *testing.T) {
 	}
 }
 
-func TestQuantileSketchMergeMatchesCombined(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	whole := NewQuantileSketch(0.01)
-	parts := []*QuantileSketch{NewQuantileSketch(0.01), NewQuantileSketch(0.01), NewQuantileSketch(0.01)}
-	for i := 0; i < 9000; i++ {
-		v := rng.ExpFloat64() * 1e8
-		whole.Add(v)
-		parts[i%3].Add(v)
-	}
-	merged := NewQuantileSketch(0.01)
-	for _, p := range parts {
-		merged.Merge(p)
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("merged Count = %d, want %d", merged.Count(), whole.Count())
-	}
-	for _, p := range []float64{0, 5, 50, 95, 99, 100} {
-		if got, want := merged.Quantile(p), whole.Quantile(p); got != want {
-			t.Errorf("Quantile(%v): merged %v != combined %v", p, got, want)
-		}
-	}
-}
-
-func TestQuantileSketchMergeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("merging sketches with different error bounds must panic")
-		}
-	}()
-	a, b := NewQuantileSketch(0.01), NewQuantileSketch(0.02)
-	b.Add(1)
-	a.Merge(b)
-}
-
 func TestQuantileSketchMemoryBoundedByRange(t *testing.T) {
 	// Same dynamic range, 100x the samples: the footprint must not move.
 	small := NewQuantileSketch(0.01)
@@ -163,122 +129,38 @@ func TestQuantileSketchMemoryBoundedByRange(t *testing.T) {
 	}
 }
 
-// TestQuantileSketchSelfMerge: Merge(s) on itself must exactly double
-// every count — the bucket loop reads pre-merge counts even though
-// source and destination share a backing array — and leave the
-// quantile estimates where they were.
-func TestQuantileSketchSelfMerge(t *testing.T) {
+// TestQuantileSketchGrowsDownward: samples whose buckets sit below
+// the sketch's offset force the dense array to grow downward and
+// shift; every count must land in the right bucket afterwards.
+func TestQuantileSketchGrowsDownward(t *testing.T) {
 	s := NewQuantileSketch(0.01)
-	rng := rand.New(rand.NewSource(5))
 	var samples []float64
-	for i := 0; i < 500; i++ {
-		v := math.Exp(rng.Float64() * 10)
-		samples = append(samples, v)
+	for _, v := range []float64{1e6, 2e6, 4e6} { // high buckets first
 		s.Add(v)
+		samples = append(samples, v)
 	}
-	s.Add(0) // one sample in the low bucket too
-	samples = append(samples, 0)
-
-	before := map[float64]float64{}
-	for _, p := range []float64{0, 25, 50, 90, 99, 100} {
-		before[p] = s.Quantile(p)
+	offsetBefore := s.offset
+	for _, v := range []float64{1.5, 3, 6, 12} { // far below that range
+		s.Add(v)
+		samples = append(samples, v)
 	}
-	s.Merge(s)
-	if got, want := s.Count(), uint64(2*len(samples)); got != want {
-		t.Fatalf("self-merge count = %d, want %d", got, want)
+	if s.offset >= offsetBefore {
+		t.Fatalf("offset %d did not shift down from %d; the array should have grown downward", s.offset, offsetBefore)
 	}
-	if s.low != 2 {
-		t.Errorf("self-merge low bucket = %d, want 2", s.low)
+	if got, want := s.Count(), uint64(len(samples)); got != want {
+		t.Fatalf("count = %d, want %d", got, want)
 	}
 	var bucketSum uint64
 	for _, c := range s.buckets {
 		bucketSum += c
 	}
-	if bucketSum+s.low != s.Count() {
-		t.Errorf("bucket mass %d + low %d != count %d", bucketSum, s.low, s.Count())
+	if bucketSum != s.Count() {
+		t.Errorf("bucket mass %d != count %d after offset shift", bucketSum, s.Count())
 	}
-	// Doubling every count moves no bucket boundary and no rank
-	// proportion: quantiles are unchanged, and still within bound.
-	for p, want := range before {
-		if got := s.Quantile(p); got != want {
-			t.Errorf("Quantile(%v) changed across self-merge: %v -> %v", p, want, got)
-		}
-	}
-	for _, p := range []float64{25, 50, 90, 99} {
-		checkQuantileBound(t, s, append(append([]float64(nil), samples...), samples...), p)
-	}
-}
-
-// TestQuantileSketchMergeLowOnly: merging a sketch whose entire mass
-// sits below the representable cutoff must fold into the low bucket
-// and the tracked minimum without touching the log buckets.
-func TestQuantileSketchMergeLowOnly(t *testing.T) {
-	dst := NewQuantileSketch(0.01)
-	for _, v := range []float64{10, 100, 1000} {
-		dst.Add(v)
-	}
-	src := NewQuantileSketch(0.01)
-	for _, v := range []float64{0, 0.25, 0.5} {
-		src.Add(v)
-	}
-	bucketsBefore := len(dst.buckets)
-	dst.Merge(src)
-	if got := dst.Count(); got != 6 {
-		t.Fatalf("count = %d, want 6", got)
-	}
-	if dst.low != 3 {
-		t.Errorf("low bucket = %d, want all 3 sub-cutoff samples", dst.low)
-	}
-	if len(dst.buckets) != bucketsBefore {
-		t.Errorf("log buckets grew %d -> %d on a low-only merge", bucketsBefore, len(dst.buckets))
-	}
-	if got := dst.Quantile(0); got != 0 {
-		t.Errorf("Quantile(0) = %v, want the merged minimum 0", got)
-	}
-	// Ranks 1..3 are sub-cutoff mass: reported as the minimum.
-	if got := dst.Quantile(50); got != 0 {
-		t.Errorf("Quantile(50) = %v, want min (rank 3 of 6 is in the low bucket)", got)
-	}
-	if got := dst.Quantile(100); got != 1000 {
-		t.Errorf("Quantile(100) = %v, want max 1000", got)
-	}
-}
-
-// TestQuantileSketchMergeAfterGrow: merging a source whose buckets sit
-// below the destination's offset forces the dense array to grow
-// downward and shift; every count must land in the right bucket
-// afterwards.
-func TestQuantileSketchMergeAfterGrow(t *testing.T) {
-	dst := NewQuantileSketch(0.01)
-	var samples []float64
-	for _, v := range []float64{1e6, 2e6, 4e6} { // high buckets first
-		dst.Add(v)
-		samples = append(samples, v)
-	}
-	offsetBefore := dst.offset
-	src := NewQuantileSketch(0.01)
-	for _, v := range []float64{1.5, 3, 6, 12} { // far below dst's range
-		src.Add(v)
-		samples = append(samples, v)
-	}
-	dst.Merge(src)
-	if dst.offset >= offsetBefore {
-		t.Fatalf("offset %d did not shift down from %d; the merge should have grown the array downward", dst.offset, offsetBefore)
-	}
-	if got, want := dst.Count(), uint64(len(samples)); got != want {
-		t.Fatalf("count = %d, want %d", got, want)
-	}
-	var bucketSum uint64
-	for _, c := range dst.buckets {
-		bucketSum += c
-	}
-	if bucketSum != dst.Count() {
-		t.Errorf("bucket mass %d != count %d after offset shift", bucketSum, dst.Count())
-	}
-	if dst.Quantile(0) != 1.5 || dst.Quantile(100) != 4e6 {
-		t.Errorf("extremes = (%v, %v), want (1.5, 4e6)", dst.Quantile(0), dst.Quantile(100))
+	if s.Quantile(0) != 1.5 || s.Quantile(100) != 4e6 {
+		t.Errorf("extremes = (%v, %v), want (1.5, 4e6)", s.Quantile(0), s.Quantile(100))
 	}
 	for _, p := range []float64{10, 50, 75, 95} {
-		checkQuantileBound(t, dst, samples, p)
+		checkQuantileBound(t, s, 0.01, samples, p)
 	}
 }

@@ -78,22 +78,11 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g max=%.4g", s.n, s.Mean(), s.Std(), s.Min(), s.Max())
 }
 
-// Percentile returns the p-th percentile (0..100) of values using linear
-// interpolation. values need not be sorted; the slice is not modified.
-// An empty input yields 0 (historical behaviour; prefer Percentiles,
-// which yields NaN, when "empty" must be detectable).
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	return SelectPercentiles(append([]float64(nil), values...), p)[0]
-}
-
-// Percentiles returns the requested percentiles (0..100) of values —
-// use this instead of repeated Percentile calls when extracting several
-// quantiles from the same slice. values is not modified: it works on a
-// copy (see SelectPercentiles to skip the copy). An empty input yields
-// NaN for every requested percentile.
+// Percentiles returns the requested percentiles (0..100) of values,
+// by linear interpolation between order statistics. values need not be
+// sorted and is not modified: it works on a copy (see SelectPercentiles
+// to skip the copy). An empty input yields NaN for every requested
+// percentile.
 func Percentiles(values []float64, ps ...float64) []float64 {
 	return SelectPercentiles(append([]float64(nil), values...), ps...)
 }
@@ -147,13 +136,6 @@ func SelectPercentiles(values []float64, ps ...float64) []float64 {
 	return out
 }
 
-// percentileSorted interpolates the p-th percentile of an already-sorted
-// non-empty slice.
-func percentileSorted(sorted []float64, p float64) float64 {
-	lo, hi, frac := rankOf(p, len(sorted))
-	return interpolate(sorted[lo], sorted[hi], frac)
-}
-
 // rankOf maps the p-th percentile of n sorted values to the two ranks
 // it interpolates between and the weight of the upper one.
 func rankOf(p float64, n int) (lo, hi int, frac float64) {
@@ -170,7 +152,7 @@ func rankOf(p float64, n int) (lo, hi int, frac float64) {
 }
 
 // interpolate is the one place the percentile arithmetic happens, so
-// the sorted and the selected paths round identically.
+// the selected path and the tests' sorted reference round identically.
 func interpolate(lo, hi, frac float64) float64 {
 	if frac == 0 {
 		return lo
@@ -243,15 +225,6 @@ type Point struct {
 // Series is a time-ordered sequence of samples (one per window in the
 // decoder's output).
 type Series []Point
-
-// Values extracts the sample values.
-func (s Series) Values() []float64 {
-	out := make([]float64, len(s))
-	for i, p := range s {
-		out[i] = p.V
-	}
-	return out
-}
 
 // Summarize computes a Summary over the series values.
 func (s Series) Summarize() Summary {

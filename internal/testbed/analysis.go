@@ -12,11 +12,9 @@ import (
 type AnalysisConfig struct {
 	// Sketch reports P95/P99 from a quantile sketch instead of the raw
 	// delay/RTT samples (8 B each), so analysis memory stays
-	// O(windows + flows) however long the flow runs.
+	// O(windows + flows) however long the flow runs. Its relative
+	// error bound is stats.DefaultSketchRelErr.
 	Sketch bool
-	// SketchRelErr is the quantile sketch's relative error bound for
-	// P95/P99 (<= 0: stats.DefaultSketchRelErr). Ignored without Sketch.
-	SketchRelErr float64
 	// Live, when non-nil, subscribes to every flow's QoS windows while
 	// the run executes (itg.WithLiveWindows): window i is delivered as
 	// soon as the flow's feeds have progressed the decoder's 10 s seal
@@ -39,27 +37,25 @@ type LiveWindow struct {
 	Stats    itg.WindowStats `json:"stats"`
 }
 
-// newDecoder builds the per-flow decoder: window-aligned to the flow
-// start, sized for the flow's expected packet count, and keeping exact
-// samples or a sketch. id carries the flow's identity into the Live
-// subscription.
-func (c AnalysisConfig) newDecoder(window, start time.Duration, flow itg.FlowSpec, id LiveWindow) *itg.StreamDecoder {
+// newDecoder builds the per-flow decoder: over the paper's sample
+// window, aligned to the flow start, sized for the flow's expected
+// packet count, and keeping exact samples or a sketch. id carries the
+// flow's identity into the Live subscription.
+func (c AnalysisConfig) newDecoder(start time.Duration, flow itg.FlowSpec, id LiveWindow) *itg.StreamDecoder {
 	opts := []itg.StreamOption{itg.WithStart(start)}
 	if !c.Sketch {
 		opts = append(opts, itg.WithExactPercentiles())
-	} else if c.SketchRelErr > 0 {
-		opts = append(opts, itg.WithSketchRelErr(c.SketchRelErr))
 	}
 	if c.Live != nil {
 		sink := c.Live
-		opts = append(opts, itg.WithLiveWindows(0, func(i int, w itg.WindowStats) {
+		opts = append(opts, itg.WithLiveWindows(func(i int, w itg.WindowStats) {
 			ev := id
 			ev.Index = i
 			ev.Stats = w
 			sink(ev)
 		}))
 	}
-	d := itg.NewStreamDecoder(window, opts...)
+	d := itg.NewStreamDecoder(defaultWindow, opts...)
 	d.Expect(flow.ExpectedPackets())
 	return d
 }

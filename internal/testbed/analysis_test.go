@@ -38,17 +38,16 @@ func pctWithin(t *testing.T, name string, got, exact time.Duration, relErr float
 }
 
 // TestScenarioStreamExactMatchesBatch runs the paper's single-cell UMTS
-// cell under each analysis name that means exact percentiles — "batch",
-// "stream", and "stream" or "stream-only" with "exact": each must decode
-// the very report the default run of the same seed decodes. (The live
-// decode's equivalence with a batch decode of full logs is
-// TestLiveDecodeMatchesDecodeOverLink's.)
+// cell under each analysis name that means exact percentiles — "batch"
+// and "stream": each must decode the very report the default run of the
+// same seed decodes. (The live decode's equivalence with a batch decode
+// of full logs is TestLiveDecodeMatchesDecodeOverLink's.)
 func TestScenarioStreamExactMatchesBatch(t *testing.T) {
 	def := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second)}).Results[0]
 	if def.Decoded.Received == 0 {
 		t.Fatal("default run decoded no packets")
 	}
-	for _, a := range []AnalysisSpec{{Mode: "batch"}, {Mode: "stream"}, {Mode: "stream", Exact: true}, {Mode: "stream-only", Exact: true}} {
+	for _, a := range []AnalysisSpec{{Mode: "batch"}, {Mode: "stream"}} {
 		res := runSpec(t, Spec{Seed: 7, Duration: Duration(20 * time.Second), Analysis: &a}).Results[0]
 		if !reflect.DeepEqual(res.Decoded, def.Decoded) {
 			t.Errorf("analysis %+v decoded a different report than the default run of the same seed:\ngot:     %+v\ndefault: %+v",
@@ -86,19 +85,20 @@ func TestScenarioStreamSketchBound(t *testing.T) {
 	pctWithin(t, "P99RTT", sketched.P99RTT, exact.P99RTT, relErr)
 }
 
-// TestScenarioStreamOnlyMatchesSeparateBatchRun runs "stream-only" with
-// exact percentiles and still must produce the same report the default
-// run of the same seed produces — the determinism contract makes the
-// two runs' traffic identical, so this is a true equivalence check.
+// TestScenarioStreamOnlyMatchesSeparateBatchRun runs "stream-only" and
+// still must produce the report the default run of the same seed
+// produces, percentiles aside, from the same records — the determinism
+// contract makes the two runs' traffic identical, so this is a true
+// equivalence check.
 func TestScenarioStreamOnlyMatchesSeparateBatchRun(t *testing.T) {
 	batch := runSpec(t, Spec{Seed: 5, Duration: Duration(15 * time.Second)})
 	streamOnly := runSpec(t, Spec{
 		Seed: 5, Duration: Duration(15 * time.Second),
-		Analysis: &AnalysisSpec{Mode: "stream-only", Exact: true},
+		Analysis: &AnalysisSpec{Mode: "stream-only"},
 	})
 	so := streamOnly.Results[0]
-	if !reflect.DeepEqual(so.Decoded, batch.Results[0].Decoded) {
-		t.Errorf("stream-only result differs from the default run's decode:\nstream: %+v\nbatch:  %+v",
+	if !reflect.DeepEqual(stripPct(so.Decoded), stripPct(batch.Results[0].Decoded)) {
+		t.Errorf("stream-only result differs from the default run's decode beyond percentiles:\nstream: %+v\nbatch:  %+v",
 			so.Decoded, batch.Results[0].Decoded)
 	}
 	if n, want := so.Metrics.Counter("itg/records_streamed"), batch.Results[0].Metrics.Counter("itg/records_streamed"); n == 0 || n != want {
@@ -146,7 +146,7 @@ func TestPaperCellDecodesLiveWithoutLogs(t *testing.T) {
 // placement-independent (sender and receiver feed the same decoder from
 // different shards) and equal to the default run's.
 func TestMultiCellStreamShardedIdentical(t *testing.T) {
-	spec := Spec{Seed: 3, Cells: 2, Terminals: 2, Analysis: &AnalysisSpec{Mode: "stream", Exact: true}}
+	spec := Spec{Seed: 3, Cells: 2, Terminals: 2, Analysis: &AnalysisSpec{Mode: "stream"}}
 	diffMultiCell(t, spec, 3)
 
 	res, err := runCells(spec)

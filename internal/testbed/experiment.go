@@ -154,10 +154,9 @@ func workloadFlow(w Workload, flowID uint32, dst netip.Addr, dstPort uint16, d t
 type ExperimentSpec struct {
 	Path     Path
 	Workload Workload
-	// Duration of the flow (paper: 120 s).
+	// Duration of the flow (paper: 120 s). The QoS samples are the
+	// paper's 200 ms windows.
 	Duration time.Duration
-	// Window of the QoS samples (paper: 200 ms).
-	Window time.Duration
 	// Analysis configures the flow's live decode: exact percentiles
 	// (the zero value) or sketched, and the live-window subscription.
 	Analysis AnalysisConfig
@@ -218,13 +217,13 @@ type flowRun struct {
 
 // receive binds the receiver of spec at its destination port on at,
 // and attaches the flow's decoder, window-aligned to start.
-func (f *flowRun) receive(loop *sim.Loop, at endpoint, spec itg.FlowSpec, a AnalysisConfig, window, start time.Duration, id LiveWindow) error {
+func (f *flowRun) receive(loop *sim.Loop, at endpoint, spec itg.FlowSpec, a AnalysisConfig, start time.Duration, id LiveWindow) error {
 	f.spec = spec
 	f.recv = itg.NewReceiver(loop, at.Send)
 	if err := at.Bind(netsim.ProtoUDP, spec.DstPort, f.recv.Handle); err != nil {
 		return err
 	}
-	f.stream = a.newDecoder(window, start, spec, id)
+	f.stream = a.newDecoder(start, spec, id)
 	f.recv.Stream = f.stream
 	return nil
 }
@@ -248,9 +247,6 @@ func (f *flowRun) outcome(setup time.Duration, term *umts.Terminal) flowOutcome 
 func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) {
 	if spec.Duration <= 0 {
 		spec.Duration = paperDuration
-	}
-	if spec.Window <= 0 {
-		spec.Window = defaultWindow
 	}
 	res := &ExperimentResult{Spec: spec}
 
@@ -285,7 +281,7 @@ func (tb *Testbed) RunExperiment(spec ExperimentSpec) (*ExperimentResult, error)
 	}
 	start := tb.Loop.Now()
 	var flow flowRun
-	if err := flow.receive(tb.Loop, recvSlice, fs, spec.Analysis, spec.Window, start, LiveWindow{FlowID: 1}); err != nil {
+	if err := flow.receive(tb.Loop, recvSlice, fs, spec.Analysis, start, LiveWindow{FlowID: 1}); err != nil {
 		return nil, err
 	}
 	if err := flow.send(tb.Loop, fmt.Sprintf("%v/%v", spec.Path, spec.Workload), sender); err != nil {

@@ -163,8 +163,8 @@ func TestFleetOptionsRequireCells(t *testing.T) {
 	}
 }
 
-// TestFlowGaugeAggregation forces the cardinality cap: with
-// FlowGaugeLimit below the flow count the per-flow retained-bytes
+// TestFlowGaugeAggregation forces the cardinality cap: with the flow
+// gauge limit below the flow count the per-flow retained-bytes
 // gauges must collapse into per-cell sum+max aggregates whose GaugeSum
 // matches the uncapped run, with the aggregation recorded.
 func TestFlowGaugeAggregation(t *testing.T) {
@@ -173,15 +173,11 @@ func TestFlowGaugeAggregation(t *testing.T) {
 		Analysis: &AnalysisSpec{Mode: "stream-only"},
 	}
 	drain := withDrain(5 * time.Second)
-	capped := base
-	capped.FlowGaugeLimit = 2 // 4 flows > 2: aggregate
-	cres, err := runCells(capped, drain)
+	cres, err := runCells(base, drain, withFlowGaugeLimit(2)) // 4 flows > 2: aggregate
 	if err != nil {
 		t.Fatal(err)
 	}
-	uncapped := base
-	uncapped.FlowGaugeLimit = -1
-	ures, err := runCells(uncapped, drain)
+	ures, err := runCells(base, drain, withFlowGaugeLimit(-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,12 +224,8 @@ func TestFleetFullStackTolerance(t *testing.T) {
 	}
 	rate := float64(realTx) * 8 / (float64(flows) * dur.Seconds())
 
-	popRes, err := runCells(Spec{
-		Seed: 21, Cells: 1, Population: flows, Duration: Duration(dur),
-		PopulationSpec: &PopulationSpecJSON{
-			RateBps: rate, Start: Duration(15 * time.Second), Duration: Duration(dur), Tolerance: 0.1,
-		},
-	}, drain)
+	popRes, err := runCells(Spec{Seed: 21, Cells: 1, Population: flows, Duration: Duration(dur)}, drain,
+		withPopulationSpec(umts.PopulationSpec{RateBps: rate, Start: 15 * time.Second, Duration: dur, Tolerance: 0.1}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/onelab/umtslab/internal/fault"
+	"github.com/onelab/umtslab/internal/umts"
 )
 
 // runSpec builds spec's scenario and runs it; a spec that does not
@@ -40,8 +41,8 @@ func runPaper(seed int64, path Path, wl Workload, dur time.Duration) (*Experimen
 
 // runCells runs a multi-cell spec and returns its multi-cell result.
 // Each of set changes the built scenario before the run, for what no
-// Spec expresses: the test-only drain and backhaul delay, or a raw
-// fault schedule.
+// Spec expresses: the test-only drain, backhaul delay, population
+// workload and gauge limit, or a raw fault schedule.
 func runCells(spec Spec, set ...func(*Scenario)) (*MultiCellResult, error) {
 	sc, err := spec.Scenario()
 	if err != nil {
@@ -65,4 +66,15 @@ func withDrain(d time.Duration) func(*Scenario) {
 // withFaults arms a raw fault schedule, at absolute virtual times.
 func withFaults(sched fault.Schedule) func(*Scenario) {
 	return func(sc *Scenario) { sc.faults = sched }
+}
+
+// withPopulationSpec sets the workload of every population subscriber.
+func withPopulationSpec(ps umts.PopulationSpec) func(*Scenario) {
+	return func(sc *Scenario) { sc.populationSpec = ps }
+}
+
+// withFlowGaugeLimit sets the flow count past which per-flow gauges
+// collapse into per-cell aggregates (<= 0: never).
+func withFlowGaugeLimit(n int) func(*Scenario) {
+	return func(sc *Scenario) { sc.flowGaugeLimit = n }
 }

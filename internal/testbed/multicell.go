@@ -345,7 +345,7 @@ func buildTerminal(env *cellEnv, c, m int) (*mcTerminal, error) {
 	// cell-shard event. The sender side runs on this cell's shard loop
 	// once the terminal materializes; the two sides feed disjoint
 	// decoder state, a legal concurrent feed.
-	if err := ts.flow.receive(env.server.Loop, env.server, spec, sc.analysis, sc.window, sc.flowStart,
+	if err := ts.flow.receive(env.server.Loop, env.server, spec, sc.analysis, sc.flowStart,
 		LiveWindow{Cell: c, Terminal: m, FlowID: flowID}); err != nil {
 		return nil, err
 	}
@@ -395,7 +395,7 @@ func (ts *mcTerminal) materialize() error {
 	card := modem.Globetrotter
 	card.TTYName = fmt.Sprintf("/dev/noz-c%dt%d", c, m)
 	n, err := newPLNode(env.loop, node, ts.term, card, env.cfg, "",
-		recoverPolicy(env.sc.selfHeal, env.sc.healPolicy), nil)
+		recoverPolicy(env.sc.selfHeal), nil)
 	if err != nil {
 		return fmt.Errorf("testbed: cell %d terminal %d: %w", c, m, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/metrics"
 	"github.com/onelab/umtslab/internal/netsim"
@@ -33,14 +32,12 @@ type Scenario struct {
 	path     Path
 	workload Workload
 	duration time.Duration
-	window   time.Duration
 
 	reps    int
 	workers int
 
-	faults     fault.Schedule
-	selfHeal   bool
-	healPolicy *dialer.Policy
+	faults   fault.Schedule
+	selfHeal bool
 
 	analysis AnalysisConfig
 
@@ -49,17 +46,20 @@ type Scenario struct {
 	shards    int
 	flowStart time.Duration
 
-	idleTerminals  int
-	population     int
-	populationSpec umts.PopulationSpec
-	flowGaugeLimit int
+	idleTerminals int
+	population    int
 
 	// drain is a multi-cell run's tail after its flows, for queued
 	// packets and echoes; backhaulDelay is the one-way delay of every
 	// Gi uplink and of the server's link, and with it the shard
-	// engine's lookahead. Only tests change them.
-	drain         time.Duration
-	backhaulDelay time.Duration
+	// engine's lookahead; populationSpec is the workload of each
+	// population subscriber; flowGaugeLimit is the flow count past
+	// which per-flow retained-bytes gauges collapse into per-cell
+	// aggregates (<= 0: never). Only tests change them.
+	drain          time.Duration
+	backhaulDelay  time.Duration
+	populationSpec umts.PopulationSpec
+	flowGaugeLimit int
 
 	dump      func(metrics.Snapshot)
 	interrupt func() bool
@@ -81,8 +81,7 @@ const (
 	// the paper's nodes make a ~30 ms RTT across the GRN.
 	ethDelay  = 7500 * time.Microsecond
 	ethJitter = 300 * time.Microsecond
-	// defaultFlowGaugeLimit is the flow count past which per-flow
-	// retained-bytes gauges collapse into per-cell aggregates.
+	// defaultFlowGaugeLimit is a multi-cell run's flowGaugeLimit.
 	defaultFlowGaugeLimit = 256
 )
 
@@ -180,15 +179,13 @@ func (sc *Scenario) runRep(i int) (*ExperimentResult, error) {
 	}
 	tb, err := New(Options{
 		Seed: RepSeed(sc.seed, i), Faults: sc.faults,
-		SelfHeal: sc.selfHeal, HealPolicy: sc.healPolicy,
-		Interrupt: sc.interrupt,
+		SelfHeal: sc.selfHeal, Interrupt: sc.interrupt,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return tb.RunExperiment(ExperimentSpec{
 		Path: sc.path, Workload: sc.workload,
-		Duration: sc.duration, Window: sc.window,
-		Analysis: analysis,
+		Duration: sc.duration, Analysis: analysis,
 	})
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
 )
 
@@ -161,10 +160,7 @@ func TestScenarioRecoversFromScriptedDrops(t *testing.T) {
 		{Kind: fault.KindCarrierDrop, At: 30 * time.Second},
 		{Kind: fault.KindCarrierDrop, At: 55 * time.Second},
 	}}
-	tb, err := New(Options{
-		Seed: 11, Faults: sched,
-		SelfHeal: true, HealPolicy: &dialer.Policy{InitialBackoff: 2 * time.Second},
-	})
+	tb, err := New(Options{Seed: 11, Faults: sched, SelfHeal: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func TestMultiCellFaultedShardDifferential(t *testing.T) {
 func TestMultiCellSelfHealShardDifferential(t *testing.T) {
 	diffMultiCell(t, Spec{
 		Seed: 5, Cells: 2, Terminals: 1, Duration: Duration(40 * time.Second),
-		SelfHeal: true, HealPolicy: &HealPolicySpec{InitialBackoff: Duration(time.Second)},
+		SelfHeal: true,
 	}, 3, withFaults(fault.Schedule{Events: []fault.Event{
 		{Kind: fault.KindCarrierDrop, At: 20 * time.Second},
 	}}))

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/onelab/umtslab/internal/dialer"
 	"github.com/onelab/umtslab/internal/fault"
 	"github.com/onelab/umtslab/internal/umts"
 )
@@ -20,10 +19,13 @@ import (
 // (path/workload/policy names, Go duration strings), so a submitted
 // Spec reproduces a one-shot CLI run byte for byte.
 //
-// Zero fields keep the paper defaults of the underlying runner.
-// Runtime hooks (metrics dump, live-window sink, interrupt) are
-// deliberately absent: they are wiring, not experiment identity, and
-// attach to the built Scenario (see ScenarioOption).
+// Zero fields keep the paper defaults of the underlying runner. The
+// Spec holds only values that some run sets: the 200 ms sample window,
+// the redial policy and the sketch's error bound are fixed, and
+// ParseSpec refuses a document that names a retired field. Runtime
+// hooks (metrics dump, live-window sink, interrupt) are deliberately
+// absent: they are wiring, not experiment identity, and attach to the
+// built Scenario (see ScenarioOption).
 type Spec struct {
 	// Seed is the base simulation seed; repetition r derives
 	// RepSeed(seed, r).
@@ -37,8 +39,6 @@ type Spec struct {
 	// Duration is the flow duration (default: 120s single-cell, 30s
 	// multi-cell).
 	Duration Duration `json:"duration,omitempty"`
-	// Window is the QoS sample window (default 200ms).
-	Window Duration `json:"window,omitempty"`
 
 	// Reps runs n seed-derived repetitions (single-cell only).
 	Reps int `json:"reps,omitempty"`
@@ -50,10 +50,8 @@ type Spec struct {
 	// resolved against Seed and the flow duration at run time.
 	FaultProfile string `json:"fault_profile,omitempty"`
 	// SelfHeal runs the umts backend in recover mode (supervised
-	// redial under HealPolicy).
+	// redial under the default dialer.Policy).
 	SelfHeal bool `json:"self_heal,omitempty"`
-	// HealPolicy tunes the self-heal dialer; requires SelfHeal.
-	HealPolicy *HealPolicySpec `json:"heal_policy,omitempty"`
 
 	// Analysis selects how percentiles are computed (exact when
 	// omitted).
@@ -77,15 +75,9 @@ type Spec struct {
 	// IdleTerminals powers on n extra never-dialing subscribers per
 	// cell; requires Cells.
 	IdleTerminals int `json:"idle_terminals,omitempty"`
-	// Population attaches an aggregate ensemble of n modeled CBR
-	// subscribers per cell; requires Cells.
+	// Population attaches an aggregate ensemble of n modeled 64 kbps
+	// CBR subscribers per cell; requires Cells.
 	Population int `json:"population,omitempty"`
-	// PopulationSpec overrides the modeled subscribers' workload;
-	// requires Population.
-	PopulationSpec *PopulationSpecJSON `json:"population_spec,omitempty"`
-	// FlowGaugeLimit caps per-flow metrics cardinality of a multi-cell
-	// run (default 256, negative disables the cap); requires Cells.
-	FlowGaugeLimit int `json:"flow_gauge_limit,omitempty"`
 }
 
 // Duration is a time.Duration that marshals as a Go duration string
@@ -119,65 +111,16 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// HealPolicySpec is the wire form of dialer.Policy (see that type for
-// field semantics and defaults).
-type HealPolicySpec struct {
-	InitialBackoff Duration `json:"initial_backoff,omitempty"`
-	MaxBackoff     Duration `json:"max_backoff,omitempty"`
-	Multiplier     float64  `json:"multiplier,omitempty"`
-	JitterFrac     float64  `json:"jitter_frac,omitempty"`
-	NoJitter       bool     `json:"no_jitter,omitempty"`
-	MaxAttempts    int      `json:"max_attempts,omitempty"`
-	NoRetry        bool     `json:"no_retry,omitempty"`
-}
-
-func (h *HealPolicySpec) policy() *dialer.Policy {
-	return &dialer.Policy{
-		InitialBackoff: time.Duration(h.InitialBackoff),
-		MaxBackoff:     time.Duration(h.MaxBackoff),
-		Multiplier:     h.Multiplier,
-		JitterFrac:     h.JitterFrac,
-		NoJitter:       h.NoJitter,
-		MaxAttempts:    h.MaxAttempts,
-		NoRetry:        h.NoRetry,
-	}
-}
-
 // AnalysisSpec is the wire form of AnalysisConfig's declarative
-// fields. The Live subscription is runtime wiring and has no wire
+// field. The Live subscription is runtime wiring and has no wire
 // form. Every flow gets one report, with exact percentiles unless the
 // document asks for the sketch.
 type AnalysisSpec struct {
-	// Mode "stream-only" sketches the percentiles. "", "batch" and
-	// "stream" report them exact; the three names are kept so that
-	// older documents still parse.
+	// Mode "stream-only" sketches the percentiles, at
+	// stats.DefaultSketchRelErr. "", "batch" and "stream" report them
+	// exact; the three names are kept so that older documents still
+	// parse.
 	Mode string `json:"mode,omitempty"`
-	// SketchRelErr is the quantile sketch's relative error bound.
-	SketchRelErr float64 `json:"sketch_rel_err,omitempty"`
-	// Exact keeps "stream-only" exact too.
-	Exact bool `json:"exact,omitempty"`
-}
-
-// PopulationSpecJSON is the wire form of umts.PopulationSpec (see that
-// type for field semantics and defaults).
-type PopulationSpecJSON struct {
-	RateBps     float64  `json:"rate_bps,omitempty"`
-	PacketBytes int      `json:"packet_bytes,omitempty"`
-	Tick        Duration `json:"tick,omitempty"`
-	Start       Duration `json:"start,omitempty"`
-	Duration    Duration `json:"duration,omitempty"`
-	Tolerance   float64  `json:"tolerance,omitempty"`
-}
-
-func (p *PopulationSpecJSON) spec() umts.PopulationSpec {
-	return umts.PopulationSpec{
-		RateBps:     p.RateBps,
-		PacketBytes: p.PacketBytes,
-		Tick:        time.Duration(p.Tick),
-		Start:       time.Duration(p.Start),
-		Duration:    time.Duration(p.Duration),
-		Tolerance:   p.Tolerance,
-	}
 }
 
 // ParseSpec decodes and validates a JSON Spec. Unknown fields are
@@ -224,12 +167,6 @@ func (s *Spec) Validate() error {
 		default:
 			return fmt.Errorf("spec.analysis.mode: unknown analysis mode %q (allowed: batch, stream, stream-only)", s.Analysis.Mode)
 		}
-		if e := s.Analysis.SketchRelErr; e < 0 || e >= 1 {
-			return fmt.Errorf("spec.analysis.sketch_rel_err: must be in [0, 1) (0 selects the default)")
-		}
-	}
-	if h := s.HealPolicy; h != nil && h.Multiplier != 0 && h.Multiplier < 1 {
-		return fmt.Errorf("spec.heal_policy.multiplier: must be >= 1 (0 selects the default); backoff must not shrink")
 	}
 	for _, f := range []struct {
 		name string
@@ -237,7 +174,6 @@ func (s *Spec) Validate() error {
 	}{
 		{"seed", s.Seed},
 		{"duration", int64(s.Duration)},
-		{"window", int64(s.Window)},
 		{"reps", int64(s.Reps)},
 		{"workers", int64(s.Workers)},
 		{"cells", int64(s.Cells)},
@@ -250,9 +186,6 @@ func (s *Spec) Validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("spec.%s: must be >= 0", f.name)
 		}
-	}
-	if s.HealPolicy != nil && !s.SelfHeal {
-		return fmt.Errorf("spec.heal_policy: requires spec.self_heal")
 	}
 	if s.Workers > 0 && s.Reps <= 1 {
 		return fmt.Errorf("spec.workers: requires spec.reps > 1")
@@ -285,19 +218,11 @@ func (s *Spec) Validate() error {
 			{"flow_start", s.FlowStart > 0},
 			{"idle_terminals", s.IdleTerminals > 0},
 			{"population", s.Population > 0},
-			{"population_spec", s.PopulationSpec != nil},
-			{"flow_gauge_limit", s.FlowGaugeLimit != 0},
 		} {
 			if f.set {
 				return fmt.Errorf("spec.%s: requires spec.cells (multi-cell only)", f.name)
 			}
 		}
-	}
-	if s.PopulationSpec != nil && s.Population <= 0 {
-		return fmt.Errorf("spec.population_spec: requires spec.population")
-	}
-	if s.PopulationSpec != nil && s.PopulationSpec.RateBps <= 0 {
-		return fmt.Errorf("spec.population_spec.rate_bps: must be > 0")
 	}
 	return nil
 }
@@ -314,10 +239,9 @@ func (s *Spec) activeTerminals() int {
 
 // Scenario validates the spec and resolves it, once, into the runnable
 // Scenario it describes; it is the only constructor of a Scenario.
-// Every zero field takes its default (the flow duration and window;
-// in a multi-cell run also the terminal and shard counts, the flow
-// start, the gauge limit and 64 kbps CBR for the modeled subscribers),
-// and the fault profile is drawn into its schedule with
+// Every zero field takes its default (the flow duration; in a
+// multi-cell run also the terminal and shard counts and the flow
+// start), and the fault profile is drawn into its schedule with
 // fault.Preset(profile, Seed, duration), placed over the flow window:
 // [0, duration] in a paper cell, [flow start, flow start + duration]
 // in a multi-cell run. Repetition r runs with RepSeed(Seed, r) under
@@ -328,32 +252,23 @@ func (s *Spec) Scenario() (*Scenario, error) {
 		return nil, err
 	}
 	sc := &Scenario{
-		seed:           s.Seed,
-		duration:       time.Duration(s.Duration),
-		window:         time.Duration(s.Window),
-		reps:           max(s.Reps, 1),
-		workers:        s.Workers,
-		selfHeal:       s.SelfHeal,
-		cells:          s.Cells,
-		terminals:      s.Terminals,
-		shards:         s.Shards,
-		flowStart:      time.Duration(s.FlowStart),
-		idleTerminals:  s.IdleTerminals,
-		population:     s.Population,
-		flowGaugeLimit: s.FlowGaugeLimit,
+		seed:          s.Seed,
+		duration:      time.Duration(s.Duration),
+		reps:          max(s.Reps, 1),
+		workers:       s.Workers,
+		selfHeal:      s.SelfHeal,
+		cells:         s.Cells,
+		terminals:     s.Terminals,
+		shards:        s.Shards,
+		flowStart:     time.Duration(s.FlowStart),
+		idleTerminals: s.IdleTerminals,
+		population:    s.Population,
 	}
 	// Validate has accepted every name.
 	sc.path, _ = ParsePath(s.Path)
 	sc.workload, _ = ParseWorkload(s.Workload)
-	if s.HealPolicy != nil {
-		sc.healPolicy = s.HealPolicy.policy()
-	}
 	if a := s.Analysis; a != nil {
-		sc.analysis.Sketch = a.Mode == "stream-only" && !a.Exact
-		sc.analysis.SketchRelErr = a.SketchRelErr
-	}
-	if sc.window <= 0 {
-		sc.window = defaultWindow
+		sc.analysis.Sketch = a.Mode == "stream-only"
 	}
 	if sc.duration <= 0 {
 		sc.duration = paperDuration
@@ -369,15 +284,10 @@ func (s *Spec) Scenario() (*Scenario, error) {
 		if sc.flowStart <= 0 {
 			sc.flowStart = defaultFlowStart
 		}
-		if sc.flowGaugeLimit == 0 {
-			sc.flowGaugeLimit = defaultFlowGaugeLimit
-		}
+		sc.flowGaugeLimit = defaultFlowGaugeLimit
 		sc.drain = drainTime
 		sc.backhaulDelay = ethDelay
 		sc.populationSpec = umts.PopulationSpec{RateBps: 64e3, Start: sc.flowStart, Duration: sc.duration}
-		if s.PopulationSpec != nil {
-			sc.populationSpec = s.PopulationSpec.spec()
-		}
 	}
 	faults, err := fault.Preset(s.FaultProfile, s.Seed, sc.duration)
 	if err != nil {

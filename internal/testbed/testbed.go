@@ -57,12 +57,9 @@ type Options struct {
 	Faults fault.Schedule
 	// SelfHeal runs the umts backend in recover mode: on carrier loss
 	// the slice keeps its lock while a dialer.Supervisor redials with
-	// capped exponential backoff, instead of the legacy fail-fast
-	// unlock.
+	// capped exponential backoff (dialer.Policy defaults), instead of
+	// the legacy fail-fast unlock.
 	SelfHeal bool
-	// HealPolicy overrides the supervisor's redial policy when SelfHeal
-	// is set (nil uses dialer.Policy defaults).
-	HealPolicy *dialer.Policy
 	// Trace receives verbose progress lines.
 	Trace func(format string, args ...any)
 	// Interrupt, when non-nil, is polled by the loop (about once per
@@ -149,7 +146,7 @@ func New(opts Options) (*Testbed, error) {
 	// Napoli node: the terminal, then the PlanetLab stack around it.
 	tb.Terminal = tb.Operator.NewTerminal("222015550001")
 	napoli, err := newPLNode(loop, tb.Napoli, tb.Terminal, *opts.Card, *opts.Operator,
-		opts.PIN, recoverPolicy(opts.SelfHeal, opts.HealPolicy), opts.Trace)
+		opts.PIN, recoverPolicy(opts.SelfHeal), opts.Trace)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -191,15 +188,11 @@ func New(opts Options) (*Testbed, error) {
 	return tb, nil
 }
 
-// recoverPolicy materializes the core backend's recover-mode knob from
-// the SelfHeal/HealPolicy pair.
-func recoverPolicy(selfHeal bool, p *dialer.Policy) *dialer.Policy {
+// recoverPolicy materializes the core backend's recover-mode knob:
+// the default redial policy with SelfHeal, fail-fast without.
+func recoverPolicy(selfHeal bool) *dialer.Policy {
 	if !selfHeal {
 		return nil
-	}
-	if p != nil {
-		pc := *p
-		return &pc
 	}
 	return &dialer.Policy{}
 }

@@ -688,25 +688,6 @@ func TestExperimentWithHuaweiCard(t *testing.T) {
 	}
 }
 
-func TestExperimentCustomWindow(t *testing.T) {
-	tb := newTB(t, 22)
-	res, err := tb.RunExperiment(ExperimentSpec{
-		Path: PathEthernet, Workload: WorkloadVoIP,
-		Duration: 10 * time.Second, Window: time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decoded.Window != time.Second {
-		t.Fatalf("window = %v", res.Decoded.Window)
-	}
-	// 10 s flow / 1 s windows: about 10-11 bitrate samples.
-	n := len(res.Decoded.BitrateSeries())
-	if n < 10 || n > 12 {
-		t.Fatalf("series length = %d", n)
-	}
-}
-
 func TestExperimentWithPIN(t *testing.T) {
 	tb, err := New(Options{Seed: 23, PIN: "1234"})
 	if err != nil {
